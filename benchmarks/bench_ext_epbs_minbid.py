@@ -31,7 +31,7 @@ def _world(**overrides):
 
 def test_ext_enshrined_pbs(benchmark):
     world = benchmark.pedantic(
-        lambda: _world(use_enshrined_pbs=True), rounds=1, iterations=1
+        lambda: _world(regime="epbs"), rounds=1, iterations=1
     )
     dataset = collect_study_dataset(world)
 

@@ -2,13 +2,11 @@
 
 Measures, in one process and therefore one environment:
 
-1. **Seed baseline** — the world built with every PR-1 optimization
-   disabled (no shared execution cache, eager protocol forks, no engine
-   fast path, one build worker), which reproduces the seed revision's
-   execution path.
-2. **Optimized cold** — the same world with the shared per-slot
-   execution cache, lazy protocol forks, the engine fast path and
-   ``build_workers`` warm-pass threads.
+1. **Uncached reference** — the world built with the shared execution
+   cache off (``enable_exec_cache=False``), so every transaction
+   executes directly.  Everything else matches the optimized run.
+2. **Optimized cold** — the same world at default settings, with the
+   shared per-slot execution cache.
 3. **Optimized warm** — the steady-state benchmark-session cost: the
    collected study dataset loaded from the persistent artifact cache
    (:mod:`repro.perf.artifacts`), which is how ``benchmarks/conftest.py``
@@ -21,24 +19,23 @@ Measures, in one process and therefore one environment:
    curve plus the recorded ``host_cpus`` shows how much of the
    builder-phase wall time process sharding recovers on this machine.
 
-Both simulations must produce bit-identical digests — the speedups are
+Both simulations must produce bit-identical digests — the speedup is
 only meaningful because the optimized world is *the same world*.
 
 Emits ``BENCH_perf.json`` at the repo root:
 
-- ``speedup_vs_seed_baseline`` — headline: seed-baseline build seconds
-  over the optimized benchmark-session world acquisition (warm artifact
-  load), i.e. the full three-layer stack versus the seed behaviour of
-  rebuilding from scratch every session.
-- ``cold_sim_speedup`` — the cold simulation-only speedup (shared
-  execution + cache + workers, no artifact reuse).
+- ``cold_sim_speedup`` — uncached-reference seconds over optimized-cold
+  seconds: what the execution cache saves in simulation alone, like for
+  like (both runs cold, same settings otherwise).
+- ``optimized_warm`` — the warm artifact load, reported on its own
+  rather than as a ratio against a cold rebuild.
 - ``sharded`` — the per-worker-count scaling curve (seconds,
   blocks/sec, speedup vs the 1-worker sharded run) and the merged
   builder-phase share.
 
 Run directly for the full benchmark scale, or scaled down::
 
-    PYTHONPATH=src python benchmarks/bench_perf_world.py --days 2 --blocks 8 --workers 2 --shard-curve 1,2
+    PYTHONPATH=src python benchmarks/bench_perf_world.py --days 2 --blocks 8 --shard-curve 1,2
 """
 
 from __future__ import annotations
@@ -61,17 +58,6 @@ from repro.simulation import SimulationConfig, build_world
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _DEFAULT_OUT = _REPO_ROOT / "BENCH_perf.json"
-
-
-def seed_baseline_config(optimized: SimulationConfig) -> SimulationConfig:
-    """The same scenario with every PR-1 optimization switched off."""
-    return dataclasses.replace(
-        optimized,
-        enable_exec_cache=False,
-        eager_protocol_forks=True,
-        engine_fast_path=False,
-        build_workers=1,
-    )
 
 
 def _timed_build(config: SimulationConfig):
@@ -236,29 +222,25 @@ def run_columnar_benchmark(
 def run_benchmark(
     num_days: int,
     blocks_per_day: int,
-    workers: int,
     cache_dir: Path | None = None,
     segment_days: int = 0,
     shard_curve: tuple[int, ...] = (),
 ) -> dict:
     """Run all three measurements and return the JSON-ready payload."""
     optimized_cfg = SimulationConfig(
-        seed=7,
-        num_days=num_days,
-        blocks_per_day=blocks_per_day,
-        build_workers=workers,
+        seed=7, num_days=num_days, blocks_per_day=blocks_per_day
     )
-    baseline_cfg = seed_baseline_config(optimized_cfg)
+    reference_cfg = dataclasses.replace(optimized_cfg, enable_exec_cache=False)
 
-    baseline_world, baseline_secs = _timed_build(baseline_cfg)
+    reference_world, reference_secs = _timed_build(reference_cfg)
     optimized_world, optimized_secs = _timed_build(optimized_cfg)
 
-    baseline_digest = baseline_world.digest()
+    reference_digest = reference_world.digest()
     optimized_digest = optimized_world.digest()
-    if baseline_digest != optimized_digest:
+    if reference_digest != optimized_digest:
         raise RuntimeError(
-            "optimized world diverged from the seed baseline: "
-            f"{optimized_digest[:16]} != {baseline_digest[:16]}"
+            "optimized world diverged from the uncached reference: "
+            f"{optimized_digest[:16]} != {reference_digest[:16]}"
         )
 
     # Steady-state benchmark session: dataset comes from the artifact
@@ -284,19 +266,18 @@ def run_benchmark(
         "scale": {
             "num_days": num_days,
             "blocks_per_day": blocks_per_day,
-            "build_workers": workers,
             "blocks": blocks,
         },
         "digest": optimized_digest[:16],
         "digests_equal": True,
         "config_hash": config_content_hash(optimized_cfg),
-        "seed_baseline": {
+        "uncached_reference": {
             "description": (
-                "seed execution path: no exec cache, eager protocol "
-                "forks, no engine fast path, 1 build worker"
+                "enable_exec_cache=False: every transaction executes "
+                "directly; otherwise default settings"
             ),
-            "seconds": round(baseline_secs, 3),
-            "blocks_per_second": round(blocks / baseline_secs, 2),
+            "seconds": round(reference_secs, 3),
+            "blocks_per_second": round(blocks / reference_secs, 2),
         },
         "optimized_cold": {
             "seconds": round(optimized_secs, 3),
@@ -322,10 +303,7 @@ def run_benchmark(
             if warm_secs > 0
             else None,
         },
-        "speedup_vs_seed_baseline": round(baseline_secs / warm_secs, 1)
-        if warm_secs > 0
-        else None,
-        "cold_sim_speedup": round(baseline_secs / optimized_secs, 2),
+        "cold_sim_speedup": round(reference_secs / optimized_secs, 2),
     }
     payload["columnar"] = run_columnar_benchmark(
         optimized_cfg, dataset, cache_dir, collect_secs
@@ -342,9 +320,7 @@ def run_benchmark(
 
 def test_perf_world_smoke(tmp_path):
     """Tiny-scale end-to-end run: digests equal, artifact round-trips."""
-    payload = run_benchmark(
-        num_days=2, blocks_per_day=6, workers=2, cache_dir=tmp_path
-    )
+    payload = run_benchmark(num_days=2, blocks_per_day=6, cache_dir=tmp_path)
     assert payload["digests_equal"] is True
     assert payload["scale"]["blocks"] > 0
     assert payload["optimized_warm"]["seconds"] >= 0.0
@@ -360,7 +336,6 @@ def test_shard_curve_smoke(tmp_path):
     payload = run_benchmark(
         num_days=4,
         blocks_per_day=6,
-        workers=2,
         cache_dir=tmp_path,
         segment_days=2,
         shard_curve=(1, 2),
@@ -384,7 +359,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--days", type=int, default=198)
     parser.add_argument("--blocks", type=int, default=40)
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--out", type=Path, default=_DEFAULT_OUT)
     parser.add_argument(
         "--tmp-cache",
@@ -413,7 +387,6 @@ def main() -> None:
     payload = run_benchmark(
         args.days,
         args.blocks,
-        args.workers,
         cache_dir,
         segment_days=args.segment_days,
         shard_curve=curve,

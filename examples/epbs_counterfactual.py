@@ -19,14 +19,14 @@ from repro.simulation import SimulationConfig, build_world
 from repro.types import to_ether
 
 
-def run_variant(use_epbs: bool):
+def run_variant(regime: str):
     config = SimulationConfig(
         seed=17,
         num_days=50,
         blocks_per_day=12,
         num_validators=320,
         num_users=260,
-        use_enshrined_pbs=use_epbs,
+        regime=regime,
     )
     world = build_world(config).run()
     return world, collect_study_dataset(world)
@@ -34,9 +34,9 @@ def run_variant(use_epbs: bool):
 
 def main() -> None:
     print("building the historical (relay-based) world...")
-    relay_world, relay_dataset = run_variant(use_epbs=False)
+    relay_world, relay_dataset = run_variant("mev_boost")
     print("building the enshrined-PBS counterfactual...")
-    epbs_world, epbs_dataset = run_variant(use_epbs=True)
+    epbs_world, epbs_dataset = run_variant("epbs")
 
     print("\n== value delivery ==")
     rows = relay_trust_table(relay_dataset)

@@ -113,18 +113,13 @@ def compare_regimes(
 
     Every run goes through the sharded executor (which degrades to the
     single-segment path when the config is unsegmented), so the rows are
-    digest-deterministic at any ``shard_workers``.  Both ``regime`` and
-    its legacy ``use_enshrined_pbs`` alias are overridden together —
-    overriding only one of them on an already-normalised base silently
-    re-normalises back.
+    digest-deterministic at any ``shard_workers``.
     """
     from ..perf.sharding import run_sharded
 
     rows: list[RegimeMetrics] = []
     for regime in regimes:
-        config = base_config.with_overrides(
-            regime=regime, use_enshrined_pbs=(regime == "epbs")
-        )
+        config = base_config.with_overrides(regime=regime)
         run = run_sharded(config)
         rows.append(regime_metrics(regime, run.dataset))
     return rows

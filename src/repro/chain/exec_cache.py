@@ -24,19 +24,16 @@ Correctness rests on *verified read/write-set replay*:
 
 Both the recorder and every reuser apply effects through the same replay
 routine, so a cached outcome is bit-identical to direct execution — the
-property the determinism regression test (same seed, any worker count,
-cache on or off ⇒ identical world digest) locks in.
+property the determinism regression test (same seed, cache on or off ⇒
+identical world digest) locks in.
 
 A cache instance lives for exactly one slot: the base fee, oracle prices
 and canonical state are constant within a slot, which keeps read sets
-small and hit rates high.  The cache is thread-safe so the parallel
-warm pass (``SimulationConfig.build_workers > 1``) can populate it
-concurrently.
+small and hit rates high.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -224,7 +221,6 @@ class ExecutionCache:
 
     def __init__(self) -> None:
         self._variants: dict[str, list[CachedVariant]] = {}
-        self._lock = threading.Lock()
         self.stats = CacheStats()
 
     # -- public API --------------------------------------------------------
@@ -244,10 +240,6 @@ class ExecutionCache:
         the writes direct execution would apply to ``ctx``, and returns a
         bit-identical outcome.
         """
-        # Lock-free lookup: variant lists are append-only, so iterating a
-        # snapshot-free reference is safe while the warm pass appends.
-        # Stats are plain int increments: under the GIL a rare lost update
-        # from the warm pass skews the counters a hair, never the replay.
         variants = self._variants.get(tx.tx_hash)
         if variants is not None:
             for variant in variants:
@@ -272,34 +264,14 @@ class ExecutionCache:
                 )
         else:
             variant = self._record(engine, tx, ctx, base_fee_per_gas)
-        with self._lock:
-            self._variants.setdefault(tx.tx_hash, []).append(variant)
+        self._variants.setdefault(tx.tx_hash, []).append(variant)
         return self._apply(variant, ctx, fee_recipient, tx_index)
 
     def variant_count(self, tx_hash: str) -> int:
-        with self._lock:
-            return len(self._variants.get(tx_hash, ()))
-
-    # -- serialization ---------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Picklable snapshot: variants and stats, minus the lock.
-
-        Lets a cache cross a process boundary (epoch-segment deltas carry
-        cache state/stats between shard workers and the parent) — the
-        lock is an in-process concern and is recreated on restore.
-        """
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
+        return len(self._variants.get(tx_hash, ()))
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._variants)
+        return len(self._variants)
 
     # -- internals -------------------------------------------------------
 

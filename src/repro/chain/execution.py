@@ -131,15 +131,7 @@ class BlockExecutionResult:
 
 
 class ExecutionEngine:
-    """Executes transactions and blocks against an execution context.
-
-    ``fast_single_action=False`` disables the single-action in-place
-    execution path, restoring fork-per-transaction semantics; the perf
-    benchmark uses it to reproduce the pre-optimization baseline.
-    """
-
-    def __init__(self, fast_single_action: bool = True) -> None:
-        self._fast_single_action = fast_single_action
+    """Executes transactions and blocks against an execution context."""
 
     def execute_transaction(
         self,
@@ -185,10 +177,8 @@ class ExecutionEngine:
         # raises before anything is written), so the speculative action
         # fork — which exists to revert partially-applied action lists —
         # buys nothing; executing in place skips a fork+commit per tx.
-        if (
-            self._fast_single_action
-            and len(tx.actions) == 1
-            and isinstance(tx.actions[0], (EthTransfer, TipCoinbase))
+        if len(tx.actions) == 1 and isinstance(
+            tx.actions[0], (EthTransfer, TipCoinbase)
         ):
             action_ctx = ctx
         else:

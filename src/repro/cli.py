@@ -57,26 +57,20 @@ def _add_world_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--regime", choices=("mev_boost", "epbs", "local"),
-        default=None, dest="regime",
+        default="mev_boost", dest="regime",
         help="block-production regime: out-of-protocol MEV-Boost relays "
              "(default), enshrined PBS with staked builders, or local "
              "building only",
     )
-    parser.add_argument(
-        "--epbs", action="store_true",
-        help="legacy alias for --regime epbs",
-    )
 
 
 def _world_config(args: argparse.Namespace) -> SimulationConfig:
-    regime = args.regime or ("epbs" if args.epbs else "mev_boost")
     return SimulationConfig(
         seed=args.seed,
         num_days=args.days,
         blocks_per_day=args.blocks_per_day,
         num_validators=args.validators,
-        regime=regime,
-        use_enshrined_pbs=(regime == "epbs"),
+        regime=args.regime,
     )
 
 

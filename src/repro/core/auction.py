@@ -16,7 +16,6 @@ from ..chain.block import Block
 from ..chain.execution import BlockExecutionResult, ExecutionContext
 from ..chain.validation import validate_header
 from ..errors import MissingPayloadError
-from ..perf.parallel import warm_builder_caches
 from .builder import BlockBuilder, BuilderSubmission
 from .context import SlotContext
 from .mev_boost import MevBoostClient
@@ -100,12 +99,8 @@ class SlotAuction:
             for builder in (self.builders.get(name) for name in active_builders)
             if builder is not None
         ]
-        # Concurrently pre-populate the slot's execution cache; the real
-        # builds below stay sequential in active-builder order so the
-        # slot's shared RNG stream is consumed identically at any worker
-        # count (the submissions relays see are already name-deterministic
-        # because active_builders is).
-        warm_builder_caches(ctx, ordered, proposer)
+        # Builds run in active-builder order: they share the slot's RNG
+        # stream, so the order fixes every draw.
         submissions: list[BuilderSubmission] = []
         for builder in ordered:
             submission = builder.build(ctx, proposer)

@@ -228,12 +228,6 @@ class BlockBuilder:
     def _gather_candidates(
         self, ctx: SlotContext
     ) -> tuple[list[Bundle], list[Transaction]]:
-        """This slot's candidates, computed once and memoized on the ctx."""
-        return ctx.gathered_candidates(self)
-
-    def _compute_candidates(
-        self, ctx: SlotContext
-    ) -> tuple[list[Bundle], list[Transaction]]:
         """Bundles (deduped by conflict key, best bid first) and loose txs."""
         bundles = sorted(
             ctx.bundles_for(self.name),

@@ -5,11 +5,9 @@ context (to fork), fee-market parameters, mempool and private order flow,
 searcher bundles routed per builder, the sanctions list, and the slot's
 deterministic RNG stream.
 
-The context is also the seam for the slot's shared performance machinery:
-the per-slot :class:`~repro.chain.exec_cache.ExecutionCache` (so builders
-re-executing the same candidates reuse outcomes), the per-builder gathered
-candidate lists (computed once per slot), and the optional worker pool the
-cache-warming pass uses when ``build_workers > 1``.  All of it is
+The context is also the seam for the slot's shared execution cache
+(:class:`~repro.chain.exec_cache.ExecutionCache`), so builders
+re-executing the same candidates reuse outcomes.  It is
 deterministic-by-construction: routing execution through the context must
 never change a world's bit-identical outcome.
 """
@@ -40,8 +38,6 @@ from ..types import Address, Hash, Wei
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chain.exec_cache import ExecutionCache
     from ..perf.metrics import PerfRegistry
-    from ..perf.parallel import BuildWorkerPool
-    from .builder import BlockBuilder
 
 
 @dataclass
@@ -69,12 +65,7 @@ class SlotContext:
     build_cutoff_time: float = 0.0
     # Shared per-slot memo of execution outcomes (None disables it).
     exec_cache: "ExecutionCache | None" = None
-    # Builder-phase worker configuration (1 = fully sequential).
-    build_workers: int = 1
-    worker_pool: "BuildWorkerPool | None" = None
     perf: "PerfRegistry | None" = None
-    # Per-builder (bundles, loose txs) lists, gathered once per slot.
-    _gather_cache: dict = field(default_factory=dict, repr=False)
     # Per-slot memo of static sanctions screening verdicts.
     _involves_cache: dict = field(default_factory=dict, repr=False)
 
@@ -106,20 +97,6 @@ class SlotContext:
         return verdict
 
     # -- shared speculative execution --------------------------------------
-
-    def gathered_candidates(
-        self, builder: "BlockBuilder"
-    ) -> tuple[list[Bundle], list[Transaction]]:
-        """This builder's (bundles, loose) candidates, computed once a slot.
-
-        The lists are deterministic for a given slot and must be treated
-        as read-only: the warm pass and the real build share them.
-        """
-        entry = self._gather_cache.get(builder.name)
-        if entry is None:
-            entry = builder._compute_candidates(self)
-            self._gather_cache[builder.name] = entry
-        return entry
 
     def execute_tx(
         self,

@@ -47,7 +47,6 @@ from ..beacon.builders import (
 )
 from ..beacon.validator import Validator, ValidatorRegistry
 from ..chain.validation import validate_header
-from ..perf.parallel import warm_builder_caches
 from ..types import Wei
 from .auction import MODE_FALLBACK, MODE_LOCAL, SlotAuction, SlotOutcome
 from .builder import BlockBuilder, BuilderSubmission
@@ -129,7 +128,6 @@ class EnshrinedPBSAuction(SlotAuction):
                 or self.registry.is_active(builder.name, ctx.day)
             )
         ]
-        warm_builder_caches(ctx, ordered, proposer)
         submissions: list[BuilderSubmission] = []
         for builder in ordered:
             submission = builder.build(ctx, proposer)

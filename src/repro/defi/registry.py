@@ -8,8 +8,7 @@ Forking is *lazy*: a fork materializes a component (token ledger, AMM
 reserves, a lending market's positions) only when an action first touches
 it, so the per-transaction speculative fork an execution context takes is
 O(1) instead of O(components).  Pure-ETH transactions never touch the
-DeFi substrate at all.  Set ``fork_eagerly`` on a root registry to restore
-the old fork-everything behaviour (used as the benchmark baseline).
+DeFi substrate at all.
 """
 
 from __future__ import annotations
@@ -144,10 +143,11 @@ def _apply_writes(registry, writes) -> None:
 
 
 class DefiProtocols:
-    """Token registry + AMM + lending markets behind one engine-facing API."""
+    """Token registry + AMM + lending markets behind one engine-facing API.
 
-    # Roots created with fork_eagerly=True hand out old-style eager forks.
-    fork_eagerly = False
+    Always the root of a fork tree: speculative children are
+    :class:`LazyDefiFork` overlays, which commit into it.
+    """
 
     def __init__(
         self,
@@ -155,13 +155,11 @@ class DefiProtocols:
         amm: AmmExchange,
         markets: dict[str, LendingMarket],
         oracle: PriceOracle,
-        parent: "DefiProtocols | None" = None,
     ) -> None:
         self.tokens = tokens
         self.amm = amm
         self.markets = markets
         self.oracle = oracle  # read-only within a block; never forked
-        self._parent = parent
 
     @classmethod
     def create(cls, oracle: PriceOracle) -> "DefiProtocols":
@@ -191,32 +189,11 @@ class DefiProtocols:
 
     # -- forking -----------------------------------------------------------
 
-    def fork(self) -> "DefiProtocols | LazyDefiFork":
-        if not self.fork_eagerly:
-            return LazyDefiFork(parent=self)
-        tokens = self.tokens.fork()
-        amm = self.amm.fork(tokens)
-        markets = {
-            market_id: market.fork(tokens)
-            for market_id, market in self.markets.items()
-        }
-        child = DefiProtocols(
-            tokens=tokens,
-            amm=amm,
-            markets=markets,
-            oracle=self.oracle,
-            parent=self,
-        )
-        child.fork_eagerly = True
-        return child
+    def fork(self) -> "LazyDefiFork":
+        return LazyDefiFork(parent=self)
 
     def commit(self) -> None:
-        if self._parent is None:
-            raise DefiError("cannot commit a root DefiProtocols")
-        self.tokens.commit()
-        self.amm.commit()
-        for market in self.markets.values():
-            market.commit()
+        raise DefiError("cannot commit a root DefiProtocols")
 
     # -- execution-cache hooks (see repro.chain.exec_cache) ----------------
 

@@ -1,12 +1,9 @@
-"""Performance layer: instrumentation, parallel build seams, artifacts.
+"""Performance layer: instrumentation, artifacts, sharded execution.
 
-This package hosts the cross-cutting performance machinery introduced by
-the parallel slot-auction work:
+This package hosts the cross-cutting performance machinery:
 
 * :mod:`repro.perf.metrics` — a lightweight timer/counter registry every
   :class:`~repro.simulation.world.World` carries (``world.perf``).
-* :mod:`repro.perf.parallel` — the worker pool and the cache-warming
-  builder pass used when ``SimulationConfig.build_workers > 1``.
 * :mod:`repro.perf.artifacts` — the persistent study-dataset artifact
   cache keyed by a :class:`~repro.simulation.config.SimulationConfig`
   content hash.
@@ -25,11 +22,9 @@ from .artifacts import (
     save_study_artifact,
 )
 from .metrics import PerfRegistry
-from .parallel import BuildWorkerPool, warm_builder_caches
 from .sharding import ShardedRun, ShardWorkerPool, host_cpu_count, run_sharded
 
 __all__ = [
-    "BuildWorkerPool",
     "PerfRegistry",
     "ShardedRun",
     "ShardWorkerPool",
@@ -39,5 +34,4 @@ __all__ = [
     "load_study_artifact",
     "run_sharded",
     "save_study_artifact",
-    "warm_builder_caches",
 ]

@@ -1,9 +1,7 @@
 """Process-sharded epoch-segment execution with deterministic merge.
 
-This is the process-level successor to the thread-pool warm pass in
-:mod:`repro.perf.parallel`: instead of warming a shared cache under the
-GIL, whole epoch segments (:mod:`repro.simulation.segments`) execute in
-worker *processes* and ship back serializable
+Whole epoch segments (:mod:`repro.simulation.segments`) execute in worker
+*processes* and ship back serializable
 :class:`~repro.simulation.segments.SegmentDelta` objects.  The merge is
 deterministic by construction:
 
@@ -50,10 +48,8 @@ def _fork_aware_context():
 class ShardWorkerPool:
     """A lazily created, explicitly owned process pool for segment work.
 
-    Mirrors the lifecycle discipline of
-    :class:`~repro.perf.parallel.BuildWorkerPool`: lazy executor creation,
-    an idempotent :meth:`shutdown`, and context-manager support so no
-    caller can leak worker processes.
+    Lazy executor creation, an idempotent :meth:`shutdown`, and
+    context-manager support, so no caller can leak worker processes.
     """
 
     def __init__(self, workers: int) -> None:

@@ -67,10 +67,6 @@ class SimulationConfig:
     # digest-deterministic StudyDatasets through the unchanged collector.
     regime: str = "mev_boost"
 
-    # Legacy alias for ``regime="epbs"`` (kept for older callers and
-    # stored configs; normalized against ``regime`` in __post_init__).
-    use_enshrined_pbs: bool = False
-
     # MEV-Boost min-bid in ETH applied to every PBS validator (0 = off).
     # A post-study censorship-resistance mitigation; see the ablations.
     min_bid_eth: float = 0.0
@@ -78,18 +74,11 @@ class SimulationConfig:
     # How many builders compete per slot (top order-flow weighted sample).
     max_active_builders_per_slot: int = 7
 
-    # Performance knobs.  None of these change simulated outcomes — a
-    # given seed produces a bit-identical world at any setting (the
-    # determinism regression tests enforce it).
     # Shared per-slot memo of execute_transaction outcomes across builders.
+    # Never changes simulated outcomes — a given seed produces a
+    # bit-identical world either way (the determinism regression tests
+    # enforce it); off is the uncached reference path those tests use.
     enable_exec_cache: bool = True
-    # Worker threads for the builder-phase cache-warming pass (1 = off).
-    build_workers: int = 1
-    # Restore the pre-lazy fork-everything protocol forks (baseline mode).
-    eager_protocol_forks: bool = False
-    # Execute lone ETH transfers / coinbase tips in place instead of on a
-    # speculative fork (False restores fork-per-transaction baseline mode).
-    engine_fast_path: bool = True
 
     # Epoch-segment sharding.  ``segment_days > 0`` partitions the study
     # window into independent epoch segments of that many days, each with
@@ -144,8 +133,6 @@ class SimulationConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
         if self.swap_tx_share + self.token_tx_share > 1.0:
             raise ConfigError("swap and token shares exceed the whole workload")
-        if self.build_workers < 1:
-            raise ConfigError("build_workers must be at least 1")
         if self.segment_days < 0:
             raise ConfigError("segment_days cannot be negative")
         if self.shard_workers < 1:
@@ -166,17 +153,6 @@ class SimulationConfig:
                 "regime must be 'mev_boost', 'epbs' or 'local', "
                 f"got {self.regime!r}"
             )
-        # Keep the legacy boolean and the regime knob in lock-step so both
-        # spellings keep working: the boolean promotes the default regime,
-        # and regime="epbs" implies the boolean.
-        if self.use_enshrined_pbs and self.regime == "local":
-            raise ConfigError(
-                "use_enshrined_pbs=True conflicts with regime='local'"
-            )
-        if self.use_enshrined_pbs and self.regime == "mev_boost":
-            self.regime = "epbs"
-        elif self.regime == "epbs":
-            self.use_enshrined_pbs = True
 
     @property
     def total_slots(self) -> int:

@@ -59,7 +59,6 @@ from ..mempool.observer import ObservationStore
 from ..mempool.pool import SharedMempool
 from ..mempool.private import PrivateOrderFlow
 from ..perf.metrics import PerfRegistry
-from ..perf.parallel import BuildWorkerPool
 from ..sanctions.ofac import SanctionsList, build_ofac_timeline
 from ..types import Address, derive_address, ether, gwei
 from . import calibration
@@ -176,12 +175,9 @@ class World:
         self.private_flow = PrivateOrderFlow()
 
         self.defi: DefiProtocols = build_defi(config)
-        # The baseline mode for perf comparisons: fork every protocol
-        # component up front instead of on first touch.
-        self.defi.fork_eagerly = config.eager_protocol_forks
         self.oracle = self.defi.oracle
         self.state = WorldState()
-        self.engine = ExecutionEngine(fast_single_action=config.engine_fast_path)
+        self.engine = ExecutionEngine()
         self.canonical_ctx = ExecutionContext(state=self.state, protocols=self.defi)
         # Segment block numbering derives from the slot offset: segments
         # are independent by construction, so segment N cannot know how
@@ -192,11 +188,6 @@ class World:
 
         # Performance machinery (never changes simulated outcomes).
         self.perf = PerfRegistry()
-        self.worker_pool = (
-            BuildWorkerPool(config.build_workers)
-            if config.build_workers > 1
-            else None
-        )
 
         # Consensus layer.
         self.validators: ValidatorRegistry
@@ -753,15 +744,8 @@ class World:
         if self._has_run:
             return self
         self._has_run = True
-        try:
-            with self.perf.timer("slot_loop"):
-                self.advance_days(self._day_start, self._day_end)
-        finally:
-            # The warm-pass executor must die with the run, success or
-            # not — a leaked thread pool per world was a measured leak in
-            # matrix-style callers that build many worlds.
-            if self.worker_pool is not None:
-                self.worker_pool.shutdown()
+        with self.perf.timer("slot_loop"):
+            self.advance_days(self._day_start, self._day_end)
         return self
 
     def advance_days(self, day_start: int, day_end: int) -> None:
@@ -858,8 +842,6 @@ class World:
             tx_factory=self.tx_factory,
             build_cutoff_time=slot_time,
             exec_cache=exec_cache,
-            build_workers=config.build_workers,
-            worker_pool=self.worker_pool,
             perf=self.perf,
         )
         with self.perf.timer("auction"):
@@ -1155,9 +1137,8 @@ class World:
         Covers the full chain (headers, receipts, logs, traces, fee
         accounting), the final ETH/token/AMM state, and the slot records.
         Two runs of the same config and seed must produce equal digests —
-        regardless of ``enable_exec_cache``, ``build_workers`` or
-        ``eager_protocol_forks`` — which the determinism regression tests
-        assert.
+        with ``enable_exec_cache`` on or off — which the determinism
+        regression tests assert.
         """
         hasher = hashlib.sha256()
         hasher.update(self.chain.digest().encode())

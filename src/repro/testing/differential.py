@@ -1,9 +1,8 @@
 """Differential replay: one seeded scenario, every perf configuration.
 
-The simulator's performance knobs (shared execution cache, parallel
-cache-warming workers, lazy protocol forks, the engine fast path, and
-process-sharded epoch segments) promise to never change simulated
-outcomes.  This module turns that promise into a reusable matrix: the
+The simulator's performance knobs (the shared execution cache, the
+columnar dataset backend and process-sharded epoch segments) promise to
+never change simulated outcomes.  This module turns that promise into a reusable matrix: the
 same seeded config (optionally perturbed by scenario faults) is re-run
 under each :class:`ReplayCase` and every run must produce a bit-identical
 world digest, a bit-identical collected dataset digest, and an
@@ -53,24 +52,11 @@ class ReplayCase:
     group: str = GROUP_DEFAULT
 
 
-#: The shipped matrix: exec-cache on/off x build workers 1/4, plus the
-#: all-optimizations-off baseline paths.
+#: The shipped matrix: the reference run, uncached execution, and the
+#: object-backed dataset path.
 DEFAULT_CASES: tuple[ReplayCase, ...] = (
     ReplayCase(name="reference"),
     ReplayCase(name="exec-cache-off", overrides=(("enable_exec_cache", False),)),
-    ReplayCase(name="workers-4", overrides=(("build_workers", 4),)),
-    ReplayCase(
-        name="exec-cache-off-workers-4",
-        overrides=(("enable_exec_cache", False), ("build_workers", 4)),
-    ),
-    ReplayCase(
-        name="baseline-paths",
-        overrides=(
-            ("enable_exec_cache", False),
-            ("eager_protocol_forks", True),
-            ("engine_fast_path", False),
-        ),
-    ),
     # The columnar dataset backend must be a pure storage change: the
     # object-backed collection path has to produce a bit-identical
     # dataset digest, so it sits in the same digest group.
@@ -127,21 +113,15 @@ def regime_cases(segment_days: int) -> tuple[ReplayCase, ...]:
 
     Each regime is its own digest group — the three regimes simulate
     genuinely different protocols — and within a group the sharded
-    worker count {1, 2, 4} must never matter.  Both ``regime`` and the
-    legacy ``use_enshrined_pbs`` alias are overridden together so the
-    cases mean the same thing whatever the base config was normalised
-    to.  (The ``mev_boost`` regime is the base matrix above.)
+    worker count {1, 2, 4} must never matter.  (The ``mev_boost``
+    regime is the base matrix above.)
     """
     if segment_days <= 0:
         raise ConformanceError("regime cases need segment_days > 0")
     seg = ("segment_days", segment_days)
     cases: list[ReplayCase] = []
     for regime in ("epbs", "local"):
-        base = (
-            seg,
-            ("regime", regime),
-            ("use_enshrined_pbs", regime == "epbs"),
-        )
+        base = (seg, ("regime", regime))
         group = f"regime-{regime}"
         for workers in (1, 2, 4):
             cases.append(

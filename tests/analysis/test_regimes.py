@@ -56,9 +56,7 @@ class TestCompareRegimes:
 
 class TestRegimeMetrics:
     def test_epbs_promise_is_the_committed_bid(self):
-        world = build_world(
-            CONFIG.with_overrides(regime="epbs", use_enshrined_pbs=True)
-        ).run()
+        world = build_world(CONFIG.with_overrides(regime="epbs")).run()
         dataset = collect_study_dataset(world)
         row = regime_metrics("epbs", dataset)
         assert dataset.epbs is not None

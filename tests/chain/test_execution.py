@@ -9,9 +9,13 @@ from repro.chain.transaction import (
     EthTransfer,
     SwapExact,
     TipCoinbase,
+    TokenTransfer,
     TransactionFactory,
 )
-from repro.errors import ExecutionError
+from repro.defi.lending import LendingMarket
+from repro.defi.oracle import PriceOracle
+from repro.defi.registry import DefiProtocols
+from repro.errors import DefiError, ExecutionError
 from repro.types import derive_address, ether, gwei
 
 ALICE = derive_address("exec", "alice")
@@ -28,6 +32,22 @@ def ctx():
 
 
 @pytest.fixture
+def defi_ctx():
+    """A root context whose protocols hold tokens, a pool and a market."""
+    protocols = DefiProtocols.create(PriceOracle({"WETH": 2000.0, "USDC": 1.0}))
+    protocols.tokens.deploy("WETH")
+    protocols.tokens.deploy("USDC", 6)
+    protocols.amm.register_pool(
+        "WETH", "USDC", ether(100), 200_000 * 10**6, pool_id="pool"
+    )
+    protocols.add_market(LendingMarket("aave", protocols.tokens))
+    protocols.tokens.mint("WETH", ALICE, ether(5))
+    state = WorldState()
+    state.mint(ALICE, ether(10))
+    return ExecutionContext(state=state, protocols=protocols)
+
+
+@pytest.fixture
 def engine():
     return ExecutionEngine()
 
@@ -39,6 +59,18 @@ def factory():
 
 def _transfer_tx(factory, value=ether(1), max_fee=gwei(20), priority=gwei(2)):
     return factory.create(ALICE, 0, [EthTransfer(BOB, value)], max_fee, priority)
+
+
+def _swap_tx(factory, nonce=0):
+    return factory.create(
+        ALICE, nonce, [SwapExact("pool", "WETH", ether(1), 0)], gwei(20), gwei(2)
+    )
+
+
+def _token_tx(factory, nonce=0):
+    return factory.create(
+        ALICE, nonce, [TokenTransfer("WETH", BOB, ether(2))], gwei(20), gwei(2)
+    )
 
 
 class TestSingleTransaction:
@@ -169,3 +201,48 @@ class TestSpeculation:
         assert ctx.state.balance_of(BOB) == 0
         fork.commit()
         assert ctx.state.balance_of(BOB) == ether(1)
+
+    def test_protocol_fork_isolation_and_commit(self, engine, defi_ctx, factory):
+        protocols = defi_ctx.protocols
+        pool_before = protocols.amm.pool("pool")
+        fork = defi_ctx.fork()
+        for tx in (_swap_tx(factory, 0), _token_tx(factory, 1)):
+            outcome = engine.execute_transaction(tx, fork, BASE_FEE, FEE_RECIPIENT)
+            assert outcome.success
+        pool_on_fork = fork.protocols.amm.pool("pool")
+        assert pool_on_fork != pool_before
+
+        # The parent's reserves and token balances are untouched.
+        assert protocols.amm.pool("pool") == pool_before
+        assert protocols.tokens.balance_of("WETH", ALICE) == ether(5)
+        assert protocols.tokens.balance_of("WETH", BOB) == 0
+        assert protocols.tokens.balance_of("USDC", ALICE) == 0
+        # No action touched the lending market, so the fork still reads
+        # the parent's positions rather than a materialised copy.
+        assert fork.protocols.positions_view("aave") is protocols.positions_view(
+            "aave"
+        )
+
+        fork.commit()
+        assert protocols.amm.pool("pool") == pool_on_fork
+        assert protocols.tokens.balance_of("WETH", ALICE) == ether(2)
+        assert protocols.tokens.balance_of("WETH", BOB) == ether(2)
+        assert protocols.tokens.balance_of("USDC", ALICE) > 0
+        with pytest.raises(DefiError):
+            protocols.commit()
+
+    def test_nested_protocol_fork_commits_one_level(
+        self, engine, defi_ctx, factory
+    ):
+        protocols = defi_ctx.protocols
+        outer = defi_ctx.fork()
+        inner = outer.fork()
+        engine.execute_transaction(_token_tx(factory), inner, BASE_FEE, FEE_RECIPIENT)
+
+        inner.commit()
+        assert outer.protocols.tokens.balance_of("WETH", BOB) == ether(2)
+        assert protocols.tokens.balance_of("WETH", BOB) == 0
+
+        outer.commit()
+        assert protocols.tokens.balance_of("WETH", BOB) == ether(2)
+        assert protocols.tokens.balance_of("WETH", ALICE) == ether(3)

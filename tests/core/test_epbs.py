@@ -143,7 +143,7 @@ class TestPayloadTimelinessCommittee:
 class TestEnshrinedWorld:
     @pytest.fixture(scope="class")
     def epbs_world(self):
-        config = small_test_config(use_enshrined_pbs=True)
+        config = small_test_config(regime="epbs")
         return build_world(config).run()
 
     def test_no_relay_data(self, epbs_world):

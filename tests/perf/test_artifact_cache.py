@@ -26,7 +26,7 @@ class TestConfigHash:
     def test_sensitive_to_every_field(self):
         base = config_content_hash(_config())
         assert config_content_hash(_config(seed=8)) != base
-        assert config_content_hash(_config(build_workers=4)) != base
+        assert config_content_hash(_config(enable_exec_cache=False)) != base
         changed = dataclasses.replace(_config(), num_days=5)
         assert config_content_hash(changed) != base
 

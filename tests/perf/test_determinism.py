@@ -1,19 +1,21 @@
 """Determinism regression: the perf machinery must never change a world.
 
-Same seed → bit-identical world digest, regardless of the shared
-execution cache, the engine fast path, lazy protocol forks, or the
-number of build workers — and, for a fixed epoch-segment plan,
-regardless of the number of *process* shard workers.  The heavy lifting
-lives in the conformance harness's differential replay matrix
+Same seed → bit-identical world digest, with the shared execution cache
+on or off — and, for a fixed epoch-segment plan, regardless of the
+number of *process* shard workers.  The heavy lifting lives in the
+conformance harness's differential replay matrix
 (``repro.testing.differential``); this module pins the perf contract
-through it.
+through it.  The exec-cache hit and miss counters must repeat exactly
+too, so they can back count-based claims.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.perf.sharding import run_sharded
 from repro.simulation.config import small_test_config
+from repro.simulation.world import build_world
 from repro.testing.differential import (
     DEFAULT_CASES,
     GROUP_SHARDED,
@@ -22,10 +24,17 @@ from repro.testing.differential import (
 )
 
 
+CONFIG = small_test_config(num_days=4, blocks_per_day=6)
+
+
+def _exec_cache_counts(perf) -> tuple[int, int]:
+    return perf.count("exec_cache_hits"), perf.count("exec_cache_misses")
+
+
 @pytest.fixture(scope="module")
 def replay_report(tmp_path_factory):
     return run_replay_matrix(
-        small_test_config(num_days=4, blocks_per_day=6),
+        CONFIG,
         cases=DEFAULT_CASES + sharded_cases(segment_days=2),
         artifact_dir=tmp_path_factory.mktemp("determinism-artifacts"),
     )
@@ -39,22 +48,6 @@ def test_exec_cache_invariant(replay_report):
     by_name = {r.case.name: r for r in replay_report.results}
     assert (
         by_name["exec-cache-off"].world_digest
-        == by_name["reference"].world_digest
-    )
-
-
-def test_worker_count_invariant(replay_report):
-    by_name = {r.case.name: r for r in replay_report.results}
-    assert (
-        by_name["workers-4"].world_digest == by_name["reference"].world_digest
-    )
-
-
-def test_optimizations_off_same_digest(replay_report):
-    """The optimized world is bit-identical to the seed execution path."""
-    by_name = {r.case.name: r for r in replay_report.results}
-    assert (
-        by_name["baseline-paths"].world_digest
         == by_name["reference"].world_digest
     )
 
@@ -101,3 +94,27 @@ def test_sharded_runs_are_oracle_clean(replay_report):
     for result in replay_report.results:
         if result.case.group == GROUP_SHARDED:
             assert result.oracle_violations == 0
+
+
+# -- exec-cache counters -----------------------------------------------------
+
+
+def test_exec_cache_counters_repeat_across_runs():
+    first, second = (
+        _exec_cache_counts(build_world(CONFIG).run().perf) for _ in range(2)
+    )
+    assert first == second
+    assert first[0] > 0 and first[1] > 0
+
+
+def test_exec_cache_counters_invariant_to_shard_workers():
+    counts = [
+        _exec_cache_counts(
+            run_sharded(
+                CONFIG.with_overrides(segment_days=2, shard_workers=workers)
+            ).perf
+        )
+        for workers in (1, 2)
+    ]
+    assert counts[0] == counts[1]
+    assert counts[0][0] > 0 and counts[0][1] > 0

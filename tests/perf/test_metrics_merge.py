@@ -1,11 +1,10 @@
-"""Cross-process perf aggregation and worker-pool lifecycle."""
+"""Cross-process perf aggregation."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.perf.metrics import PerfRegistry
-from repro.perf.parallel import BuildWorkerPool
 
 
 def _registry(timers: dict, counters: dict) -> PerfRegistry:
@@ -53,11 +52,3 @@ def test_merge_snapshot_tolerates_empty_payload():
     registry.merge_snapshot({})
     assert registry.seconds("slot_loop") == pytest.approx(1.0)
     assert registry.count("blocks") == 1
-
-
-def test_build_worker_pool_context_manager_shuts_down():
-    with BuildWorkerPool(workers=2) as pool:
-        future = pool.executor().submit(divmod, 9, 4)
-        assert future.result() == (2, 1)
-    assert pool._executor is None
-    pool.shutdown()  # idempotent

@@ -146,8 +146,8 @@ class TestCacheReplayEquivalence:
         engine = ExecutionEngine()
         cache = ExecutionCache()
         txs = _build_txs(specs)
-        # Warm pass over an identical sequence (separate forked state, the
-        # sentinel fee recipient the warm pool uses).
+        # A first pass over an identical sequence on separate forked
+        # state, as an earlier builder in the slot would run it.
         _run(
             txs,
             mutation,

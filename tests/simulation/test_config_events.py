@@ -51,6 +51,21 @@ class TestConfig:
         config = SimulationConfig(blocks_per_day=40)
         assert config.seconds_per_simulated_slot == pytest.approx(2160.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "build_workers",
+            "eager_protocol_forks",
+            "engine_fast_path",
+            "use_enshrined_pbs",
+        ],
+    )
+    def test_removed_fields_rejected_by_overrides(self, field):
+        # Scenario YAML ``config_overrides`` go through with_overrides, so
+        # a stale knob must fail loudly rather than be ignored.
+        with pytest.raises(ConfigError, match=field):
+            small_test_config().with_overrides(**{field: True})
+
 
 class TestTimeline:
     def test_event_days_match_dates(self):

@@ -16,7 +16,7 @@ class TestParser:
         args = build_parser().parse_args(["simulate"])
         assert args.days == 30
         assert args.export is None
-        assert not args.epbs
+        assert args.regime == "mev_boost"
 
     def test_report_only_parsing(self):
         args = build_parser().parse_args(["report", "--only", "fig04,table4"])
@@ -70,7 +70,7 @@ class TestCommands:
         assert set(REPORTS) <= set(_REPORT_RUNNERS)
 
     def test_epbs_flag(self, capsys):
-        assert main(["simulate", *FAST, "--epbs"]) == 0
+        assert main(["simulate", *FAST, "--regime", "epbs"]) == 0
 
     def test_conformance_yaml_scenario(self, tmp_path, capsys):
         spec = tmp_path / "faults.yml"
