@@ -142,19 +142,16 @@ def run_shard_curve(
 
 def run_columnar_benchmark(
     config: SimulationConfig,
-    dataset,
     cache_dir: Path | None,
     collect_secs: float,
 ) -> dict:
-    """Columnar-backend economics: artifact loads per format and the
-    analysis-pipeline speedup against the pinned per-object reference.
+    """Columnar economics: the mmap-backed artifact warm load, and the
+    analysis pipeline against the pinned per-object reference.
 
-    The dataset's columns are saved twice — once columnar (``.npz`` +
-    pickle remainder, loaded via mmap) and once as a pickled object-backed
-    dataset — and each is timed through a warm load.  The full report
-    pipeline then runs on both loaded datasets: vectorized over the
-    mmapped columns, and the per-object loops frozen in
-    ``bench_analysis_legacy`` over the pickled observations.
+    The full report pipeline runs twice on the loaded dataset: vectorized
+    over the mmapped columns, and through the per-object loops frozen in
+    ``bench_analysis_legacy`` over its ``blocks`` (a ``LazyBlockList``
+    yields the same ``BlockObservation`` objects a list would).
     """
     import sys
 
@@ -164,51 +161,36 @@ def run_columnar_benchmark(
         run_report_pipeline,
     )
 
-    # Pickle-whole comparison artifact: the same dataset, object-backed.
-    object_cfg = dataclasses.replace(config, dataset_backend="object")
-    object_dataset = dataclasses.replace(dataset, blocks=list(dataset.blocks))
-    save_study_artifact(object_cfg, object_dataset, cache_dir)
-    pickle_loaded = load_study_artifact(object_cfg, cache_dir)
-    columnar_loaded = load_study_artifact(config, cache_dir)
-    if pickle_loaded is None or columnar_loaded is None:
+    loaded = load_study_artifact(config, cache_dir)
+    if loaded is None:
         raise RuntimeError("columnar benchmark artifact failed to round-trip")
-    pickle_secs = min(
-        _timed(load_study_artifact, object_cfg, cache_dir) for _ in range(3)
-    )
     mmap_secs = min(
         _timed(load_study_artifact, config, cache_dir) for _ in range(3)
     )
 
-    # Warm both pipelines once (first-touch page faults, lazy imports),
-    # check they produce bit-identical figures, then take best-of-N.
-    vectorized = run_report_pipeline(columnar_loaded)
-    legacy = run_legacy_report_pipeline(pickle_loaded)
+    # Warm both pipelines once (first-touch page faults, lazy imports,
+    # observation materialization), check they produce bit-identical
+    # figures, then take best-of-N.
+    vectorized = run_report_pipeline(loaded)
+    legacy = run_legacy_report_pipeline(loaded)
     mismatched = [key for key in vectorized if vectorized[key] != legacy[key]]
     if mismatched:
         raise RuntimeError(
             f"vectorized pipeline diverged from per-object reference: {mismatched}"
         )
-    vectorized_secs = min(
-        _timed(run_report_pipeline, columnar_loaded) for _ in range(5)
-    )
+    vectorized_secs = min(_timed(run_report_pipeline, loaded) for _ in range(5))
     legacy_secs = min(
-        _timed(run_legacy_report_pipeline, pickle_loaded) for _ in range(3)
+        _timed(run_legacy_report_pipeline, loaded) for _ in range(3)
     )
 
     return {
         "description": (
-            "columnar BlockTable backend: mmap-backed .npz artifact load "
-            "vs pickled objects, and the report pipeline (figs 3-18 + "
-            "table 4) vectorized vs the pinned per-object reference"
+            "columnar BlockTable: mmap-backed .npz artifact warm load, and "
+            "the report pipeline (figs 3-18 + table 4) vectorized vs the "
+            "pinned per-object reference"
         ),
         "collection_seconds": round(collect_secs, 3),
-        "artifact": {
-            "columnar_warm_load_seconds": round(mmap_secs, 4),
-            "pickle_warm_load_seconds": round(pickle_secs, 4),
-            "load_speedup_vs_pickle": round(pickle_secs / mmap_secs, 2)
-            if mmap_secs > 0
-            else None,
-        },
+        "artifact": {"columnar_warm_load_seconds": round(mmap_secs, 4)},
         "analysis_pipeline": {
             "vectorized_seconds": round(vectorized_secs, 4),
             "legacy_seconds": round(legacy_secs, 4),
@@ -306,7 +288,7 @@ def run_benchmark(
         "cold_sim_speedup": round(reference_secs / optimized_secs, 2),
     }
     payload["columnar"] = run_columnar_benchmark(
-        optimized_cfg, dataset, cache_dir, collect_secs
+        optimized_cfg, cache_dir, collect_secs
     )
     if shard_curve and segment_days > 0:
         payload["sharded"] = run_shard_curve(
@@ -327,7 +309,6 @@ def test_perf_world_smoke(tmp_path):
     assert payload["cold_sim_speedup"] > 0.0
     columnar = payload["columnar"]
     assert columnar["artifact"]["columnar_warm_load_seconds"] >= 0.0
-    assert columnar["artifact"]["pickle_warm_load_seconds"] >= 0.0
     assert columnar["analysis_pipeline"]["vectorized_seconds"] >= 0.0
 
 

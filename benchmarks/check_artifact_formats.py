@@ -1,37 +1,33 @@
-"""CI smoke check for the two study-artifact formats (DESIGN.md §6d).
+"""CI smoke check for the study-artifact format (DESIGN.md §6d).
 
-Builds a small world, saves the collected dataset both ways — columnar
-(``.npz`` columns + pickled remainder) and as a pickled object-backed
-dataset — and asserts that
-
-* both round-trips preserve ``content_digest()`` bit for bit, and
-* the columnar warm load (mmap over the ``.npz``) beats unpickling the
-  whole object graph.
+Builds a small world, saves the collected dataset (``.npz`` columns +
+pickled remainder) and asserts that the warm load comes back
+mmap-backed and preserves ``content_digest()`` bit for bit.
 
 Run as ``PYTHONPATH=src python benchmarks/check_artifact_formats.py``.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import mmap
 import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.datasets import collect_study_dataset
-from repro.datasets.columnar import LazyBlockList
 from repro.perf.artifacts import load_study_artifact, save_study_artifact
 from repro.simulation import SimulationConfig, build_world
 
 
-def _best_load_seconds(config, cache_dir: Path, repeats: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        loaded = load_study_artifact(config, cache_dir)
-        best = min(best, time.perf_counter() - start)
-        assert loaded is not None, "artifact failed to load"
-    return best
+def _mmap_backed(column: np.ndarray) -> bool:
+    """True when the column's buffer is a view into a memory map."""
+    while isinstance(column.base, np.ndarray):
+        column = column.base
+    return isinstance(column.base, memoryview) and isinstance(
+        column.base.obj, mmap.mmap
+    )
 
 
 def main() -> None:
@@ -40,41 +36,23 @@ def main() -> None:
     dataset = collect_study_dataset(world)
     digest = dataset.content_digest()
 
-    object_config = dataclasses.replace(config, dataset_backend="object")
-    object_dataset = dataclasses.replace(
-        dataset, blocks=list(dataset.blocks)
-    )
-
     with tempfile.TemporaryDirectory(prefix="repro-artifact-ci-") as tmp:
         cache_dir = Path(tmp)
         save_study_artifact(config, dataset, cache_dir)
-        save_study_artifact(object_config, object_dataset, cache_dir)
-
-        columnar = load_study_artifact(config, cache_dir)
-        pickled = load_study_artifact(object_config, cache_dir)
-        assert columnar is not None and pickled is not None
-        assert isinstance(columnar.blocks, LazyBlockList), (
-            "columnar artifact did not come back mmap-backed"
-        )
-        assert columnar.content_digest() == digest, (
+        start = time.perf_counter()
+        loaded = load_study_artifact(config, cache_dir)
+        load_secs = time.perf_counter() - start
+        assert loaded is not None, "artifact failed to load"
+        assert all(
+            _mmap_backed(column)
+            for column in loaded.table.columns.values()
+            if column.dtype != object
+        ), "columnar artifact did not come back mmap-backed"
+        assert loaded.content_digest() == digest, (
             "columnar round-trip changed the dataset digest"
         )
-        assert pickled.content_digest() == digest, (
-            "pickle round-trip changed the dataset digest"
-        )
 
-        columnar_secs = _best_load_seconds(config, cache_dir)
-        pickle_secs = _best_load_seconds(object_config, cache_dir)
-
-    print(
-        f"columnar warm load {columnar_secs * 1000:.2f} ms, "
-        f"pickle warm load {pickle_secs * 1000:.2f} ms "
-        f"({pickle_secs / columnar_secs:.2f}x)"
-    )
-    assert columnar_secs < pickle_secs, (
-        f"columnar warm load ({columnar_secs:.4f}s) should beat the "
-        f"pickled object graph ({pickle_secs:.4f}s)"
-    )
+    print(f"columnar warm load {load_secs * 1000:.2f} ms, digest {digest[:16]}")
 
 
 if __name__ == "__main__":

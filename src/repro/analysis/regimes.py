@@ -54,10 +54,10 @@ def regime_metrics(
 ) -> RegimeMetrics:
     """Reduce one regime's dataset to its comparison row.
 
-    Works on any :class:`StudyDataset` — the object-backed and columnar
-    backends both iterate to :class:`BlockObservation` rows, and the
-    ePBS counters come from the consensus-side ledger the collector
-    attaches only when the regime stakes builders.
+    Works on any :class:`StudyDataset` — its blocks iterate to
+    :class:`BlockObservation` rows, and the ePBS counters come from the
+    consensus-side ledger the collector attaches only when the regime
+    stakes builders.
     """
     producer_blocks: dict[str, float] = {}
     promised_wei = 0

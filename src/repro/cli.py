@@ -276,7 +276,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     from pathlib import Path
 
-    from .datasets.collector import StudyDataset
     from .perf.artifacts import load_study_artifact, save_study_artifact
     from .serve.http import run_server
 
@@ -285,20 +284,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
         num_days=args.days,
         blocks_per_day=args.blocks_per_day,
         num_validators=args.validators,
-        dataset_backend=args.backend,
     )
     cache_dir = Path(args.artifact_dir) if args.artifact_dir else None
     dataset = None
     if not args.no_artifact_cache:
         dataset = load_study_artifact(config, cache_dir)
-        if isinstance(dataset, StudyDataset):
+        if dataset is not None:
             print(
                 f"loaded artifact for config {config.num_days}d x "
                 f"{config.blocks_per_day} blocks/day (mmap warm load)",
                 file=sys.stderr,
             )
-        else:
-            dataset = None
     if dataset is None:
         print(
             f"simulating {config.num_days} days x {config.blocks_per_day} "
@@ -420,10 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--validators", type=int, default=1200, help="validator count"
-    )
-    serve.add_argument(
-        "--backend", choices=("columnar", "object"), default="columnar",
-        help="dataset backend to collect/serve",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(

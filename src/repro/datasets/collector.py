@@ -5,18 +5,11 @@ chain blocks joined with beacon records, relay data-API crawls, mempool
 observations, MEV label sources, and OFAC screening.  The resulting
 :class:`StudyDataset` is the only thing the analysis package reads.
 
-Two dataset backends exist (``SimulationConfig.dataset_backend``):
-
-* ``"columnar"`` (default) — per-block values append straight into
-  :class:`~.columnar.ColumnBuilder` lists and finalize into a
-  :class:`~.columnar.BlockTable`; ``dataset.blocks`` is a
-  :class:`~.columnar.LazyBlockList` that materializes observation objects
-  only when legacy callers index it.
-* ``"object"`` — the original list-of-:class:`BlockObservation` path.
-
-Both backends produce bit-identical :meth:`StudyDataset.content_digest`
-values — the equality the differential replay matrix enforces — because
-the columnar encoding is lossless and the digest is defined over field
+Per-block values append straight into :class:`~.columnar.ColumnBuilder`
+lists and finalize into a :class:`~.columnar.BlockTable`;
+``dataset.blocks`` is a :class:`~.columnar.LazyBlockList` that
+materializes :class:`BlockObservation` objects only when a caller indexes
+or iterates it.  :meth:`StudyDataset.content_digest` is defined over field
 values, never over the storage layout.
 """
 
@@ -49,11 +42,9 @@ from .records import BlockObservation, DatasetInventory
 class StudyDataset:
     """Everything the measurement pipeline consumes.
 
-    ``blocks`` is either a plain list of observations (object backend) or
-    a :class:`LazyBlockList` over a :class:`BlockTable` (columnar
-    backend).  :attr:`table` exposes the columnar view either way —
-    object-backed datasets build (and cache) their table on first use, so
-    the vectorized analyses run identically over both backends.
+    ``blocks`` is a :class:`LazyBlockList` over the dataset's
+    :class:`BlockTable`.  A hand-built list of observations is converted
+    into one on construction, so every dataset is columnar.
     """
 
     blocks: Sequence[BlockObservation]
@@ -66,27 +57,25 @@ class StudyDataset:
     # The ePBS protocol record (deposits, slashings, per-slot PTC votes);
     # None unless the world ran under the ``epbs`` regime.
     epbs: EpbsDataset | None = None
-    # Lazily built caches; never part of equality or pickles.
+    # Lazily built caches; never constructor arguments, part of equality
+    # or pickles.
     _by_number: dict[int, BlockObservation] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False, compare=False
     )
-    _table: BlockTable | None = field(default=None, repr=False, compare=False)
     _dates: list[datetime.date] | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        if self._table is None and isinstance(self.blocks, LazyBlockList):
-            self._table = self.blocks.table
+        if not isinstance(self.blocks, LazyBlockList):
+            self.blocks = LazyBlockList(BlockTable.from_observations(self.blocks))
 
     # -- columnar access ----------------------------------------------------
 
     @property
     def table(self) -> BlockTable:
-        """The columnar view of :attr:`blocks` (built once on demand)."""
-        if self._table is None:
-            self._table = BlockTable.from_observations(self.blocks)
-        return self._table
+        """The columnar view of :attr:`blocks`."""
+        return self.blocks.table
 
     # Vectorized per-block accessors, mirroring the BlockObservation
     # derived properties as column expressions (one element per block, in
@@ -135,42 +124,27 @@ class StudyDataset:
             raise DataError(f"no observation for block {number}") from None
 
     def pbs_blocks(self) -> list[BlockObservation]:
-        if self._table is not None:
-            return [self.blocks[i] for i in np.flatnonzero(self._table.is_pbs)]
-        return [obs for obs in self.blocks if obs.is_pbs]
+        return [self.blocks[i] for i in np.flatnonzero(self.table.is_pbs)]
 
     def non_pbs_blocks(self) -> list[BlockObservation]:
-        if self._table is not None:
-            return [self.blocks[i] for i in np.flatnonzero(~self._table.is_pbs)]
-        return [obs for obs in self.blocks if not obs.is_pbs]
+        return [self.blocks[i] for i in np.flatnonzero(~self.table.is_pbs)]
 
     def dates(self) -> list[datetime.date]:
         """Sorted unique dates, cached (recomputing per analysis added up)."""
         if self._dates is None:
-            if self._table is not None:
-                self._dates = self._table.dates()
-            else:
-                self._dates = sorted({obs.date for obs in self.blocks})
+            self._dates = self.table.dates()
         return list(self._dates)
 
     # -- pickling -----------------------------------------------------------
 
     def __getstate__(self) -> dict:
         # Drop rebuildable caches: the block-number index and the date
-        # cache can be large or stale, and object-backed tables would
-        # double the artifact size.  A columnar-backed dataset keeps its
-        # table implicitly via the LazyBlockList.
+        # cache can be large or stale.  The table rides in the
+        # LazyBlockList.
         state = dict(self.__dict__)
         state["_by_number"] = {}
         state["_dates"] = None
-        if not isinstance(self.blocks, LazyBlockList):
-            state["_table"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self._table is None and isinstance(self.blocks, LazyBlockList):
-            self._table = self.blocks.table
 
     # -- digest -------------------------------------------------------------
 
@@ -181,8 +155,7 @@ class StudyDataset:
         and relay-policy metadata, so two collections are digest-equal iff
         the measurement pipeline would produce identical numbers — the
         equality the differential replay matrix asserts across perf
-        configurations *and* across dataset backends (the columnar
-        encoding is lossless, so both backings feed identical bytes).
+        configurations and artifact round-trips.
         """
         hasher = hashlib.sha256()
 
@@ -213,7 +186,7 @@ class StudyDataset:
 
 
 def _feed_observation(feed, obs: BlockObservation) -> None:
-    """Feed one observation's digest bytes (shared by both backends)."""
+    """Feed one observation's digest bytes."""
     feed(
         "|".join(
             (
@@ -273,9 +246,9 @@ def merge_study_datasets(datasets: "list[StudyDataset]") -> StudyDataset:
     consistent with the merged stores.  Merging a single dataset returns
     it unchanged, so unsegmented runs pay nothing.
 
-    When every input is columnar-backed the merge is pure array
-    concatenation — per-segment tables arrive in segment-index order, so
-    no object materialization or per-object sort happens at all.
+    Blocks merge by array concatenation — per-segment tables arrive in
+    segment-index order, so no object materialization or per-object sort
+    happens at all.
     """
     if not datasets:
         raise DataError("cannot merge an empty dataset list")
@@ -303,22 +276,13 @@ def merge_study_datasets(datasets: "list[StudyDataset]") -> StudyDataset:
     epbs_parts = [d.epbs for d in datasets if d.epbs is not None]
     epbs = EpbsDataset.concat(epbs_parts) if epbs_parts else None
 
-    blocks: Sequence[BlockObservation]
-    if all(isinstance(d.blocks, LazyBlockList) for d in datasets):
-        table = BlockTable.concat([d.table for d in datasets])
-        if not table.is_number_sorted():
-            merged = sorted(
-                (obs for d in datasets for obs in d.blocks),
-                key=lambda obs: obs.number,
-            )
-            table = BlockTable.from_observations(merged)
-        blocks = LazyBlockList(table)
-    else:
-        merged_list: list[BlockObservation] = []
-        for dataset in datasets:
-            merged_list.extend(dataset.blocks)
-        merged_list.sort(key=lambda obs: obs.number)
-        blocks = merged_list
+    table = BlockTable.concat([d.table for d in datasets])
+    if not table.is_number_sorted():
+        merged = sorted(
+            (obs for d in datasets for obs in d.blocks),
+            key=lambda obs: obs.number,
+        )
+        table = BlockTable.from_observations(merged)
 
     inventory = DatasetInventory(
         blocks=total_blocks,
@@ -336,7 +300,7 @@ def merge_study_datasets(datasets: "list[StudyDataset]") -> StudyDataset:
         ofac_addresses=first.inventory.ofac_addresses,
     )
     return StudyDataset(
-        blocks=blocks,
+        blocks=LazyBlockList(table),
         mev=mev,
         relays=relays,
         sanctions=first.sanctions,
@@ -371,9 +335,6 @@ def collect_study_dataset(world) -> StudyDataset:
 def _collect_study_dataset(world, perf) -> StudyDataset:
     chain: Chain = world.chain
     beacon: BeaconChain = world.beacon
-    columnar = (
-        getattr(world.config, "dataset_backend", "columnar") == "columnar"
-    )
 
     # Relay crawl: delivered payloads indexed by block hash.
     deliveries_by_hash: dict[Hash, list[DeliveredPayload]] = {}
@@ -386,8 +347,9 @@ def _collect_study_dataset(world, perf) -> StudyDataset:
     screener = SanctionScreener(world.sanctions, world.defi.tokens)
     mev = MevDataset()
 
-    builder = ColumnBuilder() if columnar else None
-    observations: list[BlockObservation] = []
+    builder = ColumnBuilder()
+    scalars = builder.scalars
+    strings = builder.strings
     for record in beacon.proposed():
         block = chain.block_by_hash(record.execution_block_hash)
         result = chain.execution_result(block.block_hash)
@@ -426,62 +388,29 @@ def _collect_study_dataset(world, perf) -> StudyDataset:
         claimed = {payload.relay: payload.value_claimed_wei for payload in payloads}
         builder_pubkey = payloads[0].builder_pubkey if payloads else None
 
-        if builder is not None:
-            scalars = builder.scalars
-            strings = builder.strings
-            scalars["number"].append(block.number)
-            scalars["slot"].append(record.slot)
-            scalars["date_ordinal"].append(record.date.toordinal())
-            scalars["proposer_index"].append(proposer.index)
-            scalars["gas_used"].append(block.header.gas_used)
-            scalars["gas_limit"].append(block.header.gas_limit)
-            scalars["tx_count"].append(len(block.transactions))
-            scalars["private_tx_count"].append(len(private_hashes))
-            scalars["base_fee_per_gas"].append(block.header.base_fee_per_gas)
-            scalars["burned_wei"].append(result.burned_wei)
-            scalars["priority_fees_wei"].append(result.priority_fees_wei)
-            scalars["direct_transfers_wei"].append(result.direct_transfers_wei)
-            scalars["builder_payment_wei"].append(
-                _detect_builder_payment(block, proposer.fee_recipient)
-            )
-            strings["block_hash"].append(block.block_hash)
-            strings["proposer_entity"].append(proposer.entity)
-            strings["proposer_fee_recipient"].append(proposer.fee_recipient)
-            strings["fee_recipient"].append(block.fee_recipient)
-            strings["extra_data"].append(block.header.extra_data)
-            strings["builder_pubkey"].append(builder_pubkey or "")
-            builder.has_pubkey.append(builder_pubkey is not None)
-            builder.append_ragged(claimed, contribution, private_hashes, sanctioned)
-        else:
-            observations.append(
-                BlockObservation(
-                    number=block.number,
-                    block_hash=block.block_hash,
-                    slot=record.slot,
-                    date=record.date,
-                    proposer_index=proposer.index,
-                    proposer_entity=proposer.entity,
-                    proposer_fee_recipient=proposer.fee_recipient,
-                    fee_recipient=block.fee_recipient,
-                    extra_data=block.header.extra_data,
-                    gas_used=block.header.gas_used,
-                    gas_limit=block.header.gas_limit,
-                    base_fee_per_gas=block.header.base_fee_per_gas,
-                    burned_wei=result.burned_wei,
-                    priority_fees_wei=result.priority_fees_wei,
-                    direct_transfers_wei=result.direct_transfers_wei,
-                    tx_count=len(block.transactions),
-                    private_tx_count=len(private_hashes),
-                    builder_payment_wei=_detect_builder_payment(
-                        block, proposer.fee_recipient
-                    ),
-                    claimed_by_relay=claimed,
-                    builder_pubkey=builder_pubkey,
-                    tx_value_contribution=contribution,
-                    private_tx_hashes=private_hashes,
-                    sanctioned_tx_hashes=sanctioned,
-                )
-            )
+        scalars["number"].append(block.number)
+        scalars["slot"].append(record.slot)
+        scalars["date_ordinal"].append(record.date.toordinal())
+        scalars["proposer_index"].append(proposer.index)
+        scalars["gas_used"].append(block.header.gas_used)
+        scalars["gas_limit"].append(block.header.gas_limit)
+        scalars["tx_count"].append(len(block.transactions))
+        scalars["private_tx_count"].append(len(private_hashes))
+        scalars["base_fee_per_gas"].append(block.header.base_fee_per_gas)
+        scalars["burned_wei"].append(result.burned_wei)
+        scalars["priority_fees_wei"].append(result.priority_fees_wei)
+        scalars["direct_transfers_wei"].append(result.direct_transfers_wei)
+        scalars["builder_payment_wei"].append(
+            _detect_builder_payment(block, proposer.fee_recipient)
+        )
+        strings["block_hash"].append(block.block_hash)
+        strings["proposer_entity"].append(proposer.entity)
+        strings["proposer_fee_recipient"].append(proposer.fee_recipient)
+        strings["fee_recipient"].append(block.fee_recipient)
+        strings["extra_data"].append(block.header.extra_data)
+        strings["builder_pubkey"].append(builder_pubkey or "")
+        builder.has_pubkey.append(builder_pubkey is not None)
+        builder.append_ragged(claimed, contribution, private_hashes, sanctioned)
 
     inventory = DatasetInventory(
         blocks=len(chain),
@@ -501,9 +430,7 @@ def _collect_study_dataset(world, perf) -> StudyDataset:
         if relay.policy.is_censoring
     )
     return StudyDataset(
-        blocks=(
-            LazyBlockList(builder.finish()) if builder is not None else observations
-        ),
+        blocks=LazyBlockList(builder.finish()),
         mev=mev,
         relays=dict(world.relays),
         sanctions=world.sanctions,

@@ -1,4 +1,4 @@
-"""Columnar study-dataset backend.
+"""Columnar study-dataset storage.
 
 A :class:`BlockTable` stores every scalar :class:`~.records.BlockObservation`
 field as one numpy column and each ragged field (``claimed_by_relay``,
@@ -13,8 +13,8 @@ insertion order).
 Three concerns shape the module:
 
 * **Exact integer arithmetic.**  Wei amounts are unbounded Python ints in
-  the object path and analysis results must not change when they move into
-  arrays.  Columns holding wei use int64 when every value fits and fall
+  :class:`~.records.BlockObservation` and analysis results must not change
+  when they move into arrays.  Columns holding wei use int64 when every value fits and fall
   back to object dtype otherwise; :func:`exact_sum` and
   :func:`exact_segment_sums` produce exact Python-int reductions over
   either dtype (int64 via a hi/lo split that cannot overflow, object via

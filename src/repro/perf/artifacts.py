@@ -7,7 +7,7 @@ module caches that dataset on disk keyed by a content hash of the config,
 so benchmark sessions whose config is unchanged skip the simulation
 entirely (``benchmarks/conftest.py`` wires this up).
 
-Format 2 splits a columnar dataset across two files:
+Format 3 splits a dataset across two files:
 
 * ``study-<hash>.columns.npz`` — every numpy column of the dataset's
   :class:`~repro.datasets.columnar.BlockTable`, uncompressed
@@ -15,10 +15,13 @@ Format 2 splits a columnar dataset across two files:
   pointing each array at its bytes inside the zip members;
 * ``study-<hash>.pkl`` — the pickled non-columnar remainder (MEV labels,
   relay stores, sanctions, inventory) plus any object-dtype overflow
-  columns, with the format stamp and config hash.
+  columns, with the format stamp, the config hash and the column stamp.
 
-Non-dataset payloads (plain dicts in tests, object-backed datasets) skip
-the column file and pickle whole, exactly like format 1 did.
+The column stamp is the ``.npz``'s ``(member, CRC-32, size)`` list, read
+from its zip central directory.  The columns file is replaced before the
+pickle, so a crash between the two leaves a new ``.npz`` beside an old
+``.pkl``; the load compares the stamps and treats a mismatch as a miss.
+The check reads no column bytes.
 
 Invalidation rule: the cache key is a hash of *every* config field, so any
 config change — including the seed — produces a new artifact file.  Code
@@ -46,8 +49,9 @@ import numpy as np
 from numpy.lib import format as npy_format
 
 #: Bump when simulation semantics or the artifact layout change; old
-#: artifacts become unreadable.  2 = columnar .npz + pickle remainder.
-ARTIFACT_FORMAT = 2
+#: artifacts become unreadable.  3 = columnar .npz + pickle remainder
+#: carrying the .npz's column stamp.
+ARTIFACT_FORMAT = 3
 
 _CACHE_DIR_ENV = "REPRO_ARTIFACT_CACHE"
 
@@ -86,14 +90,9 @@ def _columns_path(cache_dir: Path, config_hash: str) -> Path:
     return cache_dir / f"study-{config_hash}.columns.npz"
 
 
-def _columnar_table(dataset: Any):
-    """The dataset's BlockTable when it is columnar-backed, else None."""
-    from ..datasets.columnar import LazyBlockList
-
-    blocks = getattr(dataset, "blocks", None)
-    if isinstance(blocks, LazyBlockList):
-        return blocks.table
-    return None
+def _column_stamp(archive: zipfile.ZipFile) -> list[tuple[str, int, int]]:
+    """The ``(member, CRC-32, size)`` list from an archive's central directory."""
+    return [(info.filename, info.CRC, info.file_size) for info in archive.infolist()]
 
 
 def save_study_artifact(
@@ -101,36 +100,32 @@ def save_study_artifact(
 ) -> Path:
     """Persist ``dataset`` under the config's content hash; returns the path.
 
-    Columnar datasets write their numpy columns to a sibling ``.npz`` so
-    loads can memory-map them; everything else (and non-dataset payloads)
-    is pickled whole.
+    The numpy columns go to a sibling ``.npz`` so loads can memory-map
+    them; the rest of the dataset is pickled with the columns' stamp.
     """
     cache_dir = cache_dir or default_cache_dir()
     cache_dir.mkdir(parents=True, exist_ok=True)
     config_hash = config_content_hash(config)
     path = _artifact_path(cache_dir, config_hash)
-    payload: dict[str, Any] = {
+
+    plain, objects = dataset.table.to_arrays()
+    columns_path = _columns_path(cache_dir, config_hash)
+    tmp_columns = columns_path.with_suffix(".tmp")
+    with open(tmp_columns, "wb") as handle:
+        np.savez(handle, **plain)
+    with zipfile.ZipFile(tmp_columns) as archive:
+        stamp = _column_stamp(archive)
+    os.replace(tmp_columns, columns_path)
+    # The remainder pickles with the blocks stripped: the columns file
+    # carries them.  Object-dtype overflow columns (wei values beyond
+    # int64) cannot be mmapped and ride along in the pickle.
+    payload = {
         "format": ARTIFACT_FORMAT,
         "config_hash": config_hash,
-        "columnar": False,
-        "dataset": dataset,
+        "dataset": dataclasses.replace(dataset, blocks=[]),
+        "object_columns": objects,
+        "column_stamp": stamp,
     }
-
-    table = _columnar_table(dataset)
-    if table is not None:
-        plain, objects = table.to_arrays()
-        columns_path = _columns_path(cache_dir, config_hash)
-        tmp_columns = columns_path.with_suffix(".tmp")
-        with open(tmp_columns, "wb") as handle:
-            np.savez(handle, **plain)
-        os.replace(tmp_columns, columns_path)
-        # The remainder pickles with the blocks stripped: the columns file
-        # carries them.  Object-dtype overflow columns (wei values beyond
-        # int64) cannot be mmapped and ride along in the pickle.
-        remainder = dataclasses.replace(dataset, blocks=[])
-        payload.update(
-            columnar=True, dataset=remainder, object_columns=objects
-        )
 
     tmp_path = path.with_suffix(".tmp")
     with open(tmp_path, "wb") as handle:
@@ -158,15 +153,8 @@ def load_study_artifact(config: Any, cache_dir: Path | None = None) -> Any:
         return None
     if payload.get("config_hash") != config_hash:
         return None
-    dataset = payload.get("dataset")
-    if not payload.get("columnar"):
-        return dataset
     try:
-        return _attach_columns(
-            dataset,
-            _columns_path(cache_dir, config_hash),
-            payload.get("object_columns") or {},
-        )
+        return _attach_columns(payload, _columns_path(cache_dir, config_hash))
     except (OSError, zipfile.BadZipFile, ValueError, KeyError) as error:
         _LOG.warning(
             "discarding stale/corrupt study artifact %s: %s", path, error
@@ -174,18 +162,23 @@ def load_study_artifact(config: Any, cache_dir: Path | None = None) -> Any:
         return None
 
 
-def _attach_columns(dataset: Any, columns_path: Path, objects: dict) -> Any:
-    """Rehydrate a columnar dataset from its mmapped column file."""
+def _attach_columns(payload: dict, columns_path: Path) -> Any:
+    """Rehydrate the pickled dataset from its mmapped column file."""
     from ..datasets.columnar import BlockTable, LazyBlockList
 
-    plain = mmap_npz_columns(columns_path)
-    table = BlockTable.from_arrays(plain, objects)
-    dataset.blocks = LazyBlockList(table)
-    dataset._table = table
+    plain, stamp = mmap_npz_columns(columns_path)
+    if stamp != payload["column_stamp"]:
+        raise ValueError(f"{columns_path.name} was not written with this pickle")
+    dataset = payload["dataset"]
+    dataset.blocks = LazyBlockList(
+        BlockTable.from_arrays(plain, payload["object_columns"])
+    )
     return dataset
 
 
-def mmap_npz_columns(path: Path) -> dict[str, np.ndarray]:
+def mmap_npz_columns(
+    path: Path,
+) -> tuple[dict[str, np.ndarray], list[tuple[str, int, int]]]:
     """Zero-copy load of an uncompressed ``.npz``: arrays point into one mmap.
 
     ``np.savez`` stores members uncompressed (``ZIP_STORED``), so each
@@ -194,12 +187,14 @@ def mmap_npz_columns(path: Path) -> dict[str, np.ndarray]:
     wrap the raw bytes with ``np.frombuffer``.  The returned arrays are
     read-only views over a single shared memory map — no column is copied
     into RAM until touched, which is what makes warm artifact loads fast.
+    Also returns the archive's column stamp (see :func:`_column_stamp`).
     """
     with open(path, "rb") as handle:
         buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     view = memoryview(buffer)
     arrays: dict[str, np.ndarray] = {}
     with zipfile.ZipFile(path) as archive:
+        stamp = _column_stamp(archive)
         for info in archive.infolist():
             if info.compress_type != zipfile.ZIP_STORED:
                 raise ValueError(
@@ -214,7 +209,7 @@ def mmap_npz_columns(path: Path) -> dict[str, np.ndarray]:
             arrays[info.filename.removesuffix(".npy")] = _npy_from_buffer(
                 member
             )
-    return arrays
+    return arrays, stamp
 
 
 def _npy_from_buffer(member: memoryview) -> np.ndarray:

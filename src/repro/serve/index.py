@@ -156,14 +156,25 @@ class Cursor:
 
 
 class RelayIndexes:
-    """The three per-store indexes behind one relay's data endpoints."""
+    """The three per-store indexes behind one relay's data endpoints.
+
+    Each index comes with a wire column: every row rendered once, in
+    index order, so a page body is one blob slice.  They are built before
+    serving (and, in multi-worker mode, before the fork, so the blobs are
+    shared copy-on-write); ``memo`` shares fragments between the
+    per-relay and combined views.
+    """
 
     def __init__(
         self,
         payloads: Sequence[DeliveredPayload],
         submissions: Sequence[BuilderSubmissionRecord],
         registrations: Sequence[ValidatorRegistration],
+        join: "BlockJoin",
+        memo: dict[int, bytes],
     ) -> None:
+        from . import schema
+
         self.payloads = SlotIndex(payloads, [p.slot for p in payloads])
         self.submissions = SlotIndex(submissions, [s.slot for s in submissions])
         self.registrations = SlotIndex(
@@ -182,23 +193,6 @@ class RelayIndexes:
             self.submissions_by_hash.setdefault(record.block_hash, []).append(
                 record
             )
-        # Wire-encoding caches (offsets+blob columns in index order);
-        # attached by ``attach_wire`` once the block join exists.
-        self.payloads_wire = None
-        self.submissions_wire = None
-        self.registrations_wire = None
-
-    def attach_wire(
-        self, join: "BlockJoin", memo: dict[int, bytes] | None = None
-    ) -> None:
-        """Pre-render every row once into the three wire columns.
-
-        Built before serving (and, in multi-worker mode, before the
-        fork, so the blobs are shared copy-on-write).  ``memo`` shares
-        fragments between the per-relay and combined views.
-        """
-        from . import schema
-
         self.payloads_wire = schema.wire_column(
             self.payloads.ordered_rows(),
             lambda row: schema.encode_delivered(row, join),
@@ -285,20 +279,17 @@ class DatasetIndex:
 
     @classmethod
     def build(
-        cls,
-        relay_stores: Mapping[str, object],
-        table=None,
-        *,
-        wire: bool = True,
+        cls, relay_stores: Mapping[str, object], table=None
     ) -> "DatasetIndex":
         """Index ``{name: RelayDataStore}`` plus an optional block table.
 
         The combined view (:data:`ALL_RELAYS`) concatenates stores in
         relay-name order, so within one slot rows order by relay name
         first, then store insertion — deterministic regardless of dict
-        ordering.  ``wire`` pre-renders every row into the wire-encoding
-        caches (disable only to exercise the uncached reference path).
+        ordering.
         """
+        join = BlockJoin(table)
+        memo: dict[int, bytes] = {}
         relays: dict[str, RelayIndexes] = {}
         all_payloads: list[DeliveredPayload] = []
         all_submissions: list[BuilderSubmissionRecord] = []
@@ -308,22 +299,19 @@ class DatasetIndex:
             payloads = store.get_payloads_delivered()
             submissions = store.get_builder_blocks_received()
             registrations = store.get_validator_registrations()
-            relays[name] = RelayIndexes(payloads, submissions, registrations)
+            relays[name] = RelayIndexes(
+                payloads, submissions, registrations, join, memo
+            )
             all_payloads.extend(payloads)
             all_submissions.extend(submissions)
             all_registrations.extend(registrations)
         relays[ALL_RELAYS] = RelayIndexes(
-            all_payloads, all_submissions, all_registrations
+            all_payloads, all_submissions, all_registrations, join, memo
         )
-        join = BlockJoin(table)
-        if wire:
-            memo: dict[int, bytes] = {}
-            for indexes in relays.values():
-                indexes.attach_wire(join, memo)
         return cls(relays=relays, join=join)
 
     @classmethod
-    def from_dataset(cls, dataset, *, wire: bool = True) -> "DatasetIndex":
+    def from_dataset(cls, dataset) -> "DatasetIndex":
         """Index a :class:`~repro.datasets.collector.StudyDataset`.
 
         Duck-typed: ``dataset`` needs ``.relays`` (name -> relay holding
@@ -335,7 +323,7 @@ class DatasetIndex:
         }
         blocks = getattr(dataset, "blocks", None)
         table = dataset.table if blocks is not None and len(blocks) else None
-        return cls.build(stores, table, wire=wire)
+        return cls.build(stores, table)
 
     def relay_names(self) -> list[str]:
         return sorted(name for name in self.relays if name != ALL_RELAYS)

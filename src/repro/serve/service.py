@@ -121,13 +121,12 @@ class QueryService:
         *,
         default_limit: int = DEFAULT_LIMIT,
         max_limit: int = MAX_LIMIT,
-        wire_cache: bool = True,
         response_cache_size: int = RESPONSE_CACHE_SIZE,
     ) -> None:
         self.dataset = dataset
         self.default_limit = default_limit
         self.max_limit = max_limit
-        self.index = DatasetIndex.from_dataset(dataset, wire=wire_cache)
+        self.index = DatasetIndex.from_dataset(dataset)
         self._analysis_cache: dict[str, object] = {}
         self._response_cache: OrderedDict[tuple, Response] = OrderedDict()
         self._response_cache_size = response_cache_size
@@ -196,8 +195,8 @@ class QueryService:
             raise ServeError(400, f"maximum limit is {self.max_limit}")
         return limit
 
-    def _paged(self, slot_index, wire, params: dict[str, str], encode) -> Response:
-        """One page, from the wire cache when present (bit-identical)."""
+    def _paged(self, slot_index, wire, params: dict[str, str]) -> Response:
+        """One page: a slice of the wire column built at index time."""
         slot = _parse_int(params, "slot")
         cursor_text = params.get("cursor")
         if slot is not None and cursor_text is not None:
@@ -206,9 +205,7 @@ class QueryService:
         if slot is not None:
             lo, hi = slot_index.slot_span(slot)
             hi = min(hi, lo + limit)
-            if wire is not None:
-                return Response(status=200, body=wire.page_bytes(lo, hi))
-            return _ok([encode(row) for row in slot_index.rows_at(lo, hi)])
+            return Response(status=200, body=wire.page_bytes(lo, hi))
         cursor = None
         if cursor_text is not None:
             try:
@@ -219,12 +216,9 @@ class QueryService:
         headers = {"x-total-count": str(len(slot_index))}
         if next_cursor is not None:
             headers["x-next-cursor"] = next_cursor
-        if wire is not None:
-            return Response(
-                status=200, body=wire.page_bytes(start, end), headers=headers
-            )
-        rows = slot_index.rows_at(start, end)
-        return _ok([encode(row) for row in rows], headers)
+        return Response(
+            status=200, body=wire.page_bytes(start, end), headers=headers
+        )
 
     # -- relay data endpoints ------------------------------------------
 
@@ -236,12 +230,7 @@ class QueryService:
             return _ok(
                 [schema.encode_delivered(row, self.index.join) for row in rows]
             )
-        return self._paged(
-            indexes.payloads,
-            indexes.payloads_wire,
-            params,
-            lambda row: schema.encode_delivered(row, self.index.join),
-        )
+        return self._paged(indexes.payloads, indexes.payloads_wire, params)
 
     def _builder_blocks_received(self, params: dict[str, str]) -> Response:
         indexes = self._relay_indexes(params)
@@ -251,12 +240,7 @@ class QueryService:
             return _ok(
                 [schema.encode_submission(row, self.index.join) for row in rows]
             )
-        return self._paged(
-            indexes.submissions,
-            indexes.submissions_wire,
-            params,
-            lambda row: schema.encode_submission(row, self.index.join),
-        )
+        return self._paged(indexes.submissions, indexes.submissions_wire, params)
 
     def _registrations(self, params: dict[str, str]) -> Response:
         indexes = self._relay_indexes(params)
@@ -268,10 +252,7 @@ class QueryService:
                 raise ServeError(400, "no registration found for validator")
             return _ok(schema.encode_registration(registration))
         return self._paged(
-            indexes.registrations,
-            indexes.registrations_wire,
-            params,
-            schema.encode_registration,
+            indexes.registrations, indexes.registrations_wire, params
         )
 
     # -- analysis endpoints --------------------------------------------

@@ -92,14 +92,6 @@ class SimulationConfig:
     segment_days: int = 0
     shard_workers: int = 1
 
-    # Study-dataset storage backend.  ``"columnar"`` collects straight
-    # into numpy column builders (a :class:`repro.datasets.columnar
-    # .BlockTable`); ``"object"`` keeps the original list of
-    # ``BlockObservation`` objects.  Purely a representation choice —
-    # ``content_digest()`` is bit-identical either way (the differential
-    # replay matrix enforces it).
-    dataset_backend: str = "columnar"
-
     # Lift the ``num_days <= STUDY_NUM_DAYS`` study-window cap so
     # multi-year worlds become a supported workload.  Off by default: the
     # paper-reproduction scenarios all live inside the study window, and
@@ -137,11 +129,6 @@ class SimulationConfig:
             raise ConfigError("segment_days cannot be negative")
         if self.shard_workers < 1:
             raise ConfigError("shard_workers must be at least 1")
-        if self.dataset_backend not in ("columnar", "object"):
-            raise ConfigError(
-                "dataset_backend must be 'columnar' or 'object', "
-                f"got {self.dataset_backend!r}"
-            )
         if self.shard_workers > 1 and self.segment_days <= 0:
             raise ConfigError(
                 "shard_workers > 1 requires segment_days > 0: the segment "

@@ -1,8 +1,8 @@
 """Differential replay: one seeded scenario, every perf configuration.
 
-The simulator's performance knobs (the shared execution cache, the
-columnar dataset backend and process-sharded epoch segments) promise to
-never change simulated outcomes.  This module turns that promise into a reusable matrix: the
+The simulator's performance knobs (the shared execution cache and
+process-sharded epoch segments) promise to never change simulated
+outcomes.  This module turns that promise into a reusable matrix: the
 same seeded config (optionally perturbed by scenario faults) is re-run
 under each :class:`ReplayCase` and every run must produce a bit-identical
 world digest, a bit-identical collected dataset digest, and an
@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Any
 
 from ..datasets.collector import collect_study_dataset
-from ..datasets.columnar import LazyBlockList
 from ..errors import ConformanceError
 from ..perf.artifacts import load_study_artifact, save_study_artifact
 from ..perf.sharding import run_sharded
@@ -52,17 +51,10 @@ class ReplayCase:
     group: str = GROUP_DEFAULT
 
 
-#: The shipped matrix: the reference run, uncached execution, and the
-#: object-backed dataset path.
+#: The shipped matrix: the reference run and uncached execution.
 DEFAULT_CASES: tuple[ReplayCase, ...] = (
     ReplayCase(name="reference"),
     ReplayCase(name="exec-cache-off", overrides=(("enable_exec_cache", False),)),
-    # The columnar dataset backend must be a pure storage change: the
-    # object-backed collection path has to produce a bit-identical
-    # dataset digest, so it sits in the same digest group.
-    ReplayCase(
-        name="columnar-off", overrides=(("dataset_backend", "object"),)
-    ),
 )
 
 
@@ -98,11 +90,6 @@ def sharded_cases(segment_days: int) -> tuple[ReplayCase, ...]:
         ReplayCase(
             name="sharded-cache-off-workers-4",
             overrides=(seg, ("shard_workers", 4), ("enable_exec_cache", False)),
-            group=GROUP_SHARDED,
-        ),
-        ReplayCase(
-            name="sharded-columnar-off",
-            overrides=(seg, ("dataset_backend", "object")),
             group=GROUP_SHARDED,
         ),
     )
@@ -153,10 +140,7 @@ class ReplayReport:
     faults: tuple[FaultSpec, ...] = ()
     #: Dataset digest after a cold artifact save + warm load round-trip,
     #: per digest group (empty when no artifact directory was provided or
-    #: faults are active).  Columnar-backed datasets round-trip through
-    #: the ``.npz``-column artifact under the plain group key; object-
-    #: backed ones exercise the pickle-whole path under
-    #: ``"<group>:pickle"``.  Every key must match its group's reference
+    #: faults are active).  Every entry must match its group's reference
     #: digest.
     artifact_roundtrip_digests: dict[str, str] = field(default_factory=dict)
 
@@ -188,14 +172,12 @@ class ReplayReport:
                         f"case {result.case.name!r} dataset digest diverged "
                         f"from {reference.case.name!r} (group {group!r})"
                     )
-            for key, roundtrip in self.artifact_roundtrip_digests.items():
-                if key.split(":", 1)[0] != group:
-                    continue
-                if roundtrip != reference.dataset_digest:
-                    problems.append(
-                        f"artifact cache round-trip {key!r} changed the "
-                        f"dataset digest (group {group!r})"
-                    )
+            roundtrip = self.artifact_roundtrip_digests.get(group)
+            if roundtrip is not None and roundtrip != reference.dataset_digest:
+                problems.append(
+                    f"artifact cache round-trip changed the dataset digest "
+                    f"(group {group!r})"
+                )
         for result in self.results:
             if result.oracle_violations:
                 problems.append(
@@ -264,7 +246,6 @@ def run_replay_matrix(
     """
     results: list[CaseResult] = []
     roundtrips: dict[str, str] = {}
-    seen_groups: set[str] = set()
     for case in cases:
         case_config = (
             config.with_overrides(**dict(case.overrides))
@@ -282,16 +263,10 @@ def run_replay_matrix(
                 oracle_violations=violations,
             )
         )
-        # Round-trip the first case of every (group, storage format)
-        # combination: columnar datasets exercise the mmapped .npz column
-        # path, object-backed ones the pickle-whole path.
-        columnar_backed = isinstance(dataset.blocks, LazyBlockList)
-        key = case.group if columnar_backed else f"{case.group}:pickle"
-        if key not in seen_groups and artifact_dir is not None and not faults:
-            seen_groups.add(key)
+        if artifact_dir is not None and not faults and case.group not in roundtrips:
             save_study_artifact(case_config, dataset, cache_dir=artifact_dir)
             reloaded = load_study_artifact(case_config, cache_dir=artifact_dir)
-            roundtrips[key] = (
+            roundtrips[case.group] = (
                 reloaded.content_digest() if reloaded is not None else "<miss>"
             )
     return ReplayReport(

@@ -1,17 +1,19 @@
-"""Golden test: every analysis function agrees across dataset backends.
+"""Golden test: the columnar collector against a per-object reference.
 
-The same seeded world is collected twice — once through the columnar
-``BlockTable`` builder (the default) and once through the per-object
-path (``dataset_backend="object"``) — and every public analysis function
-must return *identical* results on both.  Identical, not approximately
-equal: both backends feed the same vectorized code through
+One seeded world is collected twice — by :func:`collect_study_dataset`,
+which appends straight into ``BlockTable`` column builders, and by
+:func:`reference_observations` below, the per-object collection kept as
+the reference — and the observations, plus every public analysis
+function, must be *identical* on both.  Identical, not approximately
+equal: both datasets feed the same vectorized code through
 ``dataset.table``, and the columnar encoding is lossless, so any drift
-is a real defect in the encoding or the accessors.
+is a real defect in the collector, the encoding or the accessors.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 
 import pytest
 
@@ -25,22 +27,96 @@ from repro.analysis import (
     relays,
     rewards,
 )
-from repro.datasets.collector import collect_study_dataset
-from repro.datasets.columnar import LazyBlockList
+from repro.datasets.collector import (
+    _detect_builder_payment,
+    collect_study_dataset,
+)
+from repro.datasets.records import BlockObservation
+from repro.sanctions.screening import SanctionScreener
 from repro.simulation.config import small_test_config
 from repro.simulation.world import build_world
 
 
+def reference_observations(world) -> list[BlockObservation]:
+    """The per-object collection: one observation per proposed block."""
+    deliveries_by_hash = {}
+    for relay in world.relays.values():
+        for payload in relay.data.get_payloads_delivered():
+            deliveries_by_hash.setdefault(payload.block_hash, []).append(payload)
+    screener = SanctionScreener(world.sanctions, world.defi.tokens)
+    observations = []
+    for record in world.beacon.proposed():
+        block = world.chain.block_by_hash(record.execution_block_hash)
+        result = world.chain.execution_result(block.block_hash)
+        proposer = world.validators.by_index(record.proposer_index)
+        block_time = float(block.header.timestamp)
+        private_hashes = frozenset(
+            tx.tx_hash
+            for tx in block.transactions
+            if not world.observations.is_public(tx.tx_hash, before=block_time)
+        )
+        contribution = {}
+        for outcome in result.outcomes:
+            value = outcome.priority_fee_wei + outcome.direct_tip_wei
+            if value:
+                contribution[outcome.receipt.tx_hash] = value
+        payloads = deliveries_by_hash.get(block.block_hash, [])
+        observations.append(
+            BlockObservation(
+                number=block.number,
+                block_hash=block.block_hash,
+                slot=record.slot,
+                date=record.date,
+                proposer_index=proposer.index,
+                proposer_entity=proposer.entity,
+                proposer_fee_recipient=proposer.fee_recipient,
+                fee_recipient=block.fee_recipient,
+                extra_data=block.header.extra_data,
+                gas_used=block.header.gas_used,
+                gas_limit=block.header.gas_limit,
+                base_fee_per_gas=block.header.base_fee_per_gas,
+                burned_wei=result.burned_wei,
+                priority_fees_wei=result.priority_fees_wei,
+                direct_transfers_wei=result.direct_transfers_wei,
+                tx_count=len(block.transactions),
+                private_tx_count=len(private_hashes),
+                builder_payment_wei=_detect_builder_payment(
+                    block, proposer.fee_recipient
+                ),
+                claimed_by_relay={p.relay: p.value_claimed_wei for p in payloads},
+                builder_pubkey=payloads[0].builder_pubkey if payloads else None,
+                tx_value_contribution=contribution,
+                private_tx_hashes=private_hashes,
+                sanctioned_tx_hashes=tuple(
+                    screener.screen_block(
+                        block, result.receipts, result.traces, record.date
+                    )
+                ),
+            )
+        )
+    return observations
+
+
 @pytest.fixture(scope="module")
-def backend_pair():
-    config = small_test_config(num_days=5, blocks_per_day=8)
-    columnar = collect_study_dataset(build_world(config))
-    object_backed = collect_study_dataset(
-        build_world(config.with_overrides(dataset_backend="object"))
-    )
-    assert isinstance(columnar.blocks, LazyBlockList)
-    assert isinstance(object_backed.blocks, list)
-    return columnar, object_backed
+def collected_run():
+    """(collected dataset, reference observations) of one run world."""
+    world = build_world(small_test_config(num_days=5, blocks_per_day=8)).run()
+    collected = collect_study_dataset(world)
+    assert len(collected.blocks) > 0
+    assert collected.inventory.relay_data_entries > 0
+    return collected, reference_observations(world)
+
+
+@pytest.fixture(scope="module")
+def dataset_pair(collected_run):
+    """(collected dataset, the same dataset with reference observations)."""
+    collected, observations = collected_run
+    return collected, dataclasses.replace(collected, blocks=observations)
+
+
+def test_collected_blocks_match_reference(collected_run):
+    collected, observations = collected_run
+    assert list(collected.blocks) == observations
 
 
 def _comparable(value):
@@ -52,7 +128,7 @@ def _comparable(value):
         }
     if isinstance(value, dict):
         return {k: _comparable(v) for k, v in sorted(value.items(), key=repr)}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
         return [_comparable(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted(value, key=repr)
@@ -104,7 +180,7 @@ ANALYSES = {
 
 def _outcome(run, dataset):
     """Result of ``run`` — or its error, which must also match across
-    backends (e.g. graphs too sparse to analyze raise AnalysisError)."""
+    datasets (e.g. graphs too sparse to analyze raise AnalysisError)."""
     from repro.errors import AnalysisError
 
     try:
@@ -114,21 +190,21 @@ def _outcome(run, dataset):
 
 
 @pytest.mark.parametrize("name", sorted(ANALYSES))
-def test_backend_equivalence(name, backend_pair):
-    columnar, object_backed = backend_pair
+def test_backend_equivalence(name, dataset_pair):
+    collected, reference = dataset_pair
     run = ANALYSES[name]
-    assert _outcome(run, columnar) == _outcome(run, object_backed)
+    assert _outcome(run, collected) == _outcome(run, reference)
 
 
-def test_cluster_blocks_match_backends(backend_pair):
+def test_cluster_blocks_match_backends(dataset_pair):
     """Cluster membership materializes the same block numbers."""
-    columnar, object_backed = backend_pair
-    by_columnar = [
+    collected, reference = dataset_pair
+    by_collected = [
         [obs.number for obs in cluster.blocks]
-        for cluster in builders.cluster_builders(columnar)
+        for cluster in builders.cluster_builders(collected)
     ]
-    by_object = [
+    by_reference = [
         [obs.number for obs in cluster.blocks]
-        for cluster in builders.cluster_builders(object_backed)
+        for cluster in builders.cluster_builders(reference)
     ]
-    assert by_columnar == by_object
+    assert by_collected == by_reference

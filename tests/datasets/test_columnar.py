@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 
 from hypothesis import given, settings
@@ -155,8 +156,10 @@ class TestDatesCache:
         config = small_test_config(num_days=3, blocks_per_day=4)
         from repro.simulation.world import build_world
 
-        world = build_world(config)
+        world = build_world(config).run()
         dataset = collect_study_dataset(world)
+        assert len(dataset.blocks) > 0
+        assert dataset.inventory.relay_data_entries > 0
         first = dataset.dates()
         first.append(datetime.date(2099, 1, 1))  # caller mutation must not leak
         assert dataset.dates() != first
@@ -169,11 +172,13 @@ class TestDatesCache:
         dataset = collect_study_dataset(build_world(config))
         assert isinstance(dataset.blocks, LazyBlockList)
 
-    def test_object_backend_collects_plain_lists(self):
-        config = small_test_config(
-            num_days=2, blocks_per_day=4, dataset_backend="object"
-        )
+    def test_hand_built_lists_become_columnar(self):
+        config = small_test_config(num_days=2, blocks_per_day=4)
         from repro.simulation.world import build_world
 
-        dataset = collect_study_dataset(build_world(config))
-        assert isinstance(dataset.blocks, list)
+        dataset = collect_study_dataset(build_world(config).run())
+        observations = list(dataset.blocks)
+        rebuilt = dataclasses.replace(dataset, blocks=observations)
+        assert isinstance(rebuilt.blocks, LazyBlockList)
+        assert list(rebuilt.blocks) == observations
+        assert rebuilt.content_digest() == dataset.content_digest()

@@ -3,20 +3,66 @@
 from __future__ import annotations
 
 import dataclasses
+import datetime
+import logging
+import shutil
 
+from repro.datasets.collector import StudyDataset
+from repro.datasets.records import BlockObservation, DatasetInventory
+from repro.mev.labels import MevDataset
 from repro.perf import artifacts
 from repro.perf.artifacts import (
     config_content_hash,
     load_study_artifact,
     save_study_artifact,
 )
+from repro.sanctions.ofac import SanctionsList
 from repro.simulation.config import SimulationConfig
+from repro.types import derive_address, derive_hash
 
 
 def _config(**overrides) -> SimulationConfig:
     base = {"seed": 7, "num_days": 3, "blocks_per_day": 4}
     base.update(overrides)
     return SimulationConfig(**base)
+
+
+def _dataset(*numbers: int) -> StudyDataset:
+    """A tiny hand-built dataset: one observation per block number."""
+    observations = [
+        BlockObservation(
+            number=number,
+            block_hash=derive_hash("artifact", number),
+            slot=number,
+            date=datetime.date(2022, 10, 1),
+            proposer_index=0,
+            proposer_entity="Lido",
+            proposer_fee_recipient=derive_address("artifact", "proposer"),
+            fee_recipient=derive_address("artifact", "builder"),
+            extra_data="",
+            gas_used=15_000_000,
+            gas_limit=30_000_000,
+            base_fee_per_gas=10,
+            burned_wei=100,
+            priority_fees_wei=50,
+            direct_transfers_wei=5,
+            tx_count=10,
+            private_tx_count=1,
+            builder_payment_wei=number,
+        )
+        for number in numbers
+    ]
+    return StudyDataset(
+        blocks=observations,
+        mev=MevDataset(),
+        relays={},
+        sanctions=SanctionsList(),
+        inventory=DatasetInventory(
+            blocks=len(observations), transactions=0, logs=0, traces=0,
+            mev_labels_by_source={}, mev_labels_union=0,
+            mempool_arrival_times=0, relay_data_entries=0, ofac_addresses=0,
+        ),
+    )
 
 
 class TestConfigHash:
@@ -33,26 +79,42 @@ class TestConfigHash:
 
 class TestRoundTrip:
     def test_save_then_load(self, tmp_path):
-        dataset = {"daily": [1, 2, 3], "label": "fake-study"}
+        dataset = _dataset(1, 2, 3)
         path = save_study_artifact(_config(), dataset, cache_dir=tmp_path)
         assert path.exists()
-        assert load_study_artifact(_config(), cache_dir=tmp_path) == dataset
+        loaded = load_study_artifact(_config(), cache_dir=tmp_path)
+        assert list(loaded.blocks) == list(dataset.blocks)
+        assert loaded.content_digest() == dataset.content_digest()
 
     def test_wrong_config_misses(self, tmp_path):
-        save_study_artifact(_config(), {"x": 1}, cache_dir=tmp_path)
+        save_study_artifact(_config(), _dataset(1), cache_dir=tmp_path)
         assert load_study_artifact(_config(seed=8), cache_dir=tmp_path) is None
 
     def test_empty_cache_misses(self, tmp_path):
         assert load_study_artifact(_config(), cache_dir=tmp_path) is None
 
     def test_corrupt_artifact_is_a_miss(self, tmp_path):
-        path = save_study_artifact(_config(), {"x": 1}, cache_dir=tmp_path)
+        path = save_study_artifact(_config(), _dataset(1), cache_dir=tmp_path)
         path.write_bytes(b"not a pickle")
         assert load_study_artifact(_config(), cache_dir=tmp_path) is None
 
     def test_format_bump_invalidates(self, tmp_path, monkeypatch):
-        save_study_artifact(_config(), {"x": 1}, cache_dir=tmp_path)
+        save_study_artifact(_config(), _dataset(1), cache_dir=tmp_path)
         monkeypatch.setattr(
             artifacts, "ARTIFACT_FORMAT", artifacts.ARTIFACT_FORMAT + 1
         )
         assert load_study_artifact(_config(), cache_dir=tmp_path) is None
+
+    def test_columns_from_another_save_are_a_miss(self, tmp_path, caplog):
+        # A crash between replacing the .npz and the .pkl leaves new
+        # columns beside an old pickle; the column stamp catches it.
+        kept = save_study_artifact(_config(), _dataset(1, 2), cache_dir=tmp_path)
+        other = save_study_artifact(
+            _config(seed=8), _dataset(3), cache_dir=tmp_path
+        )
+        shutil.copyfile(
+            other.with_suffix(".columns.npz"), kept.with_suffix(".columns.npz")
+        )
+        with caplog.at_level(logging.WARNING, logger=artifacts.__name__):
+            assert load_study_artifact(_config(), cache_dir=tmp_path) is None
+        assert "discarding stale/corrupt study artifact" in caplog.text

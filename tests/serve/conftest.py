@@ -271,14 +271,16 @@ def golden_dataset():
 
 @pytest.fixture(scope="module", params=["wire-cache", "uncached"])
 def golden_service(golden_dataset, request):
-    """The service under both encoding paths.
+    """The service with and without its response LRU.
 
-    Every conformance test runs twice: against the pre-rendered
-    wire-encoding caches (the production path) and against the live
-    per-request encoders — pinning that both produce identical bytes.
+    Every conformance test runs twice: against the production service
+    (pages sliced from the pre-rendered wire columns, repeated requests
+    answered from the response LRU) and with the LRU off, so every
+    response is rendered afresh — pinning that both produce identical
+    bytes.
     """
     from repro.serve import QueryService
 
-    return QueryService(
-        golden_dataset, wire_cache=request.param == "wire-cache"
-    )
+    if request.param == "uncached":
+        return QueryService(golden_dataset, response_cache_size=0)
+    return QueryService(golden_dataset)

@@ -3,12 +3,14 @@
 The service must be a transparent window onto the analysis layer: the
 JSON a client decodes equals what calling the analysis functions
 directly returns — float-for-float (JSON shortest-repr round-trips
-doubles exactly), for both dataset backends — and the two backends
-serve byte-identical bodies.
+doubles exactly).  This holds for a collected dataset (``columnar``)
+and for the same dataset rebuilt from its ``BlockObservation`` objects
+(``object``), and the two serve byte-identical bodies.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -34,19 +36,19 @@ ANALYSIS_PATHS = ["/analysis/hhi", "/analysis/value_split", "/analysis/censorshi
 @pytest.fixture(scope="module")
 def services():
     config = small_test_config(num_days=5, blocks_per_day=8)
-    columnar = collect_study_dataset(build_world(config))
-    object_backed = collect_study_dataset(
-        build_world(config.with_overrides(dataset_backend="object"))
-    )
+    columnar = collect_study_dataset(build_world(config).run())
+    assert len(columnar.blocks) > 0
+    assert columnar.inventory.relay_data_entries > 0
+    object_backed = dataclasses.replace(columnar, blocks=list(columnar.blocks))
     return {
         "columnar": (columnar, QueryService(columnar)),
         "object": (object_backed, QueryService(object_backed)),
     }
 
 
-@pytest.mark.parametrize("backend", ["columnar", "object"])
-def test_hhi_matches_in_process(services, backend):
-    dataset, service = services[backend]
+@pytest.mark.parametrize("variant", ["columnar", "object"])
+def test_hhi_matches_in_process(services, variant):
+    dataset, service = services[variant]
     served = service.handle("/analysis/hhi", {}).json()
     assert served == {
         "relay": encode_series(
@@ -62,9 +64,9 @@ def test_hhi_matches_in_process(services, backend):
     )
 
 
-@pytest.mark.parametrize("backend", ["columnar", "object"])
-def test_value_split_matches_in_process(services, backend):
-    dataset, service = services[backend]
+@pytest.mark.parametrize("variant", ["columnar", "object"])
+def test_value_split_matches_in_process(services, variant):
+    dataset, service = services[variant]
     served = service.handle("/analysis/value_split", {}).json()
     base, priority, direct = daily_user_payment_shares(dataset)
     assert served == {
@@ -75,9 +77,9 @@ def test_value_split_matches_in_process(services, backend):
     assert decode_series(served["priority_fee"]) == priority
 
 
-@pytest.mark.parametrize("backend", ["columnar", "object"])
-def test_censorship_matches_in_process(services, backend):
-    dataset, service = services[backend]
+@pytest.mark.parametrize("variant", ["columnar", "object"])
+def test_censorship_matches_in_process(services, variant):
+    dataset, service = services[variant]
     served = service.handle("/analysis/censorship", {}).json()
     pbs, non_pbs = daily_sanctioned_share(dataset)
     assert served == {

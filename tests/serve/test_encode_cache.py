@@ -1,15 +1,17 @@
 """The wire-encoding cache byte-identity contract.
 
-The offsets+blob columns (:class:`repro.serve.schema.WireColumn`) must
-make every response *faster*, never *different*: for any request, the
-cached path's bytes equal what the live per-request encoders produce —
-on the hand-built golden dataset, on both real dataset backends
-(columnar and object), and in a forked child sharing the parent's blobs
-copy-on-write (the multi-worker serving configuration).
+Every bid-trace and registration page is a slice of an offsets+blob
+column (:class:`repro.serve.schema.WireColumn`) rendered at index time.
+Each page must equal ``dump_json`` of the live ``encode_*`` output for
+the same rows — on the hand-built golden dataset and on a run dataset
+(collected, and rebuilt from its observations) — and a forked child
+sharing the parent's blobs copy-on-write (the multi-worker serving
+configuration) must serve the same bytes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,7 +19,15 @@ import os
 import pytest
 
 from repro.serve import QueryService
-from repro.serve.schema import WireColumn, dump_json, wire_column
+from repro.serve.index import Cursor
+from repro.serve.schema import (
+    WireColumn,
+    dump_json,
+    encode_delivered,
+    encode_registration,
+    encode_submission,
+    wire_column,
+)
 
 from .conftest import build_golden_dataset
 
@@ -71,11 +81,51 @@ def _sweep_bodies(service: QueryService) -> list[tuple]:
     return results
 
 
+def _assert_pages_are_live_encodings(dataset, limits) -> None:
+    """Every served page equals ``dump_json`` of its rows, encoded live.
+
+    Walks every relay (and the combined view) on all three paginated
+    endpoints: full cursor walks at each limit, and every exact slot.
+    """
+    service = QueryService(dataset)
+    join = service.index.join
+    endpoints = (
+        (PAYLOADS, "payloads", lambda row: encode_delivered(row, join)),
+        (SUBMISSIONS, "submissions", lambda row: encode_submission(row, join)),
+        (REGISTRATIONS, "registrations", encode_registration),
+    )
+    for relay in [None] + service.index.relay_names():
+        base = {} if relay is None else {"relay": relay}
+        indexes = service.index.for_relay(relay)
+        for path, name, encode in endpoints:
+            slot_index = getattr(indexes, name)
+            for limit in limits:
+                params = {**base, "limit": str(limit)}
+                cursor = None
+                while True:
+                    page = slot_index.page(cursor, limit)
+                    response = service.handle(path, dict(params))
+                    assert response.status == 200
+                    assert response.body == dump_json(
+                        [encode(row) for row in page.rows]
+                    )
+                    assert response.headers.get("x-next-cursor") == page.next_cursor
+                    if page.next_cursor is None:
+                        break
+                    cursor = Cursor.parse(page.next_cursor)
+                    params["cursor"] = page.next_cursor
+            for slot in {slot_index.slot_at(i) for i in range(len(slot_index))}:
+                lo, hi = slot_index.slot_span(slot)
+                response = service.handle(
+                    path, {**base, "slot": str(slot), "limit": "500"}
+                )
+                assert response.body == dump_json(
+                    [encode(row) for row in slot_index.rows_at(lo, hi)]
+                )
+
+
 def test_cached_bytes_equal_uncached_on_golden_dataset():
-    dataset = build_golden_dataset()
-    cached = QueryService(dataset, wire_cache=True)
-    uncached = QueryService(dataset, wire_cache=False)
-    assert _sweep_bodies(cached) == _sweep_bodies(uncached)
+    _assert_pages_are_live_encodings(build_golden_dataset(), limits=(1, 2, 500))
 
 
 def test_wire_column_matches_dump_json():
@@ -107,45 +157,32 @@ def test_wire_column_memo_shares_fragments():
 
 
 @pytest.fixture(scope="module")
-def backend_datasets():
+def run_datasets():
+    """A run dataset, and the same dataset rebuilt from its observations."""
     from repro.datasets.collector import collect_study_dataset
     from repro.simulation.config import small_test_config
     from repro.simulation.world import build_world
 
     config = small_test_config(num_days=4, blocks_per_day=6)
+    columnar = collect_study_dataset(build_world(config).run())
+    assert len(columnar.blocks) > 0
+    assert columnar.inventory.relay_data_entries > 0
     return {
-        "columnar": collect_study_dataset(build_world(config)),
-        "object": collect_study_dataset(
-            build_world(config.with_overrides(dataset_backend="object"))
-        ),
+        "columnar": columnar,
+        "object": dataclasses.replace(columnar, blocks=list(columnar.blocks)),
     }
 
 
-@pytest.mark.parametrize("backend", ["columnar", "object"])
-def test_cached_bytes_equal_uncached_on_real_backends(backend_datasets, backend):
-    dataset = backend_datasets[backend]
-    cached = QueryService(dataset, wire_cache=True)
-    uncached = QueryService(dataset, wire_cache=False)
-    for path in (PAYLOADS, SUBMISSIONS, REGISTRATIONS):
-        for params in ({}, {"limit": "500"}, {"limit": "7"}):
-            a = cached.handle(path, dict(params))
-            b = uncached.handle(path, dict(params))
-            assert a.status == b.status == 200
-            assert a.body == b.body
-            assert a.headers == b.headers
-        # Walk the full cursor chain on both paths.
-        assert [
-            (response.body, response.headers.get("x-next-cursor"))
-            for _, response in _cursor_walk(cached, path, 7)
-        ] == [
-            (response.body, response.headers.get("x-next-cursor"))
-            for _, response in _cursor_walk(uncached, path, 7)
-        ]
+@pytest.mark.parametrize("variant", ["columnar", "object"])
+def test_cached_bytes_equal_uncached_on_real_backends(run_datasets, variant):
+    _assert_pages_are_live_encodings(
+        run_datasets[variant], limits=(7, 200, 500)
+    )
 
 
-def test_backends_serve_identical_page_bytes(backend_datasets):
-    columnar = QueryService(backend_datasets["columnar"], wire_cache=True)
-    object_backed = QueryService(backend_datasets["object"], wire_cache=True)
+def test_backends_serve_identical_page_bytes(run_datasets):
+    columnar = QueryService(run_datasets["columnar"])
+    object_backed = QueryService(run_datasets["object"])
     for path in (PAYLOADS, SUBMISSIONS, REGISTRATIONS):
         a = columnar.handle(path, {"limit": "500"})
         b = object_backed.handle(path, {"limit": "500"})
@@ -161,7 +198,7 @@ def test_cached_bytes_survive_fork():
     (indexes + wire columns) is built pre-fork and the child reads the
     copy-on-write pages.
     """
-    service = QueryService(build_golden_dataset(), wire_cache=True)
+    service = QueryService(build_golden_dataset())
 
     def digest() -> bytes:
         state = hashlib.sha256()

@@ -55,6 +55,7 @@ class TestConfig:
         "field",
         [
             "build_workers",
+            "dataset_backend",
             "eager_protocol_forks",
             "engine_fast_path",
             "use_enshrined_pbs",

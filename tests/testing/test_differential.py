@@ -62,7 +62,7 @@ class TestFaultedMatrix:
         fault = FaultSpec(kind=FAULT_BUILDER_CRASH, target="Builder 1", day=2)
         report = run_replay_matrix(
             CONFIG,
-            cases=DEFAULT_CASES[:3],
+            cases=DEFAULT_CASES,
             faults=(fault,),
             artifact_dir=tmp_path,
         )
