@@ -35,10 +35,10 @@ small and hit rates high.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from ..errors import DefiError, ExecutionError, InsufficientBalanceError
 from ..types import Address, Wei, derive_address
+from .execution import ExecutionContext, ExecutionEngine, TxOutcome
 from .receipts import STATUS_FAILURE, STATUS_SUCCESS, Receipt
 from .state import WorldState
 from .traces import (
@@ -47,31 +47,14 @@ from .traces import (
     CallFrame,
     TransactionTrace,
 )
-from .transaction import EthTransfer, TipCoinbase
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .execution import ExecutionContext, ExecutionEngine, TxOutcome
-    from .transaction import Transaction
-
-# Resolved lazily on first use: .execution imports this module's sibling
-# modules, so a module-level import would be fragile against reordering.
-_TX_OUTCOME_CLS = None
-
-
-def _tx_outcome_cls():
-    global _TX_OUTCOME_CLS
-    if _TX_OUTCOME_CLS is None:
-        from .execution import TxOutcome
-
-        _TX_OUTCOME_CLS = TxOutcome
-    return _TX_OUTCOME_CLS
+from .transaction import EthTransfer, TipCoinbase, Transaction
 
 #: The placeholder coinbase used while recording, never a real account.
 COINBASE_SENTINEL: Address = derive_address("exec-cache", "coinbase-sentinel")
 
 # Read/write domains.  State domains are handled by the cache directly;
 # protocol domains are delegated to the registry's read_effective /
-# apply_write hooks (see repro.defi.recording).
+# apply_writes hooks (see repro.defi.recording).
 DOMAIN_BALANCE = "b"
 DOMAIN_NONCE = "n"
 
@@ -185,20 +168,11 @@ class CachedVariant:
     coinbase_delta: Wei
     # (domain, key, value-or-None) triples; None means deletion.
     protocol_writes: tuple[tuple[str, object, object], ...]
-    outcome: "TxOutcome | None"
+    outcome: TxOutcome | None
     has_sentinel_frames: bool
     # Memo of outcomes rebound per (tx_index[, fee_recipient]); purely an
     # object-reuse cache, so it is excluded from equality and repr.
     rebound: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @property
-    def reads(self) -> tuple[tuple[str, object, object], ...]:
-        """The full read set as (domain, key, value) triples (for tests)."""
-        return (
-            tuple((DOMAIN_BALANCE, k, v) for k, v in self.balance_reads)
-            + tuple((DOMAIN_NONCE, k, v) for k, v in self.nonce_reads)
-            + self.protocol_reads
-        )
 
 
 @dataclass
@@ -227,13 +201,13 @@ class ExecutionCache:
 
     def execute(
         self,
-        engine: "ExecutionEngine",
-        tx: "Transaction",
-        ctx: "ExecutionContext",
+        engine: ExecutionEngine,
+        tx: Transaction,
+        ctx: ExecutionContext,
         base_fee_per_gas: Wei,
         fee_recipient: Address,
         tx_index: int = 0,
-    ) -> "TxOutcome":
+    ) -> TxOutcome:
         """Drop-in replacement for ``engine.execute_transaction``.
 
         Raises exactly what direct execution would raise, applies exactly
@@ -258,10 +232,6 @@ class ExecutionCache:
         actions = tx.actions
         if len(actions) == 1 and type(actions[0]) in (EthTransfer, TipCoinbase):
             variant = self._record_simple(tx, ctx, base_fee_per_gas)
-            if variant is None:  # degenerate action; not worth caching
-                return engine.execute_transaction(
-                    tx, ctx, base_fee_per_gas, fee_recipient, tx_index=tx_index
-                )
         else:
             variant = self._record(engine, tx, ctx, base_fee_per_gas)
         self._variants.setdefault(tx.tx_hash, []).append(variant)
@@ -275,7 +245,7 @@ class ExecutionCache:
 
     # -- internals -------------------------------------------------------
 
-    def _matches(self, variant: CachedVariant, ctx: "ExecutionContext") -> bool:
+    def _matches(self, variant: CachedVariant, ctx: ExecutionContext) -> bool:
         state = ctx.state
         balance_of = state.balance_of
         for key, expected in variant.balance_reads:
@@ -314,9 +284,9 @@ class ExecutionCache:
 
     def _record(
         self,
-        engine: "ExecutionEngine",
-        tx: "Transaction",
-        ctx: "ExecutionContext",
+        engine: ExecutionEngine,
+        tx: Transaction,
+        ctx: ExecutionContext,
         base_fee_per_gas: Wei,
     ) -> CachedVariant:
         """Record one execution on a recording overlay of ``ctx``.
@@ -328,9 +298,12 @@ class ExecutionCache:
         an action failure the (now polluted) overlay is discarded and the
         fee-only failure variant is rebuilt analytically — the shared read
         log already holds every read the engine path would have logged.
-        """
-        from .execution import ExecutionContext  # local: avoid import cycle
 
+        Kept hand-written on purpose: one ``engine.execute_transaction``
+        call on the overlay records the same variants, but made the
+        ``study`` simulation slower at the median in paired runs (DESIGN.md
+        §6b has the numbers).
+        """
         if not tx.is_eligible(base_fee_per_gas):
             return self._error_variant(
                 (),
@@ -386,7 +359,7 @@ class ExecutionCache:
                 effective_gas_price=base_fee_per_gas + priority_per_gas,
                 logs=(),
             )
-            outcome = _tx_outcome_cls()(
+            outcome = TxOutcome(
                 receipt=receipt,
                 trace=TransactionTrace(tx_hash=tx.tx_hash, frames=()),
                 burned_wei=burned,
@@ -423,7 +396,7 @@ class ExecutionCache:
                 has_sentinel = True
                 if frame.kind != FRAME_TOP_LEVEL:
                     direct_tip += frame.value_wei
-        outcome = _tx_outcome_cls()(
+        outcome = TxOutcome(
             receipt=receipt,
             trace=TransactionTrace(tx_hash=tx.tx_hash, frames=tuple(frames)),
             burned_wei=burned,
@@ -451,25 +424,22 @@ class ExecutionCache:
 
     def _record_simple(
         self,
-        tx: "Transaction",
-        ctx: "ExecutionContext",
+        tx: Transaction,
+        ctx: ExecutionContext,
         base_fee_per_gas: Wei,
-    ) -> CachedVariant | None:
+    ) -> CachedVariant:
         """Analytic variant for a lone ETH transfer or coinbase tip.
 
         These transactions dominate the candidate lists and their outcome
         is a closed-form function of three reads (sender balance, sender
         nonce, recipient balance), so the variant is computed directly —
         mirroring ``ExecutionEngine.execute_transaction`` step for step —
-        instead of paying for a recording overlay execution.  Returns None
-        for degenerate actions (negative value) the engine handles with
-        its own error semantics.
+        instead of paying for a recording overlay execution.  Routing these
+        through the engine as well made ``study`` and ``local`` slower in
+        paired runs (DESIGN.md §6b).
         """
         action = tx.actions[0]
         value = action.value_wei
-        if value < 0:
-            return None
-
         if not tx.is_eligible(base_fee_per_gas):
             return self._error_variant(
                 (),
@@ -546,7 +516,7 @@ class ExecutionCache:
             effective_gas_price=base_fee_per_gas + priority_per_gas,
             logs=(),
         )
-        outcome = _tx_outcome_cls()(
+        outcome = TxOutcome(
             receipt=receipt,
             trace=TransactionTrace(tx_hash=tx.tx_hash, frames=frames),
             burned_wei=burned,
@@ -571,10 +541,10 @@ class ExecutionCache:
     def _apply(
         self,
         variant: CachedVariant,
-        ctx: "ExecutionContext",
+        ctx: ExecutionContext,
         fee_recipient: Address,
         tx_index: int,
-    ) -> "TxOutcome":
+    ) -> TxOutcome:
         """Apply a variant's effects to ``ctx`` — the single replay path.
 
         Used by the recorder and every reuser alike, so both produce the
@@ -645,7 +615,7 @@ class ExecutionCache:
             )
         if receipt is outcome.receipt and trace is outcome.trace:
             return outcome
-        rebound = _tx_outcome_cls()(
+        rebound = TxOutcome(
             receipt=receipt,
             trace=trace,
             burned_wei=outcome.burned_wei,

@@ -41,6 +41,10 @@ class EthTransfer:
 
     gas_cost: Gas = field(default=ETH_TRANSFER_GAS, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if self.value_wei < 0:
+            raise ConfigError(f"negative ETH transfer value {self.value_wei}")
+
 
 @dataclass(frozen=True)
 class TokenTransfer:
@@ -91,6 +95,10 @@ class TipCoinbase:
     value_wei: Wei
 
     gas_cost: Gas = field(default=COINBASE_TIP_GAS, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.value_wei < 0:
+            raise ConfigError(f"negative coinbase tip value {self.value_wei}")
 
 
 Action = EthTransfer | TokenTransfer | SwapExact | LiquidatePosition | TipCoinbase

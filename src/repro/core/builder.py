@@ -29,7 +29,7 @@ from ..chain.transaction import (
     ORIGIN_PRIVATE,
     Transaction,
 )
-from ..errors import PBSError
+from ..errors import ExecutionError, InsufficientBalanceError, PBSError
 from ..mev.bundles import Bundle
 from ..sanctions.screening import tx_statically_involves
 from ..types import Address, BLSPubkey, Wei
@@ -322,7 +322,7 @@ class BlockBuilder:
                 outcome = execute_tx(
                     tx, fork, fee_recipient, tx_index=len(included)
                 )
-            except Exception:
+            except (ExecutionError, InsufficientBalanceError):
                 continue
             included.append(tx)
             outcomes.append(outcome)
@@ -363,7 +363,7 @@ class BlockBuilder:
                     fee_recipient,
                     tx_index=len(result.included),
                 )
-            except Exception:
+            except (ExecutionError, InsufficientBalanceError):
                 payment_tx = None
                 payment = 0
             else:
@@ -464,7 +464,7 @@ class BlockBuilder:
                     fee_recipient,
                     tx_index=len(result.included) + len(outcomes),
                 )
-            except Exception:
+            except (ExecutionError, InsufficientBalanceError):
                 return False
             if not outcome.success:
                 return False

@@ -88,33 +88,14 @@ def _read_effective(registry, domain: str, key: object) -> object:
     return None if value is _MISSING else value
 
 
-def _apply_write(registry, domain: str, key: object, value: object) -> None:
-    """Write one cached effect into this registry's local layer.
+def _apply_writes(registry, writes) -> None:
+    """Write a cached variant's effects into this registry's local layers.
 
     ``value is None`` encodes a deletion; the tombstone lands in the same
     layer a committed speculative fork would have left it in, keeping
-    replayed state bit-identical to direct execution.
-    """
-    if domain == "t":
-        cow: CowDict = registry.tokens._balances
-    elif domain == "r":
-        cow = registry.amm._reserves
-    elif domain.startswith("p:"):
-        market = registry.market(domain[2:])
-        if market is None:
-            raise DefiError(f"unknown lending market {domain[2:]}")
-        cow = market._positions
-    else:
-        raise DefiError(f"unknown write domain {domain!r}")
-    cow._local[key] = _COW_TOMBSTONE if value is None else value
-
-
-def _apply_writes(registry, writes) -> None:
-    """Batch form of :func:`_apply_write` — one dispatch per domain.
-
-    Replaying a cached variant applies every write of a transaction in one
-    call, so resolving the target CowDict once per domain (instead of once
-    per entry) is a measurable win on the hot replay path.
+    replayed state bit-identical to direct execution.  Replaying a variant
+    applies every write of a transaction in one call, so the target
+    CowDict is resolved once per domain, not once per entry.
     """
     token_cow: CowDict | None = None
     reserve_cow: CowDict | None = None
@@ -218,9 +199,6 @@ class DefiProtocols:
 
     def read_effective(self, domain: str, key: object) -> object:
         return _read_effective(self, domain, key)
-
-    def apply_write(self, domain: str, key: object, value: object) -> None:
-        _apply_write(self, domain, key, value)
 
     def apply_writes(self, writes) -> None:
         _apply_writes(self, writes)
@@ -326,9 +304,6 @@ class LazyDefiFork:
 
     def read_effective(self, domain: str, key: object) -> object:
         return _read_effective(self, domain, key)
-
-    def apply_write(self, domain: str, key: object, value: object) -> None:
-        _apply_write(self, domain, key, value)
 
     def apply_writes(self, writes) -> None:
         _apply_writes(self, writes)

@@ -43,6 +43,9 @@ _REASONS = {
 _MAX_LINE = 8192
 _MAX_HEADERS = 64
 
+#: How long a graceful drain lets in-flight requests finish.
+DRAIN_SECONDS = 5.0
+
 #: Rendered head prefixes per (status, content-type): everything up to
 #: and including ``content-length: `` — the per-response remainder is
 #: just the length digits plus the connection/extra header lines.
@@ -133,7 +136,7 @@ class RelayHTTPServer:
             await self._server.wait_closed()
             self._server = None
 
-    async def drain(self, timeout: float = 5.0) -> None:
+    async def drain(self, timeout: float = DRAIN_SECONDS) -> None:
         """Graceful shutdown: finish in-flight requests, drop idle ones.
 
         Stops accepting new connections, cancels connections parked
@@ -292,7 +295,6 @@ async def run_server(
     port: int = 8547,
     *,
     ready_message=None,
-    drain_seconds: float = 5.0,
 ) -> None:
     """Build the service, bind, announce readiness, serve until stopped.
 
@@ -313,5 +315,5 @@ async def run_server(
     try:
         await stop.wait()
     finally:
-        await server.drain(drain_seconds)
+        await server.drain()
         await server.close()

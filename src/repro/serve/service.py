@@ -14,13 +14,19 @@ Relay data (Flashbots data-API compatible, bare JSON arrays)::
     /relay/v1/data/bidtraces/builder_blocks_received
     /relay/v1/data/validators/registration
 
-Analysis (vectorized over the columnar block table, memoized)::
+Analysis (vectorized over the columnar block table)::
 
     /analysis/hhi          daily relay + builder market HHI (Fig. 6)
     /analysis/value_split  daily user-payment decomposition (Fig. 3)
     /analysis/censorship   compliant-relay + sanctioned shares (Figs. 17/18)
 
 Service metadata: ``/healthz``, ``/relays``, ``/inventory``.
+
+The three analysis routes, ``/relays`` and ``/inventory`` ignore the
+query string and the dataset never changes, so each renders once and its
+finished :class:`Response` is reused; ``/healthz`` stays live because it
+reports the serving pid.  Every other request is rendered per request: a
+crawl of the relay data API, like the paper's, never repeats a key.
 
 Pagination contract
 -------------------
@@ -40,7 +46,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .index import ALL_RELAYS, Cursor, DatasetIndex, RelayIndexes
@@ -49,11 +54,11 @@ from . import schema
 DEFAULT_LIMIT = 200
 MAX_LIMIT = 500
 
-#: Finished 200 responses kept hot, LRU-evicted.  Sized for the working
-#: set a load generator actually revisits (first pages, slot queries,
-#: ``/analysis/*``, metadata) while bounding memory: even 500-row pages
-#: stay under ~25 MB at this capacity.
-RESPONSE_CACHE_SIZE = 128
+#: Routes whose response ignores the query string, memoized on first 200.
+STATIC_ROUTES = frozenset(
+    {"/analysis/hhi", "/analysis/value_split", "/analysis/censorship",
+     "/relays", "/inventory"}
+)
 
 _JSON = "application/json"
 
@@ -115,21 +120,10 @@ class QueryService:
     503 when it is absent (store-only test harnesses).
     """
 
-    def __init__(
-        self,
-        dataset,
-        *,
-        default_limit: int = DEFAULT_LIMIT,
-        max_limit: int = MAX_LIMIT,
-        response_cache_size: int = RESPONSE_CACHE_SIZE,
-    ) -> None:
+    def __init__(self, dataset) -> None:
         self.dataset = dataset
-        self.default_limit = default_limit
-        self.max_limit = max_limit
         self.index = DatasetIndex.from_dataset(dataset)
-        self._analysis_cache: dict[str, object] = {}
-        self._response_cache: OrderedDict[tuple, Response] = OrderedDict()
-        self._response_cache_size = response_cache_size
+        self._static: dict[str, Response] = {}
         self._routes = {
             "/relay/v1/data/bidtraces/proposer_payload_delivered": (
                 self._payload_delivered
@@ -149,31 +143,20 @@ class QueryService:
     # -- dispatch -------------------------------------------------------
 
     def handle(self, path: str, params: dict[str, str]) -> Response:
-        # Hot-response LRU: everything but cursor pages (whose key space
-        # is unbounded and whose hit rate is ~0 — each cursor is served
-        # once per walk) is cacheable; only 200s are stored.
-        cache_key = None
-        if self._response_cache_size and "cursor" not in params:
-            cache_key = (path, tuple(sorted(params.items())))
-            cached = self._response_cache.get(cache_key)
-            if cached is not None:
-                self._response_cache.move_to_end(cache_key)
-                return cached
-        response = self._dispatch(path, params)
-        if cache_key is not None and response.status == 200:
-            self._response_cache[cache_key] = response
-            if len(self._response_cache) > self._response_cache_size:
-                self._response_cache.popitem(last=False)
-        return response
-
-    def _dispatch(self, path: str, params: dict[str, str]) -> Response:
-        handler = self._routes.get(path.rstrip("/") or "/")
+        route = path.rstrip("/") or "/"
+        response = self._static.get(route)
+        if response is not None:
+            return response
+        handler = self._routes.get(route)
         if handler is None:
             return _error_response(404, f"no such endpoint: {path}")
         try:
-            return handler(params)
+            response = handler(params)
         except ServeError as error:
             return _error_response(error.status, error.message)
+        if route in STATIC_ROUTES:
+            self._static[route] = response
+        return response
 
     # -- shared request plumbing ---------------------------------------
 
@@ -188,11 +171,11 @@ class QueryService:
     def _limit(self, params: dict[str, str]) -> int:
         limit = _parse_int(params, "limit")
         if limit is None:
-            return self.default_limit
+            return DEFAULT_LIMIT
         if limit == 0:
             raise ServeError(400, "limit must be a positive integer")
-        if limit > self.max_limit:
-            raise ServeError(400, f"maximum limit is {self.max_limit}")
+        if limit > MAX_LIMIT:
+            raise ServeError(400, f"maximum limit is {MAX_LIMIT}")
         return limit
 
     def _paged(self, slot_index, wire, params: dict[str, str]) -> Response:
@@ -257,55 +240,49 @@ class QueryService:
 
     # -- analysis endpoints --------------------------------------------
 
-    def _analysis(self, key: str, compute):
-        cached = self._analysis_cache.get(key)
-        if cached is None:
-            if getattr(self.dataset, "table", None) is None:
-                raise ServeError(503, "analysis unavailable: no block table")
-            cached = compute()
-            self._analysis_cache[key] = cached
-        return cached
+    def _require_table(self) -> None:
+        if getattr(self.dataset, "table", None) is None:
+            raise ServeError(503, "analysis unavailable: no block table")
 
     def _analysis_hhi(self, params: dict[str, str]) -> Response:
-        def compute():
-            from ..analysis.builders import daily_builder_shares
-            from ..analysis.concentration import daily_hhi_series
-            from ..analysis.relays import daily_relay_shares
+        from ..analysis.builders import daily_builder_shares
+        from ..analysis.concentration import daily_hhi_series
+        from ..analysis.relays import daily_relay_shares
 
-            relay = daily_hhi_series("relay HHI", daily_relay_shares(self.dataset))
-            builder = daily_hhi_series(
-                "builder HHI", daily_builder_shares(self.dataset)
-            )
-            return {
+        self._require_table()
+        relay = daily_hhi_series("relay HHI", daily_relay_shares(self.dataset))
+        builder = daily_hhi_series("builder HHI", daily_builder_shares(self.dataset))
+        return _ok(
+            {
                 "relay": schema.encode_series(relay),
                 "builder": schema.encode_series(builder),
             }
-
-        return _ok(self._analysis("hhi", compute))
+        )
 
     def _analysis_value_split(self, params: dict[str, str]) -> Response:
-        def compute():
-            from ..analysis.rewards import daily_user_payment_shares
+        from ..analysis.rewards import daily_user_payment_shares
 
-            base, priority, direct = daily_user_payment_shares(self.dataset)
-            return {
+        self._require_table()
+        base, priority, direct = daily_user_payment_shares(self.dataset)
+        return _ok(
+            {
                 "base_fee": schema.encode_series(base),
                 "priority_fee": schema.encode_series(priority),
                 "direct_transfer": schema.encode_series(direct),
             }
-
-        return _ok(self._analysis("value_split", compute))
+        )
 
     def _analysis_censorship(self, params: dict[str, str]) -> Response:
-        def compute():
-            from ..analysis.censorship import (
-                daily_compliant_relay_share,
-                daily_sanctioned_share,
-                overall_sanctioned_shares,
-            )
+        from ..analysis.censorship import (
+            daily_compliant_relay_share,
+            daily_sanctioned_share,
+            overall_sanctioned_shares,
+        )
 
-            pbs, non_pbs = daily_sanctioned_share(self.dataset)
-            return {
+        self._require_table()
+        pbs, non_pbs = daily_sanctioned_share(self.dataset)
+        return _ok(
+            {
                 "compliant_relay_share": schema.encode_series(
                     daily_compliant_relay_share(self.dataset)
                 ),
@@ -315,8 +292,7 @@ class QueryService:
                 },
                 "overall": overall_sanctioned_shares(self.dataset),
             }
-
-        return _ok(self._analysis("censorship", compute))
+        )
 
     # -- metadata -------------------------------------------------------
 

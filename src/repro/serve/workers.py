@@ -31,11 +31,14 @@ import socket
 import sys
 import time
 
-from .http import RelayHTTPServer
+from .http import DRAIN_SECONDS, RelayHTTPServer
 from .service import QueryService
 
 #: A worker that lived at least this long gets its restart backoff reset.
 STABLE_SECONDS = 5.0
+#: First restart delay after a crash, doubled per crash up to the cap.
+BACKOFF_BASE_SECONDS = 0.1
+BACKOFF_CAP_SECONDS = 5.0
 
 
 def _reuseport_socket(host: str, port: int) -> socket.socket:
@@ -67,11 +70,6 @@ class WorkerPool:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 2,
-        *,
-        drain_seconds: float = 5.0,
-        backoff_base: float = 0.1,
-        backoff_cap: float = 5.0,
-        ready_timeout: float = 60.0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -80,10 +78,6 @@ class WorkerPool:
         self.dataset = dataset
         self.host = host
         self.workers = workers
-        self.drain_seconds = drain_seconds
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.ready_timeout = ready_timeout
         # Build the service (indexes + wire blobs) BEFORE forking: the
         # expensive immutable state lands in pages every worker shares.
         self.service = QueryService(dataset)
@@ -206,8 +200,8 @@ class WorkerPool:
             lived = time.monotonic() - spawned
             if lived >= STABLE_SECONDS:
                 self._backoff.pop(slot, None)
-            delay = self._backoff.get(slot, self.backoff_base)
-            self._backoff[slot] = min(delay * 2, self.backoff_cap)
+            delay = self._backoff.get(slot, BACKOFF_BASE_SECONDS)
+            self._backoff[slot] = min(delay * 2, BACKOFF_CAP_SECONDS)
             self._restart_at[slot] = time.monotonic() + delay
             print(
                 f"[pool] worker {pid} (slot {slot}) died after {lived:.1f}s; "
@@ -224,7 +218,7 @@ class WorkerPool:
                 self._spawn(slot)
 
     def _shutdown(self) -> None:
-        deadline = time.monotonic() + self.drain_seconds + 2.0
+        deadline = time.monotonic() + DRAIN_SECONDS + 2.0
         for pid in self._children:
             try:
                 os.kill(pid, signal.SIGTERM)
@@ -281,7 +275,7 @@ class WorkerPool:
             await stop.wait()
         finally:
             loop.remove_reader(self._death_r)
-            await server.drain(self.drain_seconds)
+            await server.drain()
             await server.close()
 
 
@@ -292,11 +286,7 @@ def serve_pool(
     workers: int = 2,
     *,
     announce=None,
-    drain_seconds: float = 5.0,
 ) -> int:
     """Convenience wrapper: build the pool and serve until signalled."""
-    pool = WorkerPool(
-        dataset, host=host, port=port, workers=workers,
-        drain_seconds=drain_seconds,
-    )
+    pool = WorkerPool(dataset, host=host, port=port, workers=workers)
     return pool.serve_forever(announce=announce)

@@ -31,33 +31,19 @@ class SimulationConfig:
 
     # Transaction workload (per slot).
     mean_user_txs_per_slot: float = 55.0
-    swap_tx_share: float = 0.22
-    token_tx_share: float = 0.18
-    private_user_tx_share: float = 0.05
-    # Extra gas drawn per tx so blocks reach mainnet-like gas totals.
-    extra_gas_mean: float = 320_000.0
-    extra_gas_sigma: float = 0.6
 
     # Sanctioned activity: probability a given slot's workload includes a
     # transaction involving a sanctioned address.
     sanctioned_tx_rate: float = 0.05
 
     # MEV workload.
-    victim_swap_rate: float = 0.32  # share of swaps big enough to sandwich
     num_lending_positions: int = 60
-    lending_refill_per_day: float = -1.0  # auto: ~0.022 per block
-    public_searcher_skill: float = 0.35
+    lending_refill_per_day: float = -1.0  # -1 = auto: ~0.022 per block
 
     # Incidents & events (all reproduce paper findings; disable for ablation).
     enable_manifold_incident: bool = True
     enable_eden_mispromise: bool = True
     enable_timestamp_bug: bool = True
-    enable_binance_ankr_flow: bool = True
-    enable_beaverbuild_loss: bool = True
-
-    # Scale factor applied to the scripted Eden mispromise claim (ETH).
-    eden_mispromise_claim_eth: float = -1.0  # auto-scale to world size
-    eden_mispromise_paid_eth: float = 0.16
 
     # Block-production regime.  ``"mev_boost"`` is the historical
     # relay-based scheme the paper measures; ``"epbs"`` runs the full
@@ -99,36 +85,46 @@ class SimulationConfig:
     extended_horizon: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_days <= 0:
-            raise ConfigError("num_days must be positive")
+        for name, least in (
+            ("seed", 0),
+            ("num_days", 1),
+            ("blocks_per_day", 1),
+            ("num_validators", 10),
+            ("num_users", 1),
+            ("num_long_tail_builders", 0),
+            ("network_nodes", 1),
+            ("num_lending_positions", 0),
+            ("max_active_builders_per_slot", 1),
+            ("segment_days", 0),
+            ("shard_workers", 1),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"{name} must be at least {least}, got {value}")
         if self.num_days > STUDY_NUM_DAYS and not self.extended_horizon:
             raise ConfigError(
                 f"num_days cannot exceed the study window ({STUDY_NUM_DAYS}) "
                 "unless extended_horizon=True"
             )
-        if self.blocks_per_day <= 0:
-            raise ConfigError("blocks_per_day must be positive")
-        if self.num_validators < 10:
-            raise ConfigError("need at least 10 validators")
-        if not 0.0 <= self.missed_slot_rate < 1.0:
-            raise ConfigError("missed_slot_rate must be in [0, 1)")
-        for name in (
-            "swap_tx_share",
-            "token_tx_share",
-            "private_user_tx_share",
-            "sanctioned_tx_rate",
-            "victim_swap_rate",
-            "public_searcher_skill",
-        ):
+        for name in ("mean_user_txs_per_slot", "min_bid_eth"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if self.swap_tx_share + self.token_tx_share > 1.0:
-            raise ConfigError("swap and token shares exceed the whole workload")
-        if self.segment_days < 0:
-            raise ConfigError("segment_days cannot be negative")
-        if self.shard_workers < 1:
-            raise ConfigError("shard_workers must be at least 1")
+            if not value >= 0.0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
+        if not 0.0 <= self.missed_slot_rate < 1.0:
+            raise ConfigError(
+                f"missed_slot_rate must be in [0, 1), got {self.missed_slot_rate}"
+            )
+        if not 0.0 <= self.sanctioned_tx_rate <= 1.0:
+            raise ConfigError(
+                f"sanctioned_tx_rate must be in [0, 1], got {self.sanctioned_tx_rate}"
+            )
+        if not (
+            self.lending_refill_per_day >= 0.0 or self.lending_refill_per_day == -1.0
+        ):
+            raise ConfigError(
+                "lending_refill_per_day must be non-negative, or -1 for auto, "
+                f"got {self.lending_refill_per_day}"
+            )
         if self.shard_workers > 1 and self.segment_days <= 0:
             raise ConfigError(
                 "shard_workers > 1 requires segment_days > 0: the segment "

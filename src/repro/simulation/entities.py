@@ -172,8 +172,11 @@ NAMED_BUILDERS: tuple[tuple[str, int, int, bool, bool], ...] = (
     ("bloXroute (E)", 3, 1, False, False),
 )
 
+#: What Eden actually paid on its scripted mispromised block (ETH).
+EDEN_MISPROMISE_PAID_ETH = 0.16
 
-def _bid_policy_for(name: str, config: SimulationConfig, timeline: Timeline):
+
+def _bid_policy_for(name: str, timeline: Timeline):
     if name in ("Flashbots",):
         return FixedMargin(margin_wei=ether(0.0006))
     if name == "blocknative":
@@ -184,9 +187,9 @@ def _bid_policy_for(name: str, config: SimulationConfig, timeline: Timeline):
         return Subsidizer(proposer_share=0.93, subsidy_probability=0.12,
                           subsidy_factor=1.035)
     if name == "beaverbuild":
-        loss = timeline.beaverbuild_loss_boost if config.enable_beaverbuild_loss else None
         return Subsidizer(proposer_share=0.93, subsidy_probability=0.12,
-                          subsidy_factor=1.035, loss_schedule=loss)
+                          subsidy_factor=1.035,
+                          loss_schedule=timeline.beaverbuild_loss_boost)
     if name == "eth-builder":
         return Subsidizer(proposer_share=0.92, subsidy_probability=0.15,
                           subsidy_factor=1.03)
@@ -225,7 +228,7 @@ def build_builders(
             name=name,
             address=address,
             pubkeys=pubkeys,
-            bid_policy=_bid_policy_for(name, config, timeline),
+            bid_policy=_bid_policy_for(name, timeline),
             mempool_node=int(rng.integers(0, network_nodes)),
             mempool_coverage=1.0,
             self_censors=censors,
@@ -238,17 +241,14 @@ def build_builders(
         builders[name] = builder
 
     if config.enable_eden_mispromise:
-        claim_eth = config.eden_mispromise_claim_eth
-        if claim_eth < 0:
-            # Auto-scale: the single mispriced block should account for
-            # ~6% of Eden's expected promised value over the whole window
-            # (the paper's 93.8% delivered share), whatever the world size.
-            expected_eden_total = (
-                config.num_days * config.blocks_per_day * 0.02 * 0.06
-            )
-            claim_eth = max(0.8, 0.062 * expected_eden_total / 0.93)
-        claimed = ether(claim_eth)
-        paid = ether(config.eden_mispromise_paid_eth)
+        # The single mispriced block should account for ~6% of Eden's
+        # expected promised value over the whole window (the paper's 93.8%
+        # delivered share), whatever the world size.
+        expected_eden_total = (
+            config.num_days * config.blocks_per_day * 0.02 * 0.06
+        )
+        claimed = ether(max(0.8, 0.062 * expected_eden_total / 0.93))
+        paid = ether(EDEN_MISPROMISE_PAID_ETH)
         builders["Eden"].scripted_mispromise = {
             timeline.eden_mispromise_day: (claimed, paid)
         }

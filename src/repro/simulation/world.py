@@ -83,6 +83,20 @@ _GENESIS_TIME = 1_663_224_179  # merge timestamp (2022-09-15 06:42:59 UTC)
 # (the draw sequence is identical either way).
 _TRANSFER_TOKENS = np.array(["USDC", "DAI", "USDT", "WBTC", "ALT1", "ALT2"])
 
+# User workload mix: swaps, then token transfers, the rest ETH transfers;
+# independently, the share of user transactions sent as private flow.
+_SWAP_TX_SHARE = 0.22
+_TOKEN_TX_SHARE = 0.18
+_PRIVATE_USER_TX_SHARE = 0.05
+# Extra gas drawn per tx (lognormal) so blocks reach mainnet-like totals.
+_EXTRA_GAS_MEAN = 320_000.0
+_EXTRA_GAS_SIGMA = 0.6
+# Share of swaps big enough to sandwich.
+_VICTIM_SWAP_RATE = 0.32
+# Per-slot chance the naive public mempool bots try a liquidation (and
+# 0.8 of it for a cyclic arbitrage).
+_PUBLIC_SEARCHER_SKILL = 0.35
+
 
 @dataclass
 class SlotRecord:
@@ -506,8 +520,8 @@ class World:
     def _extra_gas(self, rng: np.random.Generator) -> int:
         value = float(
             rng.lognormal(
-                mean=np.log(self.config.extra_gas_mean),
-                sigma=self.config.extra_gas_sigma,
+                mean=np.log(_EXTRA_GAS_MEAN),
+                sigma=_EXTRA_GAS_SIGMA,
             )
         )
         return int(min(value, 2_500_000))
@@ -524,13 +538,13 @@ class World:
             return None  # demand destruction under a high base fee
         priority = min(self._priority_fee(rng), wtp)
         max_fee = wtp
-        wants_private = bool(rng.random() < self.config.private_user_tx_share)
+        wants_private = bool(rng.random() < _PRIVATE_USER_TX_SHARE)
 
-        if roll < self.config.swap_tx_share:
+        if roll < _SWAP_TX_SHARE:
             tx = self._make_swap_tx(
                 sender, slot, max_fee, priority, sophistication, rng
             )
-        elif roll < self.config.swap_tx_share + self.config.token_tx_share:
+        elif roll < _SWAP_TX_SHARE + _TOKEN_TX_SHARE:
             token = str(rng.choice(_TRANSFER_TOKENS))
             recipient = self.users[int(rng.integers(0, len(self.users)))]
             balance = self.defi.tokens.balance_of(token, sender)
@@ -584,7 +598,7 @@ class World:
         pool_id = str(rng.choice(pool_ids))
         pool = self.defi.amm.pool(pool_id)
         token_in = pool.spec.token0 if rng.random() < 0.5 else pool.spec.token1
-        is_victim = bool(rng.random() < self.config.victim_swap_rate)
+        is_victim = bool(rng.random() < _VICTIM_SWAP_RATE)
         if token_in == "WETH":
             whole = (
                 float(rng.uniform(0.8, 3.2)) * sophistication
@@ -665,7 +679,7 @@ class World:
         """Naive mempool bots: public-PGA-style arbitrage and liquidations."""
         rng = self._rng_txgen
         txs: list[Transaction] = []
-        if rng.random() < self.config.public_searcher_skill:
+        if rng.random() < _PUBLIC_SEARCHER_SKILL:
             plans = plan_liquidations(
                 self.defi.markets, self.oracle, self.defi.tokens,
                 min_bonus_wei=ether(0.01),
@@ -691,7 +705,7 @@ class World:
                             created_slot=slot,
                         )
                     )
-        if rng.random() < self.config.public_searcher_skill * 0.8:
+        if rng.random() < _PUBLIC_SEARCHER_SKILL * 0.8:
             cycles = self._arb_cycles()
             best_plan = None
             for cycle in cycles:
@@ -904,10 +918,7 @@ class World:
             )
             self.observations.record_broadcast(entry)
 
-        if (
-            config.enable_binance_ankr_flow
-            and self.timeline.in_binance_ankr_window(day)
-        ):
+        if self.timeline.in_binance_ankr_window(day):
             for _ in range(int(rng.integers(2, 6))):
                 priority = self._priority_fee(rng)
                 tx = self.tx_factory.create(

@@ -54,6 +54,18 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             _tx(extra_gas=-1)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: EthTransfer(OTHER, -1), lambda: TipCoinbase(-1)],
+        ids=["eth_transfer", "coinbase_tip"],
+    )
+    def test_negative_value_rejected(self, make):
+        # Rejected at construction: executing one would otherwise charge
+        # the fee and bump the nonce before the transfer raises, an effect
+        # the execution cache does not replay.
+        with pytest.raises(ConfigError, match="negative"):
+            make()
+
     def test_origins(self):
         assert _tx().origin == ORIGIN_PUBLIC
         assert _tx(origin=ORIGIN_BUNDLE).origin == ORIGIN_BUNDLE

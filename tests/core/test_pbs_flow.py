@@ -123,6 +123,18 @@ class MiniWorld:
         return bundle
 
 
+class _BuggyEngine(ExecutionEngine):
+    """Raises an error that is not an inclusion failure for one sender."""
+
+    def __init__(self, sender):
+        self.sender = sender
+
+    def execute_transaction(self, tx, *args, **kwargs):
+        if tx.sender == self.sender:
+            raise RuntimeError("bug under execution")
+        return super().execute_transaction(tx, *args, **kwargs)
+
+
 class TestBuilder:
     def test_builds_block_with_payment(self):
         world = MiniWorld()
@@ -170,6 +182,21 @@ class TestBuilder:
         included = {tx.tx_hash for tx in submission.block.transactions}
         assert set(first.tx_hashes) <= included
         assert not set(second.tx_hashes) & included
+
+    @pytest.mark.parametrize("failing", ["loose", "bundle", "payment"])
+    def test_unexpected_errors_propagate(self, failing):
+        # Only inclusion failures drop a candidate; anything else is a bug
+        # and must not silently shrink the block.
+        world = MiniWorld()
+        world.add_public_tx()
+        world.add_bundle()
+        world.engine = _BuggyEngine(
+            {"loose": USER, "bundle": SEARCHER, "payment": world.builder.address}[
+                failing
+            ]
+        )
+        with pytest.raises(RuntimeError, match="bug under execution"):
+            world.builder.build(world.context(), world.proposer)
 
     def test_empty_world_builds_nothing(self):
         world = MiniWorld()

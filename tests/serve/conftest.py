@@ -271,16 +271,19 @@ def golden_dataset():
 
 @pytest.fixture(scope="module", params=["wire-cache", "uncached"])
 def golden_service(golden_dataset, request):
-    """The service with and without its response LRU.
+    """One long-lived service, and a fresh service per request.
 
-    Every conformance test runs twice: against the production service
-    (pages sliced from the pre-rendered wire columns, repeated requests
-    answered from the response LRU) and with the LRU off, so every
-    response is rendered afresh — pinning that both produce identical
-    bytes.
+    Every conformance test runs twice: against the production service,
+    whose static routes answer from their memo once rendered, and
+    against a new ``QueryService`` for each request, so every response
+    is a cold render — pinning that both produce identical bytes.
     """
     from repro.serve import QueryService
 
     if request.param == "uncached":
-        return QueryService(golden_dataset, response_cache_size=0)
+        return SimpleNamespace(
+            handle=lambda path, params: QueryService(golden_dataset).handle(
+                path, params
+            )
+        )
     return QueryService(golden_dataset)

@@ -20,6 +20,7 @@ import pytest
 
 from repro.serve import QueryService
 from repro.serve.index import Cursor
+from repro.serve.service import STATIC_ROUTES
 from repro.serve.schema import (
     WireColumn,
     dump_json,
@@ -233,39 +234,27 @@ def test_cached_bytes_survive_fork():
 
 
 def test_response_lru_caches_hot_responses():
+    """Only the five static routes are memoized; the rest render per request."""
     service = QueryService(build_golden_dataset())
-    first = service.handle("/relays", {})
-    second = service.handle("/relays", {})
-    assert first is second  # served from the LRU, not re-encoded
-    # Cursor pages are never LRU'd (unbounded key space)...
-    page = service.handle(PAYLOADS, {"limit": "2"})
-    cursor = page.headers["x-next-cursor"]
-    follow = {"limit": "2", "cursor": cursor}
-    assert service.handle(PAYLOADS, dict(follow)) is not service.handle(
-        PAYLOADS, dict(follow)
-    )
-    # ...and errors are not cached.
-    bad = service.handle(PAYLOADS, {"limit": "0"})
-    assert bad.status == 400
-    assert service.handle(PAYLOADS, {"limit": "0"}) is not bad
-
-
-def test_response_lru_evicts_at_capacity():
-    service = QueryService(build_golden_dataset(), response_cache_size=2)
-    first = service.handle(PAYLOADS, {"limit": "1"})
-    service.handle(PAYLOADS, {"limit": "2"})
-    service.handle(PAYLOADS, {"limit": "3"})  # evicts limit=1
-    refreshed = service.handle(PAYLOADS, {"limit": "1"})
-    assert refreshed is not first
-    assert refreshed.body == first.body
-
-
-def test_response_lru_disabled():
-    service = QueryService(build_golden_dataset(), response_cache_size=0)
-    a = service.handle("/relays", {})
-    b = service.handle("/relays", {})
-    assert a is not b
-    assert a.body == b.body
+    for route in STATIC_ROUTES:
+        first = service.handle(route, {})
+        assert first.status == 200
+        # The query string is ignored and a trailing slash is the same route.
+        assert service.handle(route, {"limit": "2"}) is first
+        assert service.handle(route + "/", {}) is first
+    pages = [service.handle(PAYLOADS, {"limit": "2"}) for _ in range(2)]
+    cursor = pages[0].headers["x-next-cursor"]
+    follows = [
+        service.handle(PAYLOADS, {"limit": "2", "cursor": cursor}) for _ in range(2)
+    ]
+    errors = [service.handle(PAYLOADS, {"limit": "0"}) for _ in range(2)]
+    for first, second in (pages, follows, errors):
+        assert first is not second
+        assert (first.status, first.body, first.headers) == (
+            second.status, second.body, second.headers
+        )
+    assert errors[0].status == 400
+    assert service.handle("/healthz", {}) is not service.handle("/healthz", {})
 
 
 def test_healthz_reports_serving_pid():

@@ -30,8 +30,7 @@ DEADLINE = 30.0
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
-#: Runs inside the supervisor subprocess: golden dataset, two workers,
-#: fast drain so the SIGTERM test finishes quickly.
+#: Runs inside the supervisor subprocess: golden dataset, two workers.
 DRIVER = """
 import sys
 sys.path.insert(0, "src")
@@ -44,7 +43,6 @@ sys.exit(
         build_golden_dataset(),
         workers=2,
         port=0,
-        drain_seconds=5.0,
         announce=lambda url, n: print(f"READY {url} workers={n}", flush=True),
     )
 )

@@ -35,17 +35,21 @@ class TestConfig:
             ("blocks_per_day", 0),
             ("num_validators", 3),
             ("missed_slot_rate", 1.5),
-            ("swap_tx_share", -0.1),
             ("sanctioned_tx_rate", 2.0),
+            ("seed", -1),
+            ("num_users", 0),
+            ("num_long_tail_builders", -1),
+            ("network_nodes", 0),
+            ("mean_user_txs_per_slot", -5),
+            ("num_lending_positions", -3),
+            ("lending_refill_per_day", -2),
+            ("min_bid_eth", -1),
+            ("max_active_builders_per_slot", 0),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=field):
             SimulationConfig(**{field: value})
-
-    def test_share_sum_checked(self):
-        with pytest.raises(ConfigError):
-            SimulationConfig(swap_tx_share=0.6, token_tx_share=0.6)
 
     def test_seconds_per_slot(self):
         config = SimulationConfig(blocks_per_day=40)
@@ -59,6 +63,17 @@ class TestConfig:
             "eager_protocol_forks",
             "engine_fast_path",
             "use_enshrined_pbs",
+            "private_user_tx_share",
+            "swap_tx_share",
+            "token_tx_share",
+            "extra_gas_mean",
+            "extra_gas_sigma",
+            "victim_swap_rate",
+            "public_searcher_skill",
+            "enable_binance_ankr_flow",
+            "enable_beaverbuild_loss",
+            "eden_mispromise_claim_eth",
+            "eden_mispromise_paid_eth",
         ],
     )
     def test_removed_fields_rejected_by_overrides(self, field):
