@@ -1,9 +1,9 @@
 """Shared speculative-execution cache for the per-slot builder auction.
 
-Every active builder (plus the local fallback builder) speculatively
-executes largely the same candidate transactions against contexts that
-differ only in a few touched accounts.  The :class:`ExecutionCache`
-memoizes :meth:`~repro.chain.execution.ExecutionEngine.execute_transaction`
+Every active builder speculatively executes largely the same candidate
+transactions against contexts that differ only in a few touched
+accounts.  The :class:`ExecutionCache` memoizes
+:meth:`~repro.chain.execution.ExecutionEngine.execute_transaction`
 outcomes so that work is done once per slot instead of once per builder.
 
 Correctness rests on *verified read/write-set replay*:
@@ -24,8 +24,8 @@ Correctness rests on *verified read/write-set replay*:
 
 Both the recorder and every reuser apply effects through the same replay
 routine, so a cached outcome is bit-identical to direct execution — the
-property the determinism regression test (same seed, cache on or off ⇒
-identical world digest) locks in.
+property the determinism regression test (same seed, with or without the
+cache ⇒ identical world digest) locks in.
 
 A cache instance lives for exactly one slot: the base fee, oracle prices
 and canonical state are constant within a slot, which keeps read sets

@@ -34,6 +34,7 @@ from .analysis.relays import pbs_totals_row, relay_trust_table
 from .analysis.report import render_series, render_table
 from .datasets import collect_study_dataset
 from .datasets.storage import export_study_dataset
+from .errors import ConfigError
 from .simulation import SimulationConfig, build_world
 
 REPORTS = (
@@ -64,18 +65,37 @@ def _add_world_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _world_config(args: argparse.Namespace) -> SimulationConfig:
-    return SimulationConfig(
-        seed=args.seed,
-        num_days=args.days,
-        blocks_per_day=args.blocks_per_day,
-        num_validators=args.validators,
-        regime=args.regime,
-    )
+#: The SimulationConfig fields the world flags set, by flag.
+_FLAG_FOR_FIELD = {
+    "seed": "--seed",
+    "num_days": "--days",
+    "blocks_per_day": "--blocks-per-day",
+    "num_validators": "--validators",
+}
+
+
+def _world_config(args: argparse.Namespace, **fields) -> SimulationConfig:
+    """The config the world flags describe.
+
+    A flag value the config rejects is a usage error: argparse prints it
+    under the flag's name and exits with status 2.
+    """
+    try:
+        return SimulationConfig(
+            seed=args.seed,
+            num_days=args.days,
+            blocks_per_day=args.blocks_per_day,
+            num_validators=args.validators,
+            **fields,
+        )
+    except ConfigError as exc:
+        if exc.field not in _FLAG_FOR_FIELD:
+            raise
+        args.parser.error(f"argument {_FLAG_FOR_FIELD[exc.field]}: {exc}")
 
 
 def _build_dataset(args: argparse.Namespace):
-    config = _world_config(args)
+    config = _world_config(args, regime=args.regime)
     print(
         f"simulating {config.num_days} days x {config.blocks_per_day} "
         f"blocks/day (seed {config.seed})...",
@@ -191,7 +211,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.regime_comparison:
         from .analysis.regimes import compare_regimes, render_regime_comparison
 
-        base = _world_config(args)
+        base = _world_config(args, regime=args.regime)
         print(
             f"running {base.num_days} days x {base.blocks_per_day} "
             f"blocks/day (seed {base.seed}) under all three regimes...",
@@ -279,12 +299,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .perf.artifacts import load_study_artifact, save_study_artifact
     from .serve.http import run_server
 
-    config = SimulationConfig(
-        seed=args.seed,
-        num_days=args.days,
-        blocks_per_day=args.blocks_per_day,
-        num_validators=args.validators,
-    )
+    config = _world_config(args)
     cache_dir = Path(args.artifact_dir) if args.artifact_dir else None
     dataset = None
     if not args.no_artifact_cache:
@@ -358,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--export", default=None, help="directory for CSV/JSON export"
     )
-    simulate.set_defaults(handler=cmd_simulate)
+    simulate.set_defaults(handler=cmd_simulate, parser=simulate)
 
     inventory = subparsers.add_parser(
         "inventory", help="print the Table 1 dataset inventory"
     )
     _add_world_arguments(inventory)
-    inventory.set_defaults(handler=cmd_inventory)
+    inventory.set_defaults(handler=cmd_inventory, parser=inventory)
 
     report = subparsers.add_parser(
         "report", help="print selected paper figures/tables"
@@ -382,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="instead of paper figures, run the same seeded world under "
              "mev_boost, epbs and local and print the comparison table",
     )
-    report.set_defaults(handler=cmd_report)
+    report.set_defaults(handler=cmd_report, parser=report)
 
     conformance = subparsers.add_parser(
         "conformance",
@@ -434,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-artifact-cache", action="store_true",
         help="always simulate; do not read or write the artifact cache",
     )
-    serve.set_defaults(handler=cmd_serve)
+    serve.set_defaults(handler=cmd_serve, parser=serve)
     return parser
 
 

@@ -7,27 +7,23 @@ deterministic RNG stream.
 
 The context is also the seam for the slot's shared execution cache
 (:class:`~repro.chain.exec_cache.ExecutionCache`), so builders
-re-executing the same candidates reuse outcomes.  It is
-deterministic-by-construction: routing execution through the context must
-never change a world's bit-identical outcome.
+re-executing the same candidates reuse outcomes.  The world creates one
+per slot, and only builders use it: the proposer's own block executes
+directly on the engine.  Either way a transaction's outcome is
+bit-identical: routing execution through the context never changes a
+world.
 """
 
 from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..chain.execution import (
-    BlockExecutionResult,
-    ExecutionContext,
-    ExecutionEngine,
-    TxOutcome,
-)
+from ..chain.execution import ExecutionContext, ExecutionEngine, TxOutcome
 from ..chain.transaction import Transaction, TransactionFactory
-from ..errors import ExecutionError, InsufficientBalanceError
 from ..mempool.pool import SharedMempool
 from ..mempool.private import PrivateOrderFlow
 from ..mev.bundles import Bundle
@@ -63,22 +59,23 @@ class SlotContext:
     tx_factory: TransactionFactory
     # Wall-clock moment builders stop pulling from the mempool.
     build_cutoff_time: float = 0.0
-    # Shared per-slot memo of execution outcomes (None disables it).
+    # Shared per-slot memo of builders' execution outcomes (None executes
+    # directly).
     exec_cache: "ExecutionCache | None" = None
     perf: "PerfRegistry | None" = None
     # Per-slot memo of static sanctions screening verdicts.
     _involves_cache: dict = field(default_factory=dict, repr=False)
+    # The OFAC set on this slot's date, looked up on first use.
+    _sanctioned_cache: frozenset | None = field(default=None, repr=False)
 
     def bundles_for(self, builder_name: str) -> list[Bundle]:
         return list(self.bundles_by_builder.get(builder_name, []))
 
     def current_sanctioned_addresses(self) -> frozenset:
         """The publicly known OFAC set on this slot's date (cached)."""
-        cached = getattr(self, "_sanctioned_cache", None)
-        if cached is None:
-            cached = self.sanctions.addresses_as_of(self.date)
-            self._sanctioned_cache = cached
-        return cached
+        if self._sanctioned_cache is None:
+            self._sanctioned_cache = self.sanctions.addresses_as_of(self.date)
+        return self._sanctioned_cache
 
     def tx_involves(
         self, tx: Transaction, blocked: frozenset, blocked_tokens: frozenset
@@ -105,7 +102,7 @@ class SlotContext:
         fee_recipient: Address,
         tx_index: int = 0,
     ) -> TxOutcome:
-        """Execute through the slot's shared cache when one is enabled.
+        """Execute through the slot's shared cache when the slot has one.
 
         Raises exactly what ``engine.execute_transaction`` would raise and
         applies bit-identical effects to ``fork`` either way.
@@ -122,35 +119,3 @@ class SlotContext:
         return self.engine.execute_transaction(
             tx, fork, self.base_fee, fee_recipient, tx_index=tx_index
         )
-
-    def execute_block(
-        self,
-        transactions: Sequence[Transaction],
-        fork: ExecutionContext,
-        fee_recipient: Address,
-        gas_limit: int,
-    ) -> BlockExecutionResult:
-        """Cache-aware mirror of ``engine.execute_block``."""
-        if self.exec_cache is None:
-            return self.engine.execute_block(
-                transactions, fork, self.base_fee, fee_recipient, gas_limit
-            )
-        result = BlockExecutionResult()
-        for tx in transactions:
-            if result.gas_used + tx.gas_limit > gas_limit:
-                result.dropped.append(tx.tx_hash)
-                continue
-            try:
-                outcome = self.execute_tx(
-                    tx, fork, fee_recipient, tx_index=len(result.included)
-                )
-            except (ExecutionError, InsufficientBalanceError):
-                result.dropped.append(tx.tx_hash)
-                continue
-            result.included.append(tx)
-            result.outcomes.append(outcome)
-            result.gas_used += outcome.receipt.gas_used
-            result.burned_wei += outcome.burned_wei
-            result.priority_fees_wei += outcome.priority_fee_wei
-            result.direct_transfers_wei += outcome.direct_tip_wei
-        return result

@@ -45,9 +45,10 @@ class LocalBlockBuilder:
             key=lambda tx: tx.priority_fee_per_gas(ctx.base_fee), reverse=True
         )
         fork = ctx.canonical_ctx.fork()
-        result = ctx.execute_block(
+        result = ctx.engine.execute_block(
             candidates,
             fork,
+            ctx.base_fee,
             proposer.fee_recipient,
             ctx.gas_limit,
         )

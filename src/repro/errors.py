@@ -13,7 +13,14 @@ class ReproError(Exception):
 
 
 class ConfigError(ReproError):
-    """Invalid simulation or analysis configuration."""
+    """Invalid simulation or analysis configuration.
+
+    ``field`` names the config field whose value is at fault, when one is.
+    """
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class ChainError(ReproError):

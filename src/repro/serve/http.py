@@ -32,6 +32,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    414: "URI Too Long",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -174,7 +175,6 @@ class RelayHTTPServer:
                     break
         except (
             asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
             asyncio.CancelledError,
             ConnectionError,
             TimeoutError,
@@ -199,7 +199,13 @@ class RelayHTTPServer:
         state: _ConnectionState,
     ) -> bool:
         state.busy = False
-        request_line = await reader.readline()
+        try:
+            request_line = await reader.readline()
+        except ValueError:
+            # Longer than _MAX_LINE: the rest of the request cannot be
+            # framed reliably, so answer and hang up.
+            state.busy = True
+            return await self._reject(writer, 414, "request line too long")
         state.busy = True
         if not request_line or not request_line.strip():
             return False
@@ -208,15 +214,15 @@ class RelayHTTPServer:
                 request_line.decode("ascii").strip().split(" ", 2)
             )
         except (UnicodeDecodeError, ValueError):
-            await self._write(
-                writer, Response(status=400, body=b'{"code":400,"message":"malformed request line"}'), False
-            )
-            return False
+            return await self._reject(writer, 400, "malformed request line")
 
         headers: dict[str, str] = {}
         header_count = 0
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # longer than _MAX_LINE, as above
+                return await self._reject(writer, 431, "header line too long")
             if line in (b"\r\n", b"\n", b""):
                 break
             header_count += 1
@@ -224,15 +230,7 @@ class RelayHTTPServer:
                 # Closing without reading the rest of the header block
                 # keeps the stream honest: continuing to serve would
                 # misparse the unread headers as the next request line.
-                await self._write(
-                    writer,
-                    Response(
-                        status=431,
-                        body=b'{"code":431,"message":"too many header fields"}',
-                    ),
-                    False,
-                )
-                return False
+                return await self._reject(writer, 431, "too many header fields")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
 
@@ -287,6 +285,14 @@ class RelayHTTPServer:
     ) -> None:
         writer.write(_render(response, keep_alive, head_only))
         await writer.drain()
+
+    async def _reject(
+        self, writer: asyncio.StreamWriter, status: int, message: str
+    ) -> bool:
+        """Answer a request that cannot be served, then close (``False``)."""
+        body = f'{{"code":{status},"message":"{message}"}}'.encode()
+        await self._write(writer, Response(status=status, body=body), False)
+        return False
 
 
 async def run_server(

@@ -60,12 +60,6 @@ class SimulationConfig:
     # How many builders compete per slot (top order-flow weighted sample).
     max_active_builders_per_slot: int = 7
 
-    # Shared per-slot memo of execute_transaction outcomes across builders.
-    # Never changes simulated outcomes — a given seed produces a
-    # bit-identical world either way (the determinism regression tests
-    # enforce it); off is the uncached reference path those tests use.
-    enable_exec_cache: bool = True
-
     # Epoch-segment sharding.  ``segment_days > 0`` partitions the study
     # window into independent epoch segments of that many days, each with
     # its own RNG streams derived from the root seed; ``shard_workers``
@@ -100,12 +94,17 @@ class SimulationConfig:
         ):
             value = getattr(self, name)
             if value < least:
-                raise ConfigError(f"{name} must be at least {least}, got {value}")
+                raise ConfigError(
+                    f"{name} must be at least {least}, got {value}", field=name
+                )
         if self.num_days > STUDY_NUM_DAYS and not self.extended_horizon:
-            raise ConfigError(
-                f"num_days cannot exceed the study window ({STUDY_NUM_DAYS}) "
-                "unless extended_horizon=True"
+            error = ConfigError(
+                f"num_days cannot exceed the study window ({STUDY_NUM_DAYS}), "
+                f"got {self.num_days}",
+                field="num_days",
             )
+            error.add_note("extended_horizon=True lifts the cap")
+            raise error
         for name in ("mean_user_txs_per_slot", "min_bid_eth"):
             value = getattr(self, name)
             if not value >= 0.0:

@@ -233,6 +233,11 @@ class World:
             name: long_tail_start_day(index, config.num_days)
             for index, name in enumerate(self._tail_names)
         }
+        # Builder routing, reset by each day's step: order-flow weights, the
+        # sampling arrays built from them, and named builders' relay weights.
+        self._day_flow_weights: dict[str, float] = {}
+        self._flow_sampling_arrays: tuple | None = None
+        self._relay_route_weights: dict[str, dict[str, float]] = {}
 
         # Regime wiring: who runs the per-slot auction.
         self.builder_registry: BuilderRegistry | None = None
@@ -276,6 +281,8 @@ class World:
         self._borrower_counter = 0
         # Swap-eligible pool ids; built on first use (pools are static).
         self._swap_pool_ids: np.ndarray | None = None
+        # (pool set, arbitrage cycles through it); built on first use.
+        self._cached_cycles: tuple | None = None
 
         # Ground truth for tests.
         self.slot_records: list[SlotRecord] = []
@@ -493,7 +500,6 @@ class World:
             else:
                 weights = calibration.builder_relay_weights(name, day)
                 builder.relays = tuple(sorted(weights))
-                self._relay_route_weights = getattr(self, "_relay_route_weights", {})
                 self._relay_route_weights[name] = weights
 
     # ------------------------------------------------------------------
@@ -743,7 +749,7 @@ class World:
         # Keyed by the AMM's pool set so newly deployed pools invalidate
         # the cache and arbitrage bots see cycles through them.
         signature = tuple(self.defi.amm.pool_ids())
-        cached = getattr(self, "_cached_cycles", None)
+        cached = self._cached_cycles
         if cached is None or cached[0] != signature:
             cached = (signature, find_arbitrage_cycles(self.defi.amm))
             self._cached_cycles = cached
@@ -834,8 +840,9 @@ class World:
 
         # One shared execution cache per slot: canonical state and base fee
         # are fixed within a slot, so builders replaying the same candidates
-        # hit verified cached outcomes instead of re-executing.
-        exec_cache = ExecutionCache() if config.enable_exec_cache else None
+        # hit verified cached outcomes instead of re-executing.  Only
+        # builders use it; the proposer's own block executes directly.
+        exec_cache = ExecutionCache()
 
         ctx = SlotContext(
             slot=slot,
@@ -978,10 +985,10 @@ class World:
         replaced each day); rebuilding per sampled tx was a measured
         hotspot.
         """
-        weights = getattr(self, "_day_flow_weights", None)
+        weights = self._day_flow_weights
         if not weights:
             return [], None
-        cached = getattr(self, "_flow_sampling_arrays", None)
+        cached = self._flow_sampling_arrays
         if cached is None or cached[0] is not weights:
             names = [name for name, weight in weights.items() if weight > 0]
             if names:
@@ -1028,7 +1035,7 @@ class World:
         # Builders submit to a per-slot sampled subset of their relay routes.
         for name in active:
             builder = self.builders[name]
-            route = getattr(self, "_relay_route_weights", {}).get(name)
+            route = self._relay_route_weights.get(name)
             if route:
                 relay_names = list(route)
                 relay_probs = np.array([route[r] for r in relay_names], dtype=float)
@@ -1147,9 +1154,9 @@ class World:
 
         Covers the full chain (headers, receipts, logs, traces, fee
         accounting), the final ETH/token/AMM state, and the slot records.
-        Two runs of the same config and seed must produce equal digests —
-        with ``enable_exec_cache`` on or off — which the determinism
-        regression tests assert.
+        Two runs of the same config and seed must produce equal digests,
+        and so must a run in which no slot gets an execution cache — which
+        the determinism regression tests assert.
         """
         hasher = hashlib.sha256()
         hasher.update(self.chain.digest().encode())

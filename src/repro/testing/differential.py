@@ -1,23 +1,23 @@
 """Differential replay: one seeded scenario, every perf configuration.
 
-The simulator's performance knobs (the shared execution cache and
-process-sharded epoch segments) promise to never change simulated
-outcomes.  This module turns that promise into a reusable matrix: the
-same seeded config (optionally perturbed by scenario faults) is re-run
-under each :class:`ReplayCase` and every run must produce a bit-identical
-world digest, a bit-identical collected dataset digest, and an
-oracle-violation-free result.  The artifact cache is exercised too: a
-cold save followed by a warm load must round-trip the dataset digest
-exactly.
+The simulator's performance knob, process-sharded epoch segments,
+promises to never change simulated outcomes.  This module turns that
+promise into a reusable matrix: the same seeded config (optionally
+perturbed by scenario faults) is re-run under each :class:`ReplayCase`
+and every run must produce a bit-identical world digest, a bit-identical
+collected dataset digest, and an oracle-violation-free result.  The
+artifact cache is exercised too: a cold save followed by a warm load
+must round-trip the dataset digest exactly.
 
 Cases carry a *digest group*: all cases in a group must agree with each
-other.  The ``default`` group covers the legacy unsegmented run under
-every in-process knob; the ``sharded`` group covers the epoch-segment
-plan under every process-worker count (``shard_workers`` ∈ {1, 2, 4} ×
-exec-cache on/off).  Segmentation legitimately re-derives per-segment
-RNG streams, so the two groups describe two (each internally
-bit-identical) worlds — the sharded invariant is that worker count and
-in-process knobs never matter for a fixed segment plan.
+other.  The ``default`` group is the legacy unsegmented run; the
+``sharded`` group covers the epoch-segment plan under every
+process-worker count (``shard_workers`` ∈ {1, 2, 4}).  Segmentation
+legitimately re-derives per-segment RNG streams, so the two groups
+describe two (each internally bit-identical) worlds — the sharded
+invariant is that worker count never matters for a fixed segment plan.
+The shared execution cache has no knob: the determinism tests prove it
+inert by running the same worlds with it replaced by direct execution.
 """
 
 from __future__ import annotations
@@ -51,11 +51,8 @@ class ReplayCase:
     group: str = GROUP_DEFAULT
 
 
-#: The shipped matrix: the reference run and uncached execution.
-DEFAULT_CASES: tuple[ReplayCase, ...] = (
-    ReplayCase(name="reference"),
-    ReplayCase(name="exec-cache-off", overrides=(("enable_exec_cache", False),)),
-)
+#: The shipped matrix: the reference run.
+DEFAULT_CASES: tuple[ReplayCase, ...] = (ReplayCase(name="reference"),)
 
 
 def sharded_cases(segment_days: int) -> tuple[ReplayCase, ...]:
@@ -63,7 +60,7 @@ def sharded_cases(segment_days: int) -> tuple[ReplayCase, ...]:
 
     One fixed ``segment_days`` across every case — the plan must be
     identical or the digests have no reason to agree — crossed with
-    process-worker counts {1, 2, 4} and the exec cache on/off.
+    process-worker counts {1, 2, 4}.
     """
     if segment_days <= 0:
         raise ConformanceError("sharded cases need segment_days > 0")
@@ -80,16 +77,6 @@ def sharded_cases(segment_days: int) -> tuple[ReplayCase, ...]:
         ReplayCase(
             name="sharded-workers-4",
             overrides=(seg, ("shard_workers", 4)),
-            group=GROUP_SHARDED,
-        ),
-        ReplayCase(
-            name="sharded-cache-off",
-            overrides=(seg, ("enable_exec_cache", False)),
-            group=GROUP_SHARDED,
-        ),
-        ReplayCase(
-            name="sharded-cache-off-workers-4",
-            overrides=(seg, ("shard_workers", 4), ("enable_exec_cache", False)),
             group=GROUP_SHARDED,
         ),
     )

@@ -72,7 +72,7 @@ class TestConfigHash:
     def test_sensitive_to_every_field(self):
         base = config_content_hash(_config())
         assert config_content_hash(_config(seed=8)) != base
-        assert config_content_hash(_config(enable_exec_cache=False)) != base
+        assert config_content_hash(_config(regime="epbs")) != base
         changed = dataclasses.replace(_config(), num_days=5)
         assert config_content_hash(changed) != base
 

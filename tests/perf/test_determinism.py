@@ -1,18 +1,20 @@
 """Determinism regression: the perf machinery must never change a world.
 
-Same seed → bit-identical world digest, with the shared execution cache
-on or off — and, for a fixed epoch-segment plan, regardless of the
+Same seed → bit-identical world digest, with or without the shared
+execution cache — and, for a fixed epoch-segment plan, regardless of the
 number of *process* shard workers.  The heavy lifting lives in the
 conformance harness's differential replay matrix
 (``repro.testing.differential``); this module pins the perf contract
-through it.  The exec-cache hit and miss counters must repeat exactly
-too, so they can back count-based claims.
+through it, and runs the same worlds with every slot's cache replaced by
+direct execution.  The exec-cache hit and miss counters must repeat
+exactly too, so they can back count-based claims.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.datasets import collect_study_dataset
 from repro.perf.sharding import run_sharded
 from repro.simulation.config import small_test_config
 from repro.simulation.world import build_world
@@ -44,12 +46,21 @@ def test_replay_matrix_is_bit_identical(replay_report):
     replay_report.assert_consistent()
 
 
-def test_exec_cache_invariant(replay_report):
-    by_name = {r.case.name: r for r in replay_report.results}
-    assert (
-        by_name["exec-cache-off"].world_digest
-        == by_name["reference"].world_digest
-    )
+def _without_exec_cache(monkeypatch):
+    """No slot gets a cache, so every transaction executes directly on the
+    engine."""
+    monkeypatch.setattr("repro.simulation.world.ExecutionCache", lambda: None)
+
+
+def test_exec_cache_invariant(replay_report, monkeypatch):
+    """Direct execution reproduces the unsegmented ``reference`` world."""
+    _without_exec_cache(monkeypatch)
+    reference = {r.case.name: r for r in replay_report.results}["reference"]
+
+    world = build_world(CONFIG).run()
+    assert _exec_cache_counts(world.perf) == (0, 0)
+    assert world.digest() == reference.world_digest
+    assert collect_study_dataset(world).content_digest() == reference.dataset_digest
 
 
 def test_artifact_cache_round_trips(replay_report):
@@ -71,12 +82,15 @@ def test_shard_worker_count_invariant(replay_report):
         assert by_name[name].dataset_digest == reference.dataset_digest
 
 
-def test_sharded_exec_cache_invariant(replay_report):
-    by_name = {r.case.name: r for r in replay_report.results}
-    reference = by_name["sharded-serial"]
-    for name in ("sharded-cache-off", "sharded-cache-off-workers-4"):
-        assert by_name[name].world_digest == reference.world_digest
-        assert by_name[name].dataset_digest == reference.dataset_digest
+def test_sharded_exec_cache_invariant(replay_report, monkeypatch):
+    """Direct execution reproduces the ``sharded-serial`` world."""
+    _without_exec_cache(monkeypatch)
+    sharded = {r.case.name: r for r in replay_report.results}["sharded-serial"]
+
+    run = run_sharded(CONFIG.with_overrides(segment_days=2))
+    assert _exec_cache_counts(run.perf) == (0, 0)
+    assert run.digest() == sharded.world_digest
+    assert run.dataset.content_digest() == sharded.dataset_digest
 
 
 def test_sharded_artifact_cache_round_trips(replay_report):

@@ -218,6 +218,56 @@ def test_header_overflow_gets_431_and_closes():
     _with_server(scenario)
 
 
+LONG_REQUEST_LINE = f"GET /{'a' * 9000} HTTP/1.1\r\nhost: t\r\n\r\n".encode()
+LONG_HEADER_LINE = f"GET /healthz HTTP/1.1\r\nx-big: {'b' * 9000}\r\n\r\n".encode()
+
+
+@pytest.mark.parametrize(
+    "request_bytes, expected",
+    [(LONG_REQUEST_LINE, 414), (LONG_HEADER_LINE, 431)],
+    ids=["request-line", "header-line"],
+)
+def test_over_long_line_is_answered_then_closed(request_bytes, expected):
+    """A line over the 8,192-byte cap gets a status, not a dropped
+    connection: 414 for the request line, 431 for a header line."""
+
+    async def scenario(server):
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        writer.write(request_bytes)
+        await writer.drain()
+        status, headers, body = await _read_response(reader)
+        assert status == expected
+        assert json.loads(body)["code"] == expected
+        assert headers["connection"] == "close"
+        assert await reader.read() == b""
+        writer.close()
+        await writer.wait_closed()
+
+    _with_server(scenario)
+
+
+def test_next_connection_served_after_over_long_lines():
+    async def scenario(server):
+        for request_bytes in (LONG_REQUEST_LINE, LONG_HEADER_LINE):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(request_bytes)
+            await writer.drain()
+            await reader.read()
+            writer.close()
+            await writer.wait_closed()
+
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        status, _, body = await _request(reader, writer, "/healthz")
+        assert status == 200
+        assert json.loads(body)["status"] == "ok"
+        writer.close()
+        await writer.wait_closed()
+
+    _with_server(scenario)
+
+
 def test_exactly_max_headers_is_served():
     """The cap is a limit, not an off-by-one: 64 header lines still work."""
 

@@ -51,6 +51,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             SimulationConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", -1),
+            ("num_days", 0),
+            ("num_days", STUDY_NUM_DAYS + 1),
+            ("blocks_per_day", 0),
+            ("num_validators", 3),
+        ],
+    )
+    def test_range_errors_carry_their_field(self, field, value):
+        with pytest.raises(ConfigError) as exc:
+            SimulationConfig(**{field: value})
+        assert exc.value.field == field
+
     def test_seconds_per_slot(self):
         config = SimulationConfig(blocks_per_day=40)
         assert config.seconds_per_simulated_slot == pytest.approx(2160.0)
@@ -61,6 +76,7 @@ class TestConfig:
             "build_workers",
             "dataset_backend",
             "eager_protocol_forks",
+            "enable_exec_cache",
             "engine_fast_path",
             "use_enshrined_pbs",
             "private_user_tx_share",

