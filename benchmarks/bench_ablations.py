@@ -199,9 +199,7 @@ def test_ablation_incidents_disabled(benchmark):
             num_users=220,
             num_long_tail_builders=20,
             network_nodes=32,
-            enable_manifold_incident=False,
-            enable_eden_mispromise=False,
-            enable_timestamp_bug=False,
+            faults=(),
             max_active_builders_per_slot=6,
         )
         world = build_world(config).run()

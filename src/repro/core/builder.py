@@ -184,25 +184,24 @@ class BlockBuilder:
         # mechanism behind Table 4's "share over-promised" column.
         self.overclaim_rate: float = 0.0
         self.overclaim_factor: float = 1.002
-        # Scenario hooks.
+        # Fault hooks, seeded by ``simulation.faults.apply_fault``.
         self.timestamp_bug_days: frozenset[int] = frozenset()
-        self.claim_inflation: Callable[[SlotContext, Wei], dict[str, Wei]] | None = None
-        # Days on which claim_inflation fires, and the relays the inflated
-        # claims target (the builder submits there even if not routed).
-        self.claim_inflation_days: frozenset[int] = frozenset()
-        self.claim_inflation_relays: tuple[str, ...] = ()
+        # day -> {relay: claim floor}: that day the builder claims
+        # max(50x its payment, floor) to each relay, and submits there
+        # even if not routed.
+        self.claim_inflation: dict[int, dict[str, Wei]] = {}
         # Days on which the builder is down and submits nothing (the
         # crash-mid-auction fault): build() returns None before touching
         # the slot's shared RNG stream.
         self.crash_days: frozenset[int] = frozenset()
-        # ePBS fault hooks.  On a withhold day the builder bids (high, to
-        # win) and then never reveals the payload; on a renege day it
-        # commits a bid far above what the payload pays.  Both are slots
-        # the enshrined protocol settles from collateral and slashes.
-        self.withhold_days: frozenset[int] = frozenset()
-        self.withhold_claim_wei: Wei = 0
-        self.renege_days: frozenset[int] = frozenset()
-        self.renege_claim_wei: Wei = 0
+        # ePBS fault hooks, day -> claimed bid.  On a withhold day the
+        # builder bids (high, to win) and then never reveals the payload;
+        # on a renege day it commits a bid far above what the payload
+        # pays.  Both are slots the enshrined protocol settles from
+        # collateral and slashes.
+        self.withhold_claims: dict[int, Wei] = {}
+        self.renege_claims: dict[int, Wei] = {}
+        # day -> (claimed, paid): one mispriced block that day.
         self.scripted_mispromise: dict[int, tuple[Wei, Wei]] = {}
         # Set when a scripted mispromise was consumed this slot; the world
         # re-arms it if the bid did not win (the incident did happen).
@@ -379,12 +378,13 @@ class BlockBuilder:
             claimed = payment
             if self.overclaim_rate > 0 and ctx.rng.random() < self.overclaim_rate:
                 claimed = int(payment * self.overclaim_factor)
-        if ctx.day in self.withhold_days and self.withhold_claim_wei:
-            # Bid high enough to win the slot whose payload gets withheld.
-            claimed = max(claimed, self.withhold_claim_wei)
-        if ctx.day in self.renege_days and self.renege_claim_wei:
-            # Commit far above what the payload actually pays.
-            claimed = max(claimed, self.renege_claim_wei)
+        # Bid high enough to win the slot whose payload gets withheld, or
+        # commit far above what the payload actually pays.
+        claimed = max(
+            claimed,
+            self.withhold_claims.get(ctx.day, 0),
+            self.renege_claims.get(ctx.day, 0),
+        )
 
         timestamp = ctx.timestamp
         if ctx.day in self.timestamp_bug_days:
@@ -416,8 +416,12 @@ class BlockBuilder:
             speculative_ctx=fork,
             invalid_timestamp=ctx.day in self.timestamp_bug_days,
         )
-        if self.claim_inflation is not None:
-            submission.claimed_by_relay = self.claim_inflation(ctx, payment)
+        inflated = self.claim_inflation.get(ctx.day)
+        if inflated:
+            submission.claimed_by_relay = {
+                relay: max(payment * 50, floor)
+                for relay, floor in inflated.items()
+            }
         return submission
 
     def _apply_scripted_mispromise(

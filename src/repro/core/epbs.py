@@ -98,10 +98,9 @@ class EnshrinedPBSAuction(SlotAuction):
         self.validators = validators
         self.seed = seed
         self.ptc_size = ptc_size
-        # Fault-injection hooks: on these days, this share of the PTC
-        # emits conflicting timeliness votes (both discarded).
-        self.ptc_equivocation_days: frozenset[int] = frozenset()
-        self.ptc_equivocation_rate: float = 0.0
+        # Fault-injection hook, day -> share of the PTC that emits
+        # conflicting timeliness votes that day (both discarded).
+        self.ptc_equivocation: dict[int, float] = {}
 
     @property
     def ptc_quorum(self) -> int:
@@ -142,7 +141,7 @@ class EnshrinedPBSAuction(SlotAuction):
         builder = self.builders[best.builder_name]
 
         # Phase 2: payload reveal.
-        if ctx.day in builder.withhold_days:
+        if ctx.day in builder.withhold_claims:
             return self._withheld_outcome(ctx, proposer, best, bid_wei)
 
         issues = validate_header(
@@ -346,12 +345,8 @@ class EnshrinedPBSAuction(SlotAuction):
         """
         if self.validators is None:
             return self.ptc_size, 0
-        equivocations = 0
-        if ctx.day in self.ptc_equivocation_days:
-            equivocations = min(
-                self.ptc_size,
-                int(round(self.ptc_equivocation_rate * self.ptc_size)),
-            )
+        rate = self.ptc_equivocation.get(ctx.day, 0.0)
+        equivocations = min(self.ptc_size, int(round(rate * self.ptc_size)))
         return self.ptc_size - equivocations, equivocations
 
     # -- selection and settlement ------------------------------------------

@@ -28,7 +28,7 @@ import multiprocessing
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .metrics import PerfRegistry
 
@@ -78,15 +78,12 @@ class ShardWorkerPool:
 
 
 def _segment_task(
-    config: "SimulationConfig",
-    spec: "SegmentSpec",
-    faults: tuple,
-    check_oracles: bool,
+    config: "SimulationConfig", spec: "SegmentSpec", check_oracles: bool
 ) -> "SegmentDelta":
     """Module-level worker entry point (picklable by reference)."""
     from ..simulation.segments import run_segment
 
-    return run_segment(config, spec, faults=faults, check_oracles=check_oracles)
+    return run_segment(config, spec, check_oracles=check_oracles)
 
 
 @dataclass
@@ -136,7 +133,6 @@ class ShardedRun:
 
 def run_sharded(
     config: "SimulationConfig",
-    faults: Sequence = (),
     check_oracles: bool = False,
     pool: ShardWorkerPool | None = None,
 ) -> ShardedRun:
@@ -152,7 +148,6 @@ def run_sharded(
     from ..simulation.segments import run_segment, segment_plan
 
     plan = segment_plan(config)
-    faults = tuple(faults)
     workers = min(config.shard_workers, len(plan))
     if workers > 1:
         owned = pool is None
@@ -160,7 +155,7 @@ def run_sharded(
         try:
             futures = [
                 active.executor().submit(
-                    _segment_task, config, spec, faults, check_oracles
+                    _segment_task, config, spec, check_oracles
                 )
                 for spec in plan
             ]
@@ -172,7 +167,7 @@ def run_sharded(
                 active.shutdown()
     else:
         deltas = tuple(
-            run_segment(config, spec, faults=faults, check_oracles=check_oracles)
+            run_segment(config, spec, check_oracles=check_oracles)
             for spec in plan
         )
 

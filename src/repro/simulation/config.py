@@ -8,10 +8,11 @@ defaults with ``num_days=198``; tests shrink the world.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..constants import STUDY_NUM_DAYS
 from ..errors import ConfigError
+from .faults import PAPER_INCIDENTS, FaultSpec
 
 
 @dataclass
@@ -40,10 +41,10 @@ class SimulationConfig:
     num_lending_positions: int = 60
     lending_refill_per_day: float = -1.0  # -1 = auto: ~0.022 per block
 
-    # Incidents & events (all reproduce paper findings; disable for ablation).
-    enable_manifold_incident: bool = True
-    enable_eden_mispromise: bool = True
-    enable_timestamp_bug: bool = True
+    # Fault plan seeded into every world (and every epoch segment): the
+    # paper's incidents by default; ``()`` for the incidents-off ablation,
+    # ``PAPER_INCIDENTS + extra`` for an injected-fault scenario.
+    faults: tuple[FaultSpec, ...] = PAPER_INCIDENTS
 
     # Block-production regime.  ``"mev_boost"`` is the historical
     # relay-based scheme the paper measures; ``"epbs"`` runs the full
@@ -135,6 +136,9 @@ class SimulationConfig:
                 "regime must be 'mev_boost', 'epbs' or 'local', "
                 f"got {self.regime!r}"
             )
+        self.faults = tuple(self.faults)
+        if not all(isinstance(spec, FaultSpec) for spec in self.faults):
+            raise ConfigError("faults must hold FaultSpec entries", field="faults")
 
     @property
     def total_slots(self) -> int:

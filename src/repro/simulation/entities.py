@@ -104,7 +104,7 @@ _RELAY_SANCTIONS_LAG: dict[str, int] = {
 }
 
 
-def build_relays(config: SimulationConfig, timeline: Timeline) -> dict[str, Relay]:
+def build_relays(config: SimulationConfig) -> dict[str, Relay]:
     """Instantiate the eleven relays with their policies and failure models."""
     import datetime
 
@@ -118,7 +118,7 @@ def build_relays(config: SimulationConfig, timeline: Timeline) -> dict[str, Rela
             # Nov 2022 batch picked up two days late; Feb 2023 batch months late.
             lag_overrides[datetime.date(2022, 11, 8)] = 2
             lag_overrides[datetime.date(2023, 2, 1)] = 120
-        relay = Relay(
+        relays[name] = Relay(
             name=name,
             endpoint=endpoint,
             policy=RelayPolicy(
@@ -141,9 +141,6 @@ def build_relays(config: SimulationConfig, timeline: Timeline) -> dict[str, Rela
             validation_miss_rate=_RELAY_VALIDATION_MISS.get(name, 0.2),
             rng_seed=config.seed * 1000 + index,
         )
-        if config.enable_manifold_incident and name == "Manifold":
-            relay.validation_outage_days = frozenset({timeline.manifold_incident_day})
-        relays[name] = relay
     return relays
 
 
@@ -171,9 +168,6 @@ NAMED_BUILDERS: tuple[tuple[str, int, int, bool, bool], ...] = (
     ("Builder 6", 1, 0, False, True),
     ("bloXroute (E)", 3, 1, False, False),
 )
-
-#: What Eden actually paid on its scripted mispromised block (ETH).
-EDEN_MISPROMISE_PAID_ETH = 0.16
 
 
 def _bid_policy_for(name: str, timeline: Timeline):
@@ -239,35 +233,6 @@ def build_builders(
         if not censors:
             builder.sanctioned_risk_aversion = 0.2
         builders[name] = builder
-
-    if config.enable_eden_mispromise:
-        # The single mispriced block should account for ~6% of Eden's
-        # expected promised value over the whole window (the paper's 93.8%
-        # delivered share), whatever the world size.
-        expected_eden_total = (
-            config.num_days * config.blocks_per_day * 0.02 * 0.06
-        )
-        claimed = ether(max(0.8, 0.062 * expected_eden_total / 0.93))
-        paid = ether(EDEN_MISPROMISE_PAID_ETH)
-        builders["Eden"].scripted_mispromise = {
-            timeline.eden_mispromise_day: (claimed, paid)
-        }
-    if config.enable_timestamp_bug:
-        builders["builder0x69"].timestamp_bug_days = frozenset(
-            {timeline.timestamp_bug_day}
-        )
-    if config.enable_manifold_incident:
-        incident_day = timeline.manifold_incident_day
-
-        def _inflate(ctx, payment, _day=incident_day):
-            if ctx.day != _day:
-                return {}
-            # Claim ~40x the actual payment, only to Manifold.
-            return {"Manifold": max(payment * 50, ether(1.0))}
-
-        builders["Builder 2"].claim_inflation = _inflate
-        builders["Builder 2"].claim_inflation_days = frozenset({incident_day})
-        builders["Builder 2"].claim_inflation_relays = ("Manifold",)
 
     for index in range(config.num_long_tail_builders):
         name = f"builder-{index:03d}"

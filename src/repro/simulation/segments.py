@@ -28,7 +28,7 @@ unsegmented run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
 
@@ -117,15 +117,15 @@ class SegmentDelta:
 def run_segment(
     config: "SimulationConfig",
     spec: SegmentSpec,
-    faults: Sequence = (),
     check_oracles: bool = False,
 ) -> SegmentDelta:
     """Execute one segment to completion and package its state delta.
 
-    A pure function of its arguments (faults included): the worker builds
-    the segment's world, runs its day range, collects the dataset, and
-    optionally runs the invariant oracles — all inside the calling
-    process, so a process-pool worker ships back only the delta.
+    A pure function of its arguments (the config's fault plan included):
+    the worker builds the segment's world, runs its day range, collects
+    the dataset, and optionally runs the invariant oracles — all inside
+    the calling process, so a process-pool worker ships back only the
+    delta.
     """
     from ..datasets.collector import collect_study_dataset
     from .world import World
@@ -135,12 +135,7 @@ def run_segment(
             f"segment {spec.index} range [{spec.day_start}, {spec.day_end}) "
             f"falls outside the {config.num_days}-day window"
         )
-    world = World(config, segment=spec)
-    for fault in faults:
-        from ..testing.scenarios import apply_fault
-
-        apply_fault(world, fault)
-    world.run()
+    world = World(config, segment=spec).run()
     dataset = collect_study_dataset(world)
     violations: int | None = None
     if check_oracles:

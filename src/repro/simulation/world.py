@@ -71,7 +71,8 @@ from .entities import (
     build_validators,
     long_tail_start_day,
 )
-from .events import Timeline, default_timeline
+from .events import default_timeline
+from .faults import apply_fault
 from .segments import SEGMENT_STREAM_SALT, SegmentSpec
 
 _SECONDS_PER_DAY = 86_400
@@ -136,11 +137,10 @@ class World:
     def __init__(
         self,
         config: SimulationConfig,
-        timeline: Timeline | None = None,
         segment: "SegmentSpec | None" = None,
     ):
         self.config = config
-        self.timeline = timeline or default_timeline()
+        self.timeline = default_timeline()
         if segment is not None and segment.covers_all:
             segment = None  # degenerate plan: take the legacy path exactly
         self.segment = segment
@@ -213,7 +213,7 @@ class World:
         self.rewards = RewardLedger()
 
         # PBS layer.
-        self.relays: dict[str, Relay] = build_relays(config, self.timeline)
+        self.relays: dict[str, Relay] = build_relays(config)
         self.builders: dict[str, BlockBuilder] = build_builders(
             config, self.timeline, rng_entities, config.network_nodes
         )
@@ -302,6 +302,9 @@ class World:
             for day in range(0, self._day_start):
                 self.builder_registry.process_day(day)
             self.builder_registry.ledger = self.epbs_ledger
+
+        for spec in config.faults:
+            apply_fault(self, spec)
 
     # ------------------------------------------------------------------
     # Setup helpers
@@ -1027,9 +1030,9 @@ class World:
             if (
                 day in builder.scripted_mispromise
                 or day in builder.timestamp_bug_days
-                or day in builder.claim_inflation_days
-                or day in builder.withhold_days
-                or day in builder.renege_days
+                or day in builder.claim_inflation
+                or day in builder.withhold_claims
+                or day in builder.renege_claims
             ):
                 active.append(name)
         # Builders submit to a per-slot sampled subset of their relay routes.
@@ -1045,11 +1048,10 @@ class World:
                     relay_names, size=take, replace=False, p=relay_probs
                 )
                 relays = {str(r) for r in np.atleast_1d(picked)}
-                if day in builder.claim_inflation_days:
-                    # The exploit requires submitting to the relays whose
-                    # validation the inflated claims abuse (Manifold in the
-                    # paper's incident; scenarios can target any relay).
-                    relays.update(builder.claim_inflation_relays)
+                # The exploit requires submitting to the relays whose
+                # validation the inflated claims abuse (Manifold in the
+                # paper's incident; scenarios can target any relay).
+                relays.update(builder.claim_inflation.get(day, ()))
                 builder.relays = tuple(sorted(relays))
         return active
 

@@ -8,8 +8,9 @@ measurement pipeline safe:
   conservation, chain validity, relay-API consistency, mempool causality,
   sanctions-screening soundness);
 * :mod:`~repro.testing.scenarios` — declarative fault injection into a
-  seeded run, asserting the oracles and the analysis layer detect exactly
-  the injected anomalies, no more, no fewer;
+  seeded config's fault plan (:mod:`repro.simulation.faults`), asserting
+  the oracles and the analysis layer detect exactly the injected
+  anomalies, no more, no fewer;
 * :mod:`~repro.testing.differential` — the differential replay matrix:
   one seeded scenario re-run under every performance configuration must
   produce bit-identical digests and oracle-clean results.
@@ -25,6 +26,7 @@ from .differential import (
     run_replay_matrix,
     sharded_cases,
 )
+from ..simulation.faults import FaultSpec, apply_fault
 from .oracles import (
     OracleFinding,
     OracleReport,
@@ -32,11 +34,9 @@ from .oracles import (
 )
 from .scenarios import (
     DetectedAnomaly,
-    FaultSpec,
     Scenario,
     ScenarioResult,
     ScenarioRunner,
-    apply_fault,
     default_scenarios,
     detect_anomalies,
     scenario_from_dict,

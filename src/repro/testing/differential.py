@@ -2,8 +2,8 @@
 
 The simulator's performance knob, process-sharded epoch segments,
 promises to never change simulated outcomes.  This module turns that
-promise into a reusable matrix: the same seeded config (optionally
-perturbed by scenario faults) is re-run under each :class:`ReplayCase`
+promise into a reusable matrix: the same seeded config (its fault plan
+included) is re-run under each :class:`ReplayCase`
 and every run must produce a bit-identical world digest, a bit-identical
 collected dataset digest, and an oracle-violation-free result.  The
 artifact cache is exercised too: a cold save followed by a warm load
@@ -33,7 +33,6 @@ from ..perf.sharding import run_sharded
 from ..simulation.config import SimulationConfig
 from ..simulation.world import build_world
 from .oracles import run_oracles
-from .scenarios import FaultSpec, apply_fault
 
 GROUP_DEFAULT = "default"
 GROUP_SHARDED = "sharded"
@@ -124,11 +123,9 @@ class ReplayReport:
 
     config: SimulationConfig
     results: tuple[CaseResult, ...]
-    faults: tuple[FaultSpec, ...] = ()
     #: Dataset digest after a cold artifact save + warm load round-trip,
-    #: per digest group (empty when no artifact directory was provided or
-    #: faults are active).  Every entry must match its group's reference
-    #: digest.
+    #: per digest group (empty when no artifact directory was provided).
+    #: Every entry must match its group's reference digest.
     artifact_roundtrip_digests: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -186,11 +183,7 @@ class ReplayReport:
             )
 
 
-def _run_case(
-    case_config: SimulationConfig,
-    faults: tuple[FaultSpec, ...],
-    check_oracles: bool,
-):
+def _run_case(case_config: SimulationConfig, check_oracles: bool):
     """Execute one matrix cell; returns (world digest, dataset, violations).
 
     Segmented configs route through the sharded executor (whatever the
@@ -199,13 +192,10 @@ def _run_case(
     path unchanged.
     """
     if case_config.segment_days > 0 or case_config.shard_workers > 1:
-        run = run_sharded(case_config, faults=faults, check_oracles=check_oracles)
+        run = run_sharded(case_config, check_oracles=check_oracles)
         violations = run.oracle_violations if check_oracles else 0
         return run.digest(), run.dataset, violations or 0
-    world = build_world(case_config)
-    for spec in faults:
-        apply_fault(world, spec)
-    world.run()
+    world = build_world(case_config).run()
     dataset = collect_study_dataset(world)
     violations = 0
     if check_oracles:
@@ -216,20 +206,17 @@ def _run_case(
 def run_replay_matrix(
     config: SimulationConfig,
     cases: tuple[ReplayCase, ...] = DEFAULT_CASES,
-    faults: tuple[FaultSpec, ...] = (),
     artifact_dir: Path | None = None,
     check_oracles: bool = True,
 ) -> ReplayReport:
     """Run ``config`` under every case; collect digests and oracle results.
 
-    ``faults`` are applied identically to every case (inside each segment
-    worker for sharded cases), so fault-injection scenarios are covered
-    by the same determinism guarantee as clean runs.  When
-    ``artifact_dir`` is given (and no faults are active — artifacts cache
-    pure functions of the config only), the first case of every digest
-    group has its dataset saved cold and re-loaded warm, and the
-    round-trip digest is recorded for :meth:`ReplayReport.problems` to
-    compare.
+    The config's fault plan travels with it into every case (and every
+    segment worker of a sharded case), so fault-injection scenarios are
+    covered by the same determinism guarantee as clean runs.  When
+    ``artifact_dir`` is given, the first case of every digest group has
+    its dataset saved cold and re-loaded warm, and the round-trip digest
+    is recorded for :meth:`ReplayReport.problems` to compare.
     """
     results: list[CaseResult] = []
     roundtrips: dict[str, str] = {}
@@ -239,9 +226,7 @@ def run_replay_matrix(
             if case.overrides
             else config
         )
-        world_digest, dataset, violations = _run_case(
-            case_config, faults, check_oracles
-        )
+        world_digest, dataset, violations = _run_case(case_config, check_oracles)
         results.append(
             CaseResult(
                 case=case,
@@ -250,7 +235,7 @@ def run_replay_matrix(
                 oracle_violations=violations,
             )
         )
-        if artifact_dir is not None and not faults and case.group not in roundtrips:
+        if artifact_dir is not None and case.group not in roundtrips:
             save_study_artifact(case_config, dataset, cache_dir=artifact_dir)
             reloaded = load_study_artifact(case_config, cache_dir=artifact_dir)
             roundtrips[case.group] = (
@@ -259,6 +244,5 @@ def run_replay_matrix(
     return ReplayReport(
         config=config,
         results=tuple(results),
-        faults=faults,
         artifact_roundtrip_digests=roundtrips,
     )

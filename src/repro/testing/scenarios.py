@@ -1,9 +1,10 @@
 """Declarative fault injection and exact-detection scenario running.
 
-A :class:`Scenario` perturbs a freshly built world with a list of
-:class:`FaultSpec` entries (validation outage windows, inflated
-internal-builder bids, MEV-filter miss-rate spikes, sanctions-lag
-overrides, dropped payloads, builder crashes), runs it, and then asserts
+A :class:`Scenario` adds :class:`~repro.simulation.faults.FaultSpec`
+entries (validation outage windows, inflated internal-builder bids,
+MEV-filter miss-rate spikes, sanctions-lag overrides, dropped payloads,
+builder crashes, stale timestamps, ePBS withholding, reneging and PTC
+equivocation) to a seeded config's fault plan, runs it, and then asserts
 that the invariant oracles plus the detection pass flag **exactly** the
 injected anomalies: every expected detection key must be new relative to
 the unperturbed baseline (or strictly larger, for counting metrics), and
@@ -22,48 +23,32 @@ from typing import Any
 from ..beacon.builders import SLASH_REASON_RENEGING, SLASH_REASON_WITHHELD
 from ..constants import MERGE_DATE, MERGE_SLOT
 from ..core.auction import MODE_FALLBACK
-from ..core.epbs import EnshrinedPBSAuction
 from ..core.policies import MevFilterPolicy
 from ..datasets.collector import StudyDataset, collect_study_dataset
 from ..errors import ScenarioError
 from ..perf.artifacts import config_content_hash
 from ..simulation.config import SimulationConfig, small_test_config
+from ..simulation.faults import (
+    FAULT_BID_RENEGING,
+    FAULT_BUILDER_CRASH,
+    FAULT_DROPPED_PAYLOAD,
+    FAULT_INTERNAL_MISPROMISE,
+    FAULT_MEV_FILTER_MISS,
+    FAULT_PTC_EQUIVOCATION,
+    FAULT_SANCTIONS_LAG,
+    FAULT_VALIDATION_OUTAGE,
+    FAULT_WITHHELD_PAYLOAD,
+    FaultSpec,
+)
 from ..simulation.world import build_world
-from ..types import Wei, ether
+from ..types import Wei
 from .oracles import (
     KIND_INTERNAL_MISPROMISE,
     KIND_SANCTIONS_LAG,
+    KIND_TIMESTAMP_BUG,
     KIND_VALIDATION_OUTAGE,
     OracleReport,
     run_oracles,
-)
-
-# Fault kinds (the scenario vocabulary).
-FAULT_VALIDATION_OUTAGE = "validation-outage"
-FAULT_INTERNAL_MISPROMISE = "internal-builder-mispromise"
-FAULT_MEV_FILTER_MISS = "mev-filter-miss"
-FAULT_SANCTIONS_LAG = "sanctions-lag"
-FAULT_DROPPED_PAYLOAD = "dropped-payload"
-FAULT_BUILDER_CRASH = "builder-crash"
-# ePBS faults (require ``regime="epbs"``): a staked builder withholding
-# its committed payload, a builder grossly reneging on its bid against
-# collateral, and payload-timeliness-committee equivocation.
-FAULT_WITHHELD_PAYLOAD = "withheld-payload"
-FAULT_BID_RENEGING = "bid-reneging"
-FAULT_PTC_EQUIVOCATION = "ptc-equivocation"
-
-FAULT_KINDS = frozenset(
-    {
-        FAULT_VALIDATION_OUTAGE,
-        FAULT_INTERNAL_MISPROMISE,
-        FAULT_MEV_FILTER_MISS,
-        FAULT_SANCTIONS_LAG,
-        FAULT_DROPPED_PAYLOAD,
-        FAULT_BUILDER_CRASH,
-        FAULT_WITHHELD_PAYLOAD,
-        FAULT_BID_RENEGING,
-        FAULT_PTC_EQUIVOCATION,
-    }
 )
 
 #: Claims this many times the delivered value (or over the absolute floor)
@@ -71,38 +56,6 @@ FAULT_KINDS = frozenset(
 #: mispromises, excluding the benign ~0.2% optimistic overclaims.
 GROSS_OVERPROMISE_RATIO = 1.5
 GROSS_OVERPROMISE_FLOOR_WEI: Wei = 10**16  # 0.01 ETH
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """One injected fault.
-
-    ``target`` names the relay (or ``"*"`` for all relays with
-    ``dropped-payload``, or the builder with ``builder-crash``);
-    ``builder`` optionally names the exploiting builder for the
-    claim-inflating faults; ``day`` is the study-day index the fault
-    fires on (``mev-filter-miss`` and ``sanctions-lag`` apply to the
-    whole run).
-    """
-
-    kind: str
-    target: str
-    day: int = 0
-    rate: float = 1.0
-    lag_days: int = 90
-    claim_eth: float = 2.0
-    builder: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ScenarioError(
-                f"unknown fault kind {self.kind!r}; "
-                f"expected one of {sorted(FAULT_KINDS)}"
-            )
-
-    def detection_key(self) -> tuple[str, str]:
-        """The (kind, target) pair detection must surface for this fault."""
-        return (self.kind, self.target)
 
 
 @dataclass
@@ -161,146 +114,6 @@ def scenarios_from_yaml(source: str | Path) -> list[Scenario]:
     if not isinstance(loaded, list):
         raise ScenarioError("YAML must hold a list of scenarios")
     return [scenario_from_dict(entry) for entry in loaded]
-
-
-# ---------------------------------------------------------------------------
-# Fault application
-# ---------------------------------------------------------------------------
-
-
-def _relay_or_raise(world, name: str):
-    relay = world.relays.get(name)
-    if relay is None:
-        raise ScenarioError(
-            f"unknown relay {name!r}; have {sorted(world.relays)}"
-        )
-    return relay
-
-
-def _builder_or_raise(world, name: str):
-    builder = world.builders.get(name)
-    if builder is None:
-        raise ScenarioError(
-            f"unknown builder {name!r}; have {sorted(world.builders)[:10]}..."
-        )
-    return builder
-
-
-def _install_claim_inflation(
-    world, builder_name: str, day: int, relay_name: str, claim_wei: Wei
-) -> None:
-    """Make ``builder_name`` submit an exploit-grade claim to one relay.
-
-    Chains over any pre-existing ``claim_inflation`` hook so scenario
-    faults compose with the seeded incidents.
-    """
-    builder = _builder_or_raise(world, builder_name)
-    previous = builder.claim_inflation
-
-    def _inflate(ctx, payment, _prev=previous, _day=day,
-                 _relay=relay_name, _claim=claim_wei):
-        claims = dict(_prev(ctx, payment)) if _prev is not None else {}
-        if ctx.day == _day:
-            claims[_relay] = max(int(payment * 50), _claim)
-        return claims
-
-    builder.claim_inflation = _inflate
-    builder.claim_inflation_days = builder.claim_inflation_days | {day}
-    builder.claim_inflation_relays = tuple(
-        sorted(set(builder.claim_inflation_relays) | {relay_name})
-    )
-
-
-def _require_epbs(world, kind: str) -> None:
-    if world.config.regime != "epbs":
-        raise ScenarioError(
-            f"{kind} faults need regime='epbs' "
-            f"(world runs {world.config.regime!r}); add "
-            "config_overrides={'regime': 'epbs'} to the scenario"
-        )
-
-
-def apply_fault(world, spec: FaultSpec) -> None:
-    """Perturb a built (not yet run) world with one fault."""
-    if spec.kind == FAULT_VALIDATION_OUTAGE:
-        relay = _relay_or_raise(world, spec.target)
-        relay.validation_outage_days = relay.validation_outage_days | {spec.day}
-        _install_claim_inflation(
-            world,
-            spec.builder or "Builder 3",
-            spec.day,
-            spec.target,
-            ether(spec.claim_eth),
-        )
-    elif spec.kind == FAULT_INTERNAL_MISPROMISE:
-        relay = _relay_or_raise(world, spec.target)
-        builder_name = spec.builder or next(iter(sorted(relay.internal_builders)), "")
-        if builder_name not in relay.internal_builders:
-            raise ScenarioError(
-                f"{builder_name!r} is not an internal builder of "
-                f"{spec.target} ({sorted(relay.internal_builders)})"
-            )
-        relay.validates_internal_builders = False
-        _install_claim_inflation(
-            world, builder_name, spec.day, spec.target, ether(spec.claim_eth)
-        )
-    elif spec.kind == FAULT_MEV_FILTER_MISS:
-        relay = _relay_or_raise(world, spec.target)
-        if relay.policy.mev_filter is not MevFilterPolicy.FRONTRUNNING:
-            raise ScenarioError(
-                f"{spec.target} announces no front-running filter to degrade"
-            )
-        relay.mev_filter_miss_rate = spec.rate
-    elif spec.kind == FAULT_SANCTIONS_LAG:
-        relay = _relay_or_raise(world, spec.target)
-        if not relay.policy.is_censoring:
-            raise ScenarioError(
-                f"{spec.target} is not compliant; a stale OFAC copy changes "
-                "nothing"
-            )
-        relay.sanctions_lag_days = spec.lag_days
-    elif spec.kind == FAULT_DROPPED_PAYLOAD:
-        bpd = world.config.blocks_per_day
-        slots = frozenset(
-            MERGE_SLOT + spec.day * bpd + index for index in range(bpd)
-        )
-        targets = (
-            list(world.relays.values())
-            if spec.target == "*"
-            else [_relay_or_raise(world, spec.target)]
-        )
-        for relay in targets:
-            relay.drop_payload_slots = relay.drop_payload_slots | slots
-    elif spec.kind == FAULT_BUILDER_CRASH:
-        builder = _builder_or_raise(world, spec.builder or spec.target)
-        builder.crash_days = builder.crash_days | {spec.day}
-    elif spec.kind == FAULT_WITHHELD_PAYLOAD:
-        _require_epbs(world, spec.kind)
-        builder = _builder_or_raise(world, spec.builder or spec.target)
-        builder.withhold_days = builder.withhold_days | {spec.day}
-        builder.withhold_claim_wei = max(
-            builder.withhold_claim_wei, ether(spec.claim_eth)
-        )
-    elif spec.kind == FAULT_BID_RENEGING:
-        _require_epbs(world, spec.kind)
-        builder = _builder_or_raise(world, spec.builder or spec.target)
-        builder.renege_days = builder.renege_days | {spec.day}
-        builder.renege_claim_wei = max(
-            builder.renege_claim_wei, ether(spec.claim_eth)
-        )
-    elif spec.kind == FAULT_PTC_EQUIVOCATION:
-        _require_epbs(world, spec.kind)
-        auction = world.auction
-        if not isinstance(auction, EnshrinedPBSAuction):
-            raise ScenarioError(
-                "ptc-equivocation needs an EnshrinedPBSAuction world"
-            )
-        auction.ptc_equivocation_days = (
-            auction.ptc_equivocation_days | {spec.day}
-        )
-        auction.ptc_equivocation_rate = spec.rate
-    else:  # pragma: no cover - guarded by FaultSpec.__post_init__
-        raise ScenarioError(f"unhandled fault kind {spec.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -467,24 +280,20 @@ def _builder_crashes(world) -> list[DetectedAnomaly]:
     return found
 
 
-def _sanctions_lags(report: OracleReport) -> list[DetectedAnomaly]:
-    """Stale-OFAC leaks the sanctions oracle attributed, per relay."""
-    counts: dict[str, int] = {}
+def _oracle_attributions(report: OracleReport) -> list[DetectedAnomaly]:
+    """Stale-OFAC leaks and stale-timestamp payloads the oracles attributed."""
+    found: dict[tuple[str, str], list[str]] = {}
     for finding in report.anomalies:
-        kind, target = finding.attributed_to
-        if kind == KIND_SANCTIONS_LAG:
-            counts[target] = counts.get(target, 0) + 1
+        if finding.attributed_to[0] in (KIND_SANCTIONS_LAG, KIND_TIMESTAMP_BUG):
+            found.setdefault(finding.attributed_to, []).append(finding.message)
     return [
         DetectedAnomaly(
-            kind=FAULT_SANCTIONS_LAG,
-            target=relay,
-            metric=float(count),
-            evidence=(
-                f"{count} sanctioned tx(s) through {relay} only its stale "
-                "OFAC copy missed"
-            ),
+            kind=kind,
+            target=target,
+            metric=float(len(messages)),
+            evidence="; ".join(messages[:3]),
         )
-        for relay, count in counts.items()
+        for (kind, target), messages in found.items()
     ]
 
 
@@ -549,8 +358,8 @@ def detect_anomalies(
     This is the "analysis layer saw it" half of scenario verification:
     gross overpromise scans mirror Table 4's promised-vs-delivered gap,
     filter-miss counts mirror the bloXroute sandwich count, sanctions
-    lags come from the screening oracle, and drop/crash detectors read
-    the relay data APIs.
+    lags and stale-timestamp payloads come from the oracles, and
+    drop/crash detectors read the relay data APIs.
     """
     if dataset is None:
         dataset = collect_study_dataset(world)
@@ -561,7 +370,7 @@ def detect_anomalies(
     detected.extend(_filter_misses(world, dataset))
     detected.extend(_dropped_payloads(world))
     detected.extend(_builder_crashes(world))
-    detected.extend(_sanctions_lags(report))
+    detected.extend(_oracle_attributions(report))
     detected.extend(_epbs_faults(world))
     return {(a.kind, a.target): a for a in detected}
 
@@ -657,13 +466,8 @@ class ScenarioRunner:
             return self.base_config
         return self.base_config.with_overrides(**scenario.config_overrides)
 
-    def _execute(
-        self, config: SimulationConfig, faults: tuple[FaultSpec, ...] = ()
-    ) -> RunArtifacts:
-        world = build_world(config)
-        for spec in faults:
-            apply_fault(world, spec)
-        world.run()
+    def _execute(self, config: SimulationConfig) -> RunArtifacts:
+        world = build_world(config).run()
         dataset = collect_study_dataset(world)
         report = run_oracles(world, dataset)
         anomalies = detect_anomalies(world, dataset, report)
@@ -688,14 +492,16 @@ class ScenarioRunner:
     def run(self, scenario: Scenario) -> ScenarioResult:
         config = self.config_for(scenario)
         baseline = self.baseline_for(config)
-        perturbed = self._execute(config, scenario.faults)
+        perturbed = self._execute(
+            config.with_overrides(faults=config.faults + scenario.faults)
+        )
         return ScenarioResult(
             scenario=scenario, baseline=baseline, perturbed=perturbed
         )
 
 
 def default_scenarios() -> list[Scenario]:
-    """The standard six-fault matrix over the small test world.
+    """The standard nine-fault matrix over the small test world.
 
     Fault days sit late in the 12-day window (relay menus only open up
     from day 8, and the seeded incident days all lie outside it).  The

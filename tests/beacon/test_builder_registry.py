@@ -159,14 +159,15 @@ class TestMidEpochDeactivation:
     def test_slashed_builder_stops_winning_in_world(self):
         # A builder slashed mid-run must vanish from subsequent auctions.
         from repro.simulation.config import small_test_config
+        from repro.simulation.faults import FAULT_WITHHELD_PAYLOAD, FaultSpec
         from repro.simulation.world import build_world
 
-        config = small_test_config(regime="epbs")
-        world = build_world(config)
-        victim = world.builders["Builder 1"]
-        victim.withhold_days = victim.withhold_days | {9}
-        victim.withhold_claim_wei = ether(2)
-        world.run()
+        base = small_test_config(regime="epbs")
+        withhold = FaultSpec(
+            kind=FAULT_WITHHELD_PAYLOAD, target="Builder 1", day=9, claim_eth=2.0
+        )
+        config = base.with_overrides(faults=base.faults + (withhold,))
+        world = build_world(config).run()
 
         slashed_day = world.builder_registry.record("Builder 1").slashed_day
         assert slashed_day == 9

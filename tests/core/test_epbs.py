@@ -95,8 +95,7 @@ class TestPayloadTimelinessCommittee:
             validators=validators,
             seed=7,
         )
-        auction.ptc_equivocation_days = frozenset(days)
-        auction.ptc_equivocation_rate = rate
+        auction.ptc_equivocation = {day: rate for day in days}
         return auction
 
     def test_committee_sampling_deterministic(self):

@@ -73,6 +73,7 @@ class TestConfigHash:
         base = config_content_hash(_config())
         assert config_content_hash(_config(seed=8)) != base
         assert config_content_hash(_config(regime="epbs")) != base
+        assert config_content_hash(_config(faults=())) != base
         changed = dataclasses.replace(_config(), num_days=5)
         assert config_content_hash(changed) != base
 

@@ -45,6 +45,7 @@ class TestConfig:
             ("lending_refill_per_day", -2),
             ("min_bid_eth", -1),
             ("max_active_builders_per_slot", 0),
+            ("faults", ({"kind": "builder-crash", "target": "Builder 1"},)),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -90,6 +91,9 @@ class TestConfig:
             "enable_beaverbuild_loss",
             "eden_mispromise_claim_eth",
             "eden_mispromise_paid_eth",
+            "enable_manifold_incident",
+            "enable_eden_mispromise",
+            "enable_timestamp_bug",
         ],
     )
     def test_removed_fields_rejected_by_overrides(self, field):

@@ -3,6 +3,11 @@
 The other determinism tests compare runs with each other, so a change
 that moves every run alike passes them.  These pins catch that drift: a
 change that moves a digest on purpose re-pins it here and says why.
+
+The 4-day pins reach no incident day; the ``medium_world`` pin covers all
+three paper incidents (Eden day 23, Manifold day 30, builder0x69's stale
+timestamps day 56), and the incidents-off pin runs a 60-day window with
+none of them.
 """
 
 from __future__ import annotations
@@ -59,3 +64,26 @@ def test_seed_7_digests_are_pinned(regime, segment_days):
         world = build_world(config).run()
         digests = (world.digest(), collect_study_dataset(world).content_digest())
     assert digests == PINS[regime, segment_days]
+
+
+MEDIUM_WORLD_PIN = (
+    "7c98612381db498ef437b9044a6f7d3c601423706ae521154ae566ff131c60d2",
+    "be63456eeb4c76f770febfdf04fc25930372583f3a67724fd83aeda6ce31cc56",
+)
+
+INCIDENTS_OFF_PIN = (
+    "cbfe37a3389bb01e9edc4022ea34e71e944bfa86cbf5994b0d675189afc72ab1",
+    "db238f874b0dda4f173b1382532c1aadebdc367a342facc2da85ee63c657f6e9",
+)
+
+
+def test_medium_world_digests_are_pinned(medium_world, medium_dataset):
+    digests = (medium_world.digest(), medium_dataset.content_digest())
+    assert digests == MEDIUM_WORLD_PIN
+
+
+def test_incidents_off_digests_are_pinned():
+    config = small_test_config(num_days=60, blocks_per_day=4, faults=())
+    world = build_world(config).run()
+    digests = (world.digest(), collect_study_dataset(world).content_digest())
+    assert digests == INCIDENTS_OFF_PIN

@@ -15,6 +15,7 @@ from repro.simulation.entities import (
     build_validators,
 )
 from repro.simulation.events import default_timeline
+from repro.simulation.world import build_world
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +25,7 @@ def config():
 
 @pytest.fixture(scope="module")
 def relays(config):
-    return build_relays(config, default_timeline())
+    return build_relays(config)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +33,12 @@ def builders(config):
     return build_builders(
         config, default_timeline(), np.random.default_rng(0), 24
     )
+
+
+@pytest.fixture(scope="module")
+def world(config):
+    """A built (not run) world: the default fault plan seeds the incidents."""
+    return build_world(config)
 
 
 class TestRelays:
@@ -71,10 +78,10 @@ class TestRelays:
     def test_aestus_always_validates(self, relays):
         assert relays["Aestus"].validation_miss_rate == 0.0
 
-    def test_manifold_incident_scheduled(self, relays):
+    def test_manifold_incident_scheduled(self, world):
         timeline = default_timeline()
         assert timeline.manifold_incident_day in (
-            relays["Manifold"].validation_outage_days
+            world.relays["Manifold"].validation_outage_days
         )
 
     def test_endpoints_match_table2(self, relays):
@@ -107,24 +114,25 @@ class TestBuilders:
         for name in ("builder0x69", "beaverbuild", "bloXroute (M)"):
             assert not builders[name].self_censors, name
 
-    def test_eden_mispromise_scripted(self, builders):
+    def test_eden_mispromise_scripted(self, world):
         timeline = default_timeline()
         day = timeline.eden_mispromise_day
-        assert day in builders["Eden"].scripted_mispromise
-        claimed, paid = builders["Eden"].scripted_mispromise[day]
+        assert day in world.builders["Eden"].scripted_mispromise
+        claimed, paid = world.builders["Eden"].scripted_mispromise[day]
         assert claimed > paid
 
-    def test_timestamp_bug_scripted(self, builders):
+    def test_timestamp_bug_scripted(self, world):
         timeline = default_timeline()
         assert timeline.timestamp_bug_day in (
-            builders["builder0x69"].timestamp_bug_days
+            world.builders["builder0x69"].timestamp_bug_days
         )
 
-    def test_manifold_exploit_scripted(self, builders):
+    def test_manifold_exploit_scripted(self, world):
         timeline = default_timeline()
-        rogue = builders["Builder 2"]
-        assert rogue.claim_inflation is not None
-        assert timeline.manifold_incident_day in rogue.claim_inflation_days
+        rogue = world.builders["Builder 2"]
+        assert rogue.claim_inflation == {
+            timeline.manifold_incident_day: {"Manifold": 10**18}
+        }
 
 
 class TestValidators:

@@ -49,9 +49,15 @@ class TestManifoldIncident:
 
 class TestTimestampBug:
     def test_fallback_blocks_are_locally_built(self, medium_world):
-        for record in medium_world.slot_records:
-            if record.mode != "pbs-fallback":
-                continue
+        fallbacks = [
+            record
+            for record in medium_world.slot_records
+            if record.mode == "pbs-fallback"
+        ]
+        assert fallbacks, "the stale-timestamp day should force a fallback"
+        bug_day = medium_world.timeline.timestamp_bug_day
+        assert {record.day for record in fallbacks} == {bug_day}
+        for record in fallbacks:
             block = medium_world.chain.block_by_number(record.block_number)
             proposer = medium_world.validators.by_index(
                 medium_world.beacon.by_slot(record.slot).proposer_index

@@ -13,6 +13,7 @@ import pytest
 from repro.chain.exec_cache import ExecutionCache
 from repro.errors import ConformanceError
 from repro.simulation.config import small_test_config
+from repro.simulation.faults import FAULT_BUILDER_CRASH, FaultSpec
 from repro.testing.differential import (
     DEFAULT_CASES,
     GROUP_DEFAULT,
@@ -22,7 +23,6 @@ from repro.testing.differential import (
     ReplayReport,
     run_replay_matrix,
 )
-from repro.testing.scenarios import FAULT_BUILDER_CRASH, FaultSpec
 
 CONFIG = small_test_config(num_days=4, blocks_per_day=6)
 
@@ -57,6 +57,7 @@ class TestFaultedMatrix:
         """A faulted world replays identically with or without the slot's
         shared execution cache."""
         fault = FaultSpec(kind=FAULT_BUILDER_CRASH, target="Builder 1", day=2)
+        config = CONFIG.with_overrides(faults=CONFIG.faults + (fault,))
         lookups = []
         execute = ExecutionCache.execute
 
@@ -68,16 +69,15 @@ class TestFaultedMatrix:
 
         def replay():
             report = run_replay_matrix(
-                CONFIG,
-                cases=DEFAULT_CASES,
-                faults=(fault,),
-                artifact_dir=tmp_path,
+                config, cases=DEFAULT_CASES, artifact_dir=tmp_path
             )
             report.assert_consistent()
-            # Artifacts cache pure functions of the config; faulted datasets
-            # must never be written or read back.
-            assert report.artifact_roundtrip_digest is None
-            assert list(tmp_path.iterdir()) == []
+            # The fault plan is part of the artifact key, so the faulted
+            # dataset caches and round-trips like a clean one.
+            assert (
+                report.artifact_roundtrip_digest
+                == report.results[0].dataset_digest
+            )
             return [(r.world_digest, r.dataset_digest) for r in report.results]
 
         cached = replay()

@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import ScenarioError
 from repro.simulation.config import small_test_config
+from repro.simulation.faults import apply_fault
 from repro.simulation.world import build_world
 from repro.testing.scenarios import (
     FAULT_BID_RENEGING,
@@ -19,7 +20,6 @@ from repro.testing.scenarios import (
     FAULT_WITHHELD_PAYLOAD,
     FaultSpec,
     ScenarioRunner,
-    apply_fault,
     default_scenarios,
 )
 

@@ -1,11 +1,12 @@
-"""End-to-end regressions for the four paper failure modes.
+"""End-to-end regressions for the paper failure modes.
 
 Each incident the paper documents — the Manifold validation outage, the
-Eden internal-builder mispromise, the bloXroute front-running-filter
-misses, and the stale-OFAC sanctions lag — must surface through the
-analysis layer's numbers AND carry the right conformance attribution.
-The first three are seeded into the medium world; the sanctions lag is
-exercised through its fault-injection scenario.
+Eden internal-builder mispromise, builder0x69's stale timestamps, the
+bloXroute front-running-filter misses, and the stale-OFAC sanctions lag
+— must surface through the analysis layer's numbers or the detection
+pass AND carry the right conformance attribution.  The first four are
+in the medium world (the first three through the default fault plan);
+the sanctions lag is exercised through its fault-injection scenario.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 from repro.analysis.censorship import sanctioned_blocks_by_relay
 from repro.analysis.mev import bloxroute_ethical_sandwiches
 from repro.analysis.relays import relay_trust_table
+from repro.simulation.faults import FAULT_TIMESTAMP_BUG
 from repro.testing import run_oracles
 from repro.testing.oracles import (
     KIND_INTERNAL_MISPROMISE,
@@ -82,6 +84,14 @@ class TestEdenInternalMispromise:
 
     def test_detection_flags_the_incident(self, medium_anomalies):
         anomaly = medium_anomalies[(FAULT_INTERNAL_MISPROMISE, "Eden")]
+        assert anomaly.metric >= 1
+
+
+class TestTimestampBug:
+    """2022-11-10: builder0x69's stale-timestamp payloads never landed."""
+
+    def test_detection_flags_the_incident(self, medium_anomalies):
+        anomaly = medium_anomalies[(FAULT_TIMESTAMP_BUG, "builder0x69")]
         assert anomaly.metric >= 1
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import ScenarioError
 from repro.simulation.config import small_test_config
+from repro.simulation.faults import FAULT_TIMESTAMP_BUG, apply_fault
 from repro.simulation.world import build_world
 from repro.testing.oracles import OracleFinding, OracleReport
 from repro.testing.scenarios import (
@@ -24,7 +25,6 @@ from repro.testing.scenarios import (
     RunArtifacts,
     Scenario,
     ScenarioResult,
-    apply_fault,
     default_scenarios,
     scenario_from_dict,
     scenarios_from_yaml,
@@ -249,3 +249,18 @@ class TestScenarioMatrix:
     def test_clean_baseline_is_violation_free(self, scenario_runner):
         baseline = scenario_runner.baseline_for(scenario_runner.base_config)
         assert baseline.report.violations == ()
+
+    def test_timestamp_bug_detected_exactly(self, scenario_runner):
+        """A stale-timestamp day surfaces through the oracle's attribution."""
+        scenario = Scenario(
+            name="timestamp-bug-day",
+            description="builder0x69 seals a day of blocks with a stale timestamp",
+            faults=(
+                FaultSpec(kind=FAULT_TIMESTAMP_BUG, target="builder0x69", day=10),
+            ),
+        )
+        result = scenario_runner.run(scenario)
+        result.assert_detected()
+        assert result.perturbed.anomalies[
+            (FAULT_TIMESTAMP_BUG, "builder0x69")
+        ].metric >= 1
