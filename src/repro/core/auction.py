@@ -8,7 +8,6 @@ signed block (or the local fallback) becomes the slot's outcome.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from ..beacon.validator import Validator
@@ -63,11 +62,11 @@ class SlotAuction:
         self,
         relays: dict[str, Relay],
         builders: dict[str, BlockBuilder],
-        local_builder: LocalBlockBuilder | None = None,
+        local_builder: LocalBlockBuilder,
     ) -> None:
         self.relays = relays
         self.builders = builders
-        self.local_builder = local_builder or LocalBlockBuilder()
+        self.local_builder = local_builder
         self.mev_boost = MevBoostClient(relays)
 
     def run(
@@ -77,10 +76,9 @@ class SlotAuction:
         active_builders: list[str],
     ) -> SlotOutcome:
         """Produce this slot's block through PBS or local building."""
-        perf = ctx.perf
-        with perf.timer("builder_phase") if perf else nullcontext():
+        with ctx.perf.timer("builder_phase"):
             self._collect_submissions(ctx, proposer, active_builders)
-        with perf.timer("proposer_phase") if perf else nullcontext():
+        with ctx.perf.timer("proposer_phase"):
             outcome = self._propose(ctx, proposer)
         for relay in self.relays.values():
             relay.drop_slot(ctx.slot)
@@ -135,17 +133,7 @@ class SlotAuction:
                 except MissingPayloadError:
                     # Every serving relay lost the escrow after the header
                     # was signed; the proposer can only build locally.
-                    block, result, fork = self.local_builder.build(ctx, proposer)
-                    return SlotOutcome(
-                        slot=ctx.slot,
-                        mode=MODE_FALLBACK,
-                        block=block,
-                        result=result,
-                        proposer=proposer,
-                        winning_submission=None,
-                        delivering_relays=(),
-                        speculative_ctx=fork,
-                    )
+                    return self._local_outcome(ctx, proposer, MODE_FALLBACK)
                 issues = validate_header(
                     submission.block.header,
                     expected_parent_hash=ctx.parent_hash,
@@ -156,17 +144,7 @@ class SlotAuction:
                 if issues:
                     # Rejected by the execution client after signing; fall
                     # back to local production (the 2022-11-10 dip).
-                    block, result, fork = self.local_builder.build(ctx, proposer)
-                    return SlotOutcome(
-                        slot=ctx.slot,
-                        mode=MODE_FALLBACK,
-                        block=block,
-                        result=result,
-                        proposer=proposer,
-                        winning_submission=None,
-                        delivering_relays=(),
-                        speculative_ctx=fork,
-                    )
+                    return self._local_outcome(ctx, proposer, MODE_FALLBACK)
                 return SlotOutcome(
                     slot=ctx.slot,
                     mode=MODE_PBS,
@@ -177,10 +155,16 @@ class SlotAuction:
                     delivering_relays=delivered,
                     speculative_ctx=submission.speculative_ctx,
                 )
+        return self._local_outcome(ctx, proposer, MODE_LOCAL)
+
+    def _local_outcome(
+        self, ctx: SlotContext, proposer: Validator, mode: str
+    ) -> SlotOutcome:
+        """The proposer's own block, recorded under ``mode``."""
         block, result, fork = self.local_builder.build(ctx, proposer)
         return SlotOutcome(
             slot=ctx.slot,
-            mode=MODE_LOCAL,
+            mode=mode,
             block=block,
             result=result,
             proposer=proposer,

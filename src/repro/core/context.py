@@ -27,13 +27,13 @@ from ..chain.transaction import Transaction, TransactionFactory
 from ..mempool.pool import SharedMempool
 from ..mempool.private import PrivateOrderFlow
 from ..mev.bundles import Bundle
+from ..perf.metrics import PerfRegistry
 from ..sanctions.ofac import SanctionsList
 from ..sanctions.screening import tx_statically_involves
 from ..types import Address, Hash, Wei
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chain.exec_cache import ExecutionCache
-    from ..perf.metrics import PerfRegistry
 
 
 @dataclass
@@ -62,7 +62,7 @@ class SlotContext:
     # Shared per-slot memo of builders' execution outcomes (None executes
     # directly).
     exec_cache: "ExecutionCache | None" = None
-    perf: "PerfRegistry | None" = None
+    perf: PerfRegistry = field(default_factory=PerfRegistry)
     # Per-slot memo of static sanctions screening verdicts.
     _involves_cache: dict = field(default_factory=dict, repr=False)
     # The OFAC set on this slot's date, looked up on first use.

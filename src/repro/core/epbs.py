@@ -17,11 +17,13 @@ the real enshrined design, not a thin escrow counterfactual:
   payload.  A builder that *withholds* it forfeits the bid from escrow
   and is slashed; honest observation of the withholding is broadcast as
   a payload-withheld message (the beacon record carries it).
-* **Payload-timeliness committee (PTC).**  A deterministically sampled
-  validator committee attests whether the reveal was timely.  Only a
-  quorum of timeliness votes makes the execution payload canonical; an
-  equivocating committee can leave the slot *empty* (consensus block,
-  no execution payload) even though the builder revealed honestly.
+* **Payload-timeliness committee (PTC).**  ``PTC_SIZE`` votes attest
+  whether the reveal was timely.  Only a quorum of timeliness votes
+  makes the execution payload canonical; an equivocating committee can
+  leave the slot *empty* (consensus block, no execution payload) even
+  though the builder revealed honestly.  In-model reveals are always
+  timely, so the vote depends only on how many seats equivocate, and no
+  seats are sampled.
 * **Commitment enforcement.**  If the revealed payload's embedded
   payment falls short of the committed bid, the difference is settled
   from the builder's escrowed collateral — recorded on the
@@ -36,8 +38,6 @@ comparison ``analysis/regimes.py`` draws.
 
 from __future__ import annotations
 
-import hashlib
-
 from ..beacon.builders import (
     SLASH_REASON_RENEGING,
     SLASH_REASON_WITHHELD,
@@ -45,7 +45,7 @@ from ..beacon.builders import (
     EpbsLedger,
     EpbsSlotRecord,
 )
-from ..beacon.validator import Validator, ValidatorRegistry
+from ..beacon.validator import Validator
 from ..chain.validation import validate_header
 from ..types import Wei
 from .auction import MODE_FALLBACK, MODE_LOCAL, SlotAuction, SlotOutcome
@@ -74,30 +74,22 @@ GROSS_RENEGE_FLOOR_WEI: Wei = 10**16
 class EnshrinedPBSAuction(SlotAuction):
     """The EIP-7732 two-phase slot, run by the protocol without relays.
 
-    ``registry``/``ledger``/``validators`` wire the consensus layer in;
-    each is optional so the auction degrades gracefully in unit tests —
-    without a registry, settlement falls back to the builder's own
-    balance and nothing is slashed; without a validator registry the PTC
-    trivially attests every reveal.
+    ``registry`` admits the staked builders and holds their collateral:
+    every settlement is charged to it, and withholding or gross reneging
+    is slashed.  ``ledger`` records each slot's bid, reveal and PTC vote.
     """
 
     def __init__(
         self,
         builders: dict[str, BlockBuilder],
-        local_builder: LocalBlockBuilder | None = None,
+        local_builder: LocalBlockBuilder,
         *,
-        registry: BuilderRegistry | None = None,
-        ledger: EpbsLedger | None = None,
-        validators: ValidatorRegistry | None = None,
-        seed: int = 0,
-        ptc_size: int = PTC_SIZE,
+        registry: BuilderRegistry,
+        ledger: EpbsLedger,
     ) -> None:
         super().__init__(relays={}, builders=builders, local_builder=local_builder)
         self.registry = registry
         self.ledger = ledger
-        self.validators = validators
-        self.seed = seed
-        self.ptc_size = ptc_size
         # Fault-injection hook, day -> share of the PTC that emits
         # conflicting timeliness votes that day (both discarded).
         self.ptc_equivocation: dict[int, float] = {}
@@ -105,7 +97,7 @@ class EnshrinedPBSAuction(SlotAuction):
     @property
     def ptc_quorum(self) -> int:
         """Votes required for the payload to become canonical (majority)."""
-        return self.ptc_size // 2 + 1
+        return PTC_SIZE // 2 + 1
 
     def run(
         self,
@@ -122,10 +114,7 @@ class EnshrinedPBSAuction(SlotAuction):
             builder
             for builder in (self.builders.get(name) for name in active_builders)
             if builder is not None
-            and (
-                self.registry is None
-                or self.registry.is_active(builder.name, ctx.day)
-            )
+            and self.registry.is_active(builder.name, ctx.day)
         ]
         submissions: list[BuilderSubmission] = []
         for builder in ordered:
@@ -191,21 +180,6 @@ class EnshrinedPBSAuction(SlotAuction):
 
     # -- outcome branches --------------------------------------------------
 
-    def _local_outcome(
-        self, ctx: SlotContext, proposer: Validator, mode: str
-    ) -> SlotOutcome:
-        block, result, fork = self.local_builder.build(ctx, proposer)
-        return SlotOutcome(
-            slot=ctx.slot,
-            mode=mode,
-            block=block,
-            result=result,
-            proposer=proposer,
-            winning_submission=None,
-            delivering_relays=(),
-            speculative_ctx=fork,
-        )
-
     def _withheld_outcome(
         self,
         ctx: SlotContext,
@@ -221,24 +195,16 @@ class EnshrinedPBSAuction(SlotAuction):
         speculative fork is discarded — no execution block this slot.
         """
         state = ctx.canonical_ctx.state
-        if self.registry is not None:
-            settled = self.registry.charge(
-                best.builder_name, proposer.fee_recipient, bid_wei, state=state
-            )
-            self.registry.slash(
-                best.builder_name,
-                bid_wei,
-                ctx.day,
-                SLASH_REASON_WITHHELD,
-                state=state,
-            )
-        else:
-            builder = self.builders[best.builder_name]
-            settled = min(bid_wei, state.balance_of(builder.address))
-            if settled > 0:
-                state.transfer(
-                    builder.address, proposer.fee_recipient, settled
-                )
+        settled = self.registry.charge(
+            best.builder_name, proposer.fee_recipient, bid_wei, state=state
+        )
+        self.registry.slash(
+            best.builder_name,
+            bid_wei,
+            ctx.day,
+            SLASH_REASON_WITHHELD,
+            state=state,
+        )
         self._record_slot(
             ctx,
             best,
@@ -280,17 +246,9 @@ class EnshrinedPBSAuction(SlotAuction):
         not at fault and is not slashed.
         """
         state = ctx.canonical_ctx.state
-        if self.registry is not None:
-            settled = self.registry.charge(
-                best.builder_name, proposer.fee_recipient, bid_wei, state=state
-            )
-        else:
-            builder = self.builders[best.builder_name]
-            settled = min(bid_wei, state.balance_of(builder.address))
-            if settled > 0:
-                state.transfer(
-                    builder.address, proposer.fee_recipient, settled
-                )
+        settled = self.registry.charge(
+            best.builder_name, proposer.fee_recipient, bid_wei, state=state
+        )
         self._record_slot(
             ctx,
             best,
@@ -317,25 +275,6 @@ class EnshrinedPBSAuction(SlotAuction):
 
     # -- committee ---------------------------------------------------------
 
-    def ptc_committee(self, slot: int) -> list[int]:
-        """The slot's PTC seats, sampled like the proposer schedule.
-
-        Hash-based sampling keeps the committee independent of the RNG
-        streams builders consume, so enabling/disabling PTC faults can
-        never shift unrelated draws.
-        """
-        if self.validators is None:
-            return []
-        count = len(self.validators)
-        seats = []
-        for seat in range(self.ptc_size):
-            payload = f"{self.seed}:ptc:{slot}:{seat}:{count}".encode("utf-8")
-            draw = int.from_bytes(
-                hashlib.sha256(payload).digest()[:8], "big"
-            )
-            seats.append(draw % count)
-        return seats
-
     def _ptc_vote(self, ctx: SlotContext) -> tuple[int, int]:
         """(timeliness votes, equivocating seats) for this slot's reveal.
 
@@ -343,11 +282,9 @@ class EnshrinedPBSAuction(SlotAuction):
         payload; an equivocating seat emits conflicting votes and both
         are discarded.
         """
-        if self.validators is None:
-            return self.ptc_size, 0
         rate = self.ptc_equivocation.get(ctx.day, 0.0)
-        equivocations = min(self.ptc_size, int(round(rate * self.ptc_size)))
-        return self.ptc_size - equivocations, equivocations
+        equivocations = min(PTC_SIZE, int(round(rate * PTC_SIZE)))
+        return PTC_SIZE - equivocations, equivocations
 
     # -- selection and settlement ------------------------------------------
 
@@ -380,27 +317,21 @@ class EnshrinedPBSAuction(SlotAuction):
             return 0
         state = submission.speculative_ctx.state
         recipient = submission.proposer.fee_recipient
-        if self.registry is not None:
-            settled = self.registry.charge(
-                submission.builder_name, recipient, shortfall, state=state
+        settled = self.registry.charge(
+            submission.builder_name, recipient, shortfall, state=state
+        )
+        gross_boundary = max(
+            int(submission.payment_wei * GROSS_RENEGE_RATIO),
+            submission.payment_wei + GROSS_RENEGE_FLOOR_WEI,
+        )
+        if submission.claimed_value_wei > gross_boundary:
+            self.registry.slash(
+                submission.builder_name,
+                shortfall,
+                ctx.day,
+                SLASH_REASON_RENEGING,
+                state=state,
             )
-            gross_boundary = max(
-                int(submission.payment_wei * GROSS_RENEGE_RATIO),
-                submission.payment_wei + GROSS_RENEGE_FLOOR_WEI,
-            )
-            if submission.claimed_value_wei > gross_boundary:
-                self.registry.slash(
-                    submission.builder_name,
-                    shortfall,
-                    ctx.day,
-                    SLASH_REASON_RENEGING,
-                    state=state,
-                )
-            return settled
-        builder = self.builders[submission.builder_name]
-        settled = min(shortfall, state.balance_of(builder.address))
-        if settled > 0:
-            state.transfer(builder.address, recipient, settled)
         return settled
 
     def _record_slot(
@@ -416,8 +347,6 @@ class EnshrinedPBSAuction(SlotAuction):
         votes_for: int,
         equivocations: int,
     ) -> None:
-        if self.ledger is None:
-            return
         self.ledger.record_slot(
             EpbsSlotRecord(
                 slot=ctx.slot,

@@ -85,7 +85,6 @@ class Relay:
         self.data = RelayDataStore(name)
         self._rng = np.random.default_rng(rng_seed)
         self._best_by_slot: dict[int, BuilderSubmission] = {}
-        self._builders_seen_by_day: dict[int, set[str]] = {}
         self._blocked_addresses: frozenset[Address] = frozenset()
         self._blocked_tokens: frozenset[str] = frozenset()
 
@@ -166,9 +165,6 @@ class Relay:
         )
         if not accepted:
             return False
-        self._builders_seen_by_day.setdefault(day, set()).add(
-            submission.builder_name
-        )
         best = self._best_by_slot.get(submission.slot)
         if best is None or submission.claimed_for(self.name) > best.claimed_for(
             self.name
@@ -282,11 +278,6 @@ class Relay:
             )
         )
         return submission
-
-    # -- stats -------------------------------------------------------------
-
-    def builders_seen_on_day(self, day: int) -> int:
-        return len(self._builders_seen_by_day.get(day, set()))
 
     def drop_slot(self, slot: int, missing_ok: bool = True) -> None:
         """Release escrowed submissions for a finished slot.

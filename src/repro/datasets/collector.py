@@ -246,9 +246,11 @@ def merge_study_datasets(datasets: "list[StudyDataset]") -> StudyDataset:
     consistent with the merged stores.  Merging a single dataset returns
     it unchanged, so unsegmented runs pay nothing.
 
-    Blocks merge by array concatenation — per-segment tables arrive in
-    segment-index order, so no object materialization or per-object sort
-    happens at all.
+    Blocks merge by array concatenation, so the parts must arrive in
+    block order (segment-index order, as ``run_sharded`` gathers them).
+    Out-of-order parts raise :class:`DataError`: the ePBS ledger, relay
+    stores and MEV labels concatenate in the order given, so re-sorting
+    only the blocks would change the merged digest.
     """
     if not datasets:
         raise DataError("cannot merge an empty dataset list")
@@ -278,11 +280,7 @@ def merge_study_datasets(datasets: "list[StudyDataset]") -> StudyDataset:
 
     table = BlockTable.concat([d.table for d in datasets])
     if not table.is_number_sorted():
-        merged = sorted(
-            (obs for d in datasets for obs in d.blocks),
-            key=lambda obs: obs.number,
-        )
-        table = BlockTable.from_observations(merged)
+        raise DataError("datasets must be merged in block order")
 
     inventory = DatasetInventory(
         blocks=total_blocks,
@@ -325,11 +323,8 @@ def _detect_builder_payment(block, proposer_fee_recipient) -> Wei:
 
 def collect_study_dataset(world) -> StudyDataset:
     """Crawl a finished :class:`~repro.simulation.world.World`."""
-    perf = getattr(world, "perf", None)
-    if perf is not None:
-        with perf.timer("collection"):
-            return _collect_study_dataset(world, perf)
-    return _collect_study_dataset(world, None)
+    with world.perf.timer("collection"):
+        return _collect_study_dataset(world, world.perf)
 
 
 def _collect_study_dataset(world, perf) -> StudyDataset:
@@ -356,14 +351,7 @@ def _collect_study_dataset(world, perf) -> StudyDataset:
         proposer = world.validators.by_index(record.proposer_index)
 
         mev.ingest_block(block, result.receipts, world.oracle)
-        if perf is not None:
-            with perf.timer("screening"):
-                sanctioned = tuple(
-                    screener.screen_block(
-                        block, result.receipts, result.traces, record.date
-                    )
-                )
-        else:
+        with perf.timer("screening"):
             sanctioned = tuple(
                 screener.screen_block(
                     block, result.receipts, result.traces, record.date
@@ -438,7 +426,7 @@ def _collect_study_dataset(world, perf) -> StudyDataset:
         compliant_relays=compliant,
         epbs=(
             world.epbs_ledger.to_dataset()
-            if getattr(world, "epbs_ledger", None) is not None
+            if world.epbs_ledger is not None
             else None
         ),
     )

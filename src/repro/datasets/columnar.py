@@ -569,10 +569,6 @@ class BlockTable:
             for o in np.unique(self.columns["date_ordinal"])
         ]
 
-    def number_order(self) -> np.ndarray:
-        """Row permutation sorting by block number (stable)."""
-        return np.argsort(self.columns["number"], kind="stable")
-
     def is_number_sorted(self) -> bool:
         numbers = self.columns["number"]
         if numbers.shape[0] <= 1:

@@ -22,12 +22,11 @@ from .artifacts import (
     save_study_artifact,
 )
 from .metrics import PerfRegistry
-from .sharding import ShardedRun, ShardWorkerPool, host_cpu_count, run_sharded
+from .sharding import ShardedRun, host_cpu_count, run_sharded
 
 __all__ = [
     "PerfRegistry",
     "ShardedRun",
-    "ShardWorkerPool",
     "config_content_hash",
     "default_cache_dir",
     "host_cpu_count",

@@ -144,7 +144,15 @@ def load_study_artifact(config: Any, cache_dir: Path | None = None) -> Any:
     try:
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError) as error:
+    except (
+        OSError,
+        pickle.UnpicklingError,
+        EOFError,
+        AttributeError,
+        ImportError,
+    ) as error:
+        # AttributeError/ImportError: the pickle names a class or module
+        # that older code had and this code no longer does.
         _LOG.warning("discarding stale/corrupt study artifact %s: %s", path, error)
         return None
     if not isinstance(payload, dict):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -43,38 +43,6 @@ def _fork_aware_context():
     """Prefer ``fork`` (cheap, instant workers on POSIX), else ``spawn``."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-class ShardWorkerPool:
-    """A lazily created, explicitly owned process pool for segment work.
-
-    Lazy executor creation, an idempotent :meth:`shutdown`, and
-    context-manager support, so no caller can leak worker processes.
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
-        self.workers = workers
-        self._executor: ProcessPoolExecutor | None = None
-
-    def executor(self) -> Executor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=_fork_aware_context()
-            )
-        return self._executor
-
-    def shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "ShardWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
 
 def _segment_task(
@@ -132,17 +100,13 @@ class ShardedRun:
 
 
 def run_sharded(
-    config: "SimulationConfig",
-    check_oracles: bool = False,
-    pool: ShardWorkerPool | None = None,
+    config: "SimulationConfig", check_oracles: bool = False
 ) -> ShardedRun:
     """Execute ``config``'s segment plan and deterministically merge it.
 
     Segments run in-process when ``config.shard_workers == 1`` (or the
-    plan has one segment), otherwise across a fork-aware process pool.
-    ``pool`` lets callers amortize worker startup across runs (e.g. the
-    benchmark's scaling curve); when omitted, a pool is created and torn
-    down inside this call.
+    plan has one segment), otherwise across a fork-aware process pool
+    that is created and shut down inside this call.
     """
     from ..datasets.collector import merge_study_datasets
     from ..simulation.segments import run_segment, segment_plan
@@ -150,21 +114,16 @@ def run_sharded(
     plan = segment_plan(config)
     workers = min(config.shard_workers, len(plan))
     if workers > 1:
-        owned = pool is None
-        active = pool or ShardWorkerPool(workers)
-        try:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=_fork_aware_context()
+        ) as executor:
             futures = [
-                active.executor().submit(
-                    _segment_task, config, spec, check_oracles
-                )
+                executor.submit(_segment_task, config, spec, check_oracles)
                 for spec in plan
             ]
             # Gather in submission (= segment-index) order: completion
             # order is scheduling noise the merge must never observe.
             deltas = tuple(future.result() for future in futures)
-        finally:
-            if owned:
-                active.shutdown()
     else:
         deltas = tuple(
             run_segment(config, spec, check_oracles=check_oracles)

@@ -134,6 +134,19 @@ class SlotIndex:
         )
 
 
+def parse_decimal(text: str) -> int:
+    """``text`` as an int; raises ValueError unless it is ASCII digits.
+
+    ``int()`` alone also accepts signs, surrounding whitespace, ``_``
+    separators and non-ASCII digits such as Arabic-Indic ones, and
+    ``str.isdigit`` admits the last; query integers reject all of them.
+    Digit strings longer than ``int()`` converts raise its ValueError.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class Cursor:
     """A pagination cursor: a slot plus rows already served in that slot."""
@@ -145,14 +158,11 @@ class Cursor:
     def parse(cls, text: str) -> "Cursor":
         """Parse ``<slot>`` or ``<slot>_<skip>``; raises ValueError.
 
-        Components must be bare decimal digits — ``int()`` alone would
-        also accept ``"2_3"`` (underscore separators), signs and
-        whitespace, which must all read as malformed cursors here.
+        Components must be bare decimal digits (:func:`parse_decimal`).
         """
-        slot_text, _, skip_text = text.partition("_")
-        if not slot_text.isdigit() or ("_" in text and not skip_text.isdigit()):
-            raise ValueError(f"malformed cursor {text!r}")
-        return cls(slot=int(slot_text), skip=int(skip_text) if skip_text else 0)
+        slot_text, separator, skip_text = text.partition("_")
+        skip = parse_decimal(skip_text) if separator else 0
+        return cls(slot=parse_decimal(slot_text), skip=skip)
 
 
 class RelayIndexes:

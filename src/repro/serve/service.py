@@ -48,7 +48,13 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .index import ALL_RELAYS, Cursor, DatasetIndex, RelayIndexes
+from .index import (
+    ALL_RELAYS,
+    Cursor,
+    DatasetIndex,
+    RelayIndexes,
+    parse_decimal,
+)
 from . import schema
 
 DEFAULT_LIMIT = 200
@@ -103,12 +109,9 @@ def _parse_int(params: dict[str, str], name: str) -> int | None:
     if text is None:
         return None
     try:
-        value = int(text)
+        return parse_decimal(text)
     except ValueError:
         raise ServeError(400, f"invalid {name} argument") from None
-    if value < 0:
-        raise ServeError(400, f"invalid {name} argument")
-    return value
 
 
 class QueryService:

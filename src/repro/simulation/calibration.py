@@ -86,8 +86,6 @@ def relay_is_live(relay_name: str, day: int) -> bool:
 # "compliant" entities connect only to OFAC-compliant relays; "open"
 # entities chase value across every live relay; "mixed" mostly follow
 # defaults shipped with MEV-Boost (Flashbots first, new relays later).
-_COMPLIANT_MENU: Schedule = ()  # computed in relay_menu_for_profile
-
 _PROFILE_MENUS: dict[str, tuple[tuple[int, tuple[str, ...]], ...]] = {
     "compliant": (
         # MEV-Boost shipped with the Flashbots relay as the default.

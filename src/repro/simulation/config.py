@@ -73,12 +73,6 @@ class SimulationConfig:
     segment_days: int = 0
     shard_workers: int = 1
 
-    # Lift the ``num_days <= STUDY_NUM_DAYS`` study-window cap so
-    # multi-year worlds become a supported workload.  Off by default: the
-    # paper-reproduction scenarios all live inside the study window, and
-    # the calibration curves are flat-extrapolated beyond it.
-    extended_horizon: bool = False
-
     def __post_init__(self) -> None:
         for name, least in (
             ("seed", 0),
@@ -98,14 +92,12 @@ class SimulationConfig:
                 raise ConfigError(
                     f"{name} must be at least {least}, got {value}", field=name
                 )
-        if self.num_days > STUDY_NUM_DAYS and not self.extended_horizon:
-            error = ConfigError(
+        if self.num_days > STUDY_NUM_DAYS:
+            raise ConfigError(
                 f"num_days cannot exceed the study window ({STUDY_NUM_DAYS}), "
                 f"got {self.num_days}",
                 field="num_days",
             )
-            error.add_note("extended_horizon=True lifts the cap")
-            raise error
         for name in ("mean_user_txs_per_slot", "min_bid_eth"):
             value = getattr(self, name)
             if not value >= 0.0:

@@ -8,14 +8,13 @@ curves can key off them.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..constants import (
     FTX_BANKRUPTCY_DATE,
     MANIFOLD_INCIDENT_DATE,
     MERGE_DATE,
     NOV10_TIMESTAMP_BUG_DATE,
-    OFAC_UPDATE_DATES,
     USDC_DEPEG_DATE,
     day_index,
 )
@@ -36,9 +35,6 @@ class Timeline:
     manifold_incident_day: int = day_index(MANIFOLD_INCIDENT_DATE)
     timestamp_bug_day: int = day_index(NOV10_TIMESTAMP_BUG_DATE)
     eden_mispromise_day: int = day_index(EDEN_MISPROMISE_DATE)
-    ofac_update_days: tuple[int, ...] = tuple(
-        day_index(date) for date in OFAC_UPDATE_DATES
-    )
     binance_ankr_days: tuple[int, int] = (
         day_index(BINANCE_ANKR_START),
         day_index(BINANCE_ANKR_END),

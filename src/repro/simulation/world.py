@@ -255,8 +255,6 @@ class World:
                 self.local_builder,
                 registry=self.builder_registry,
                 ledger=self.epbs_ledger,
-                validators=self.validators,
-                seed=config.seed,
             )
         elif config.regime == "local":
             # Every proposer self-builds: no relays, no builder market.

@@ -128,11 +128,6 @@ class ReplayReport:
     #: Every entry must match its group's reference digest.
     artifact_roundtrip_digests: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def artifact_roundtrip_digest(self) -> str | None:
-        """The default group's round-trip digest (legacy accessor)."""
-        return self.artifact_roundtrip_digests.get(GROUP_DEFAULT)
-
     def _grouped(self) -> dict[str, list[CaseResult]]:
         groups: dict[str, list[CaseResult]] = {}
         for result in self.results:

@@ -303,9 +303,9 @@ def _epbs_faults(world) -> list[DetectedAnomaly]:
     Slashings are attributed to the offending builder by reason —
     withheld payloads and collateralised bid reneging — and PTC
     equivocations aggregate to the committee as a whole, since the
-    committee is sampled fresh per slot.
+    committee has no sampled seats to attribute them to.
     """
-    ledger = getattr(world, "epbs_ledger", None)
+    ledger = world.epbs_ledger
     if ledger is None:
         return []
     found: list[DetectedAnomaly] = []

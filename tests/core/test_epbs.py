@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.beacon.validator import ValidatorRegistry
+from repro.beacon.builders import (
+    MIN_BUILDER_DEPOSIT_WEI,
+    BuilderRegistry,
+    EpbsLedger,
+)
 from repro.core.epbs import (
     MODE_EPBS,
     MODE_EPBS_EMPTY,
@@ -17,17 +21,30 @@ from repro.simulation.config import small_test_config
 from test_pbs_flow import MiniWorld
 
 
-class TestEnshrinedAuction:
-    def _auction(self, world):
-        return EnshrinedPBSAuction(
-            builders={world.builder.name: world.builder},
-            local_builder=LocalBlockBuilder(snapshot_lead_seconds=0.0),
-        )
+def _staked_auction(world):
+    """An auction whose one builder is staked and active from day 0."""
+    ledger = EpbsLedger()
+    registry = BuilderRegistry(world.state, ledger=ledger)
+    registry.submit_deposit(
+        world.builder.name,
+        pubkey=world.builder.pubkeys[0],
+        address=world.builder.address,
+        genesis=True,
+    )
+    registry.process_day(0)
+    return EnshrinedPBSAuction(
+        builders={world.builder.name: world.builder},
+        local_builder=LocalBlockBuilder(snapshot_lead_seconds=0.0),
+        registry=registry,
+        ledger=ledger,
+    )
 
+
+class TestEnshrinedAuction:
     def test_wins_without_relays(self):
         world = MiniWorld()
         world.add_public_tx()
-        auction = self._auction(world)
+        auction = _staked_auction(world)
         outcome = auction.run(world.context(), world.proposer, ["test-builder"])
         assert outcome.mode == MODE_EPBS
         assert outcome.delivering_relays == ()
@@ -38,7 +55,7 @@ class TestEnshrinedAuction:
         world = MiniWorld()
         world.proposer.disable_mev_boost()
         world.add_public_tx()
-        outcome = self._auction(world).run(
+        outcome = _staked_auction(world).run(
             world.context(), world.proposer, ["test-builder"]
         )
         assert outcome.mode == MODE_EPBS
@@ -46,13 +63,13 @@ class TestEnshrinedAuction:
     def test_no_bids_falls_back_to_local(self):
         world = MiniWorld()
         world.add_public_tx()
-        outcome = self._auction(world).run(world.context(), world.proposer, [])
+        outcome = _staked_auction(world).run(world.context(), world.proposer, [])
         assert outcome.mode == "local"
 
     def test_commitment_enforced_on_shortfall(self):
         world = MiniWorld()
         world.add_public_tx()
-        auction = self._auction(world)
+        auction = _staked_auction(world)
         # The builder overclaims massively; the protocol settles the
         # difference from its collateral.
         world.builder.scripted_mispromise = {
@@ -74,12 +91,17 @@ class TestEnshrinedAuction:
             submission.payment_wei + outcome.settled_shortfall_wei
             >= submission.claimed_value_wei
         )
+        # The settlement came out of the builder's escrowed collateral.
+        record = auction.registry.record(world.builder.name)
+        assert record.collateral_wei <= (
+            MIN_BUILDER_DEPOSIT_WEI - outcome.settled_shortfall_wei
+        )
 
     def test_invalid_payload_rejected_by_protocol(self):
         world = MiniWorld()
         world.builder.timestamp_bug_days = frozenset({10})
         world.add_public_tx()
-        outcome = self._auction(world).run(
+        outcome = _staked_auction(world).run(
             world.context(), world.proposer, ["test-builder"]
         )
         assert outcome.mode == "pbs-fallback"
@@ -87,25 +109,9 @@ class TestEnshrinedAuction:
 
 class TestPayloadTimelinessCommittee:
     def _auction(self, world, rate=0.0, days=frozenset()):
-        validators = ValidatorRegistry()
-        validators.add_many("Test", 32)
-        auction = EnshrinedPBSAuction(
-            builders={world.builder.name: world.builder},
-            local_builder=LocalBlockBuilder(snapshot_lead_seconds=0.0),
-            validators=validators,
-            seed=7,
-        )
+        auction = _staked_auction(world)
         auction.ptc_equivocation = {day: rate for day in days}
         return auction
-
-    def test_committee_sampling_deterministic(self):
-        world = MiniWorld()
-        auction = self._auction(world)
-        seats = auction.ptc_committee(12345)
-        assert seats == auction.ptc_committee(12345)
-        assert len(seats) == PTC_SIZE
-        assert all(0 <= seat < 32 for seat in seats)
-        assert seats != auction.ptc_committee(12346)
 
     def test_quorum_is_majority(self):
         world = MiniWorld()

@@ -317,13 +317,6 @@ class TestRelay:
         with pytest.raises(MissingPayloadError):
             world.relay.deliver_payload(1000, "0x" + "ab" * 32)
 
-    def test_builders_seen_per_day(self):
-        world = MiniWorld()
-        submission = self._submission(world)
-        world.relay.receive_submission(submission, day=10)
-        assert world.relay.builders_seen_on_day(10) == 1
-        assert world.relay.builders_seen_on_day(11) == 0
-
 
 class TestAuctionModes:
     def _auction(self, world):

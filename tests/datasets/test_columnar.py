@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from repro.datasets.collector import (
 )
 from repro.datasets.columnar import BlockTable, LazyBlockList
 from repro.datasets.records import BlockObservation
+from repro.errors import DataError
 from repro.perf.sharding import run_sharded
 from repro.simulation.config import small_test_config
 
@@ -141,6 +143,17 @@ class TestMergeHygiene:
         # Idempotence: a repeated merge of the same inputs is identical.
         assert first.content_digest() == second.content_digest()
         assert first.inventory == second.inventory
+
+    def test_out_of_order_parts_raise(self):
+        """Re-sorting only the blocks would leave the ePBS ledger, relay
+        stores and MEV labels in the given order and move the digest."""
+        config = small_test_config(
+            num_days=4, blocks_per_day=6, segment_days=2, regime="epbs"
+        )
+        run = run_sharded(config, check_oracles=False)
+        parts = [delta.dataset for delta in run.deltas]
+        with pytest.raises(DataError, match="block order"):
+            merge_study_datasets(parts[::-1])
 
     def test_merged_dates_are_the_union(self):
         config = small_test_config(num_days=4, blocks_per_day=6, segment_days=2)

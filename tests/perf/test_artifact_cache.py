@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import importlib
 import logging
+import pickle
 import shutil
+import sys
+
+import pytest
 
 from repro.datasets.collector import StudyDataset
 from repro.datasets.records import BlockObservation, DatasetInventory
@@ -116,6 +121,28 @@ class TestRoundTrip:
         shutil.copyfile(
             other.with_suffix(".columns.npz"), kept.with_suffix(".columns.npz")
         )
+        with caplog.at_level(logging.WARNING, logger=artifacts.__name__):
+            assert load_study_artifact(_config(), cache_dir=tmp_path) is None
+        assert "discarding stale/corrupt study artifact" in caplog.text
+
+    @pytest.mark.parametrize("removed", ["module", "class"])
+    def test_pickle_naming_removed_code_is_a_miss(
+        self, tmp_path, monkeypatch, caplog, removed
+    ):
+        # An artifact written by older code can name a module or class
+        # this code no longer has; loading it is a miss, not a crash.
+        source = tmp_path / "stale_artifact_module.py"
+        source.write_text("class Gone:\n    pass\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        module = importlib.import_module("stale_artifact_module")
+        path = save_study_artifact(_config(), _dataset(1), cache_dir=tmp_path)
+        path.write_bytes(pickle.dumps(module.Gone()))
+        if removed == "module":
+            monkeypatch.delitem(sys.modules, module.__name__)
+            source.unlink()
+            importlib.invalidate_caches()
+        else:
+            monkeypatch.delattr(module, "Gone")
         with caplog.at_level(logging.WARNING, logger=artifacts.__name__):
             assert load_study_artifact(_config(), cache_dir=tmp_path) is None
         assert "discarding stale/corrupt study artifact" in caplog.text

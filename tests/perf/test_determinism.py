@@ -20,6 +20,7 @@ from repro.simulation.config import small_test_config
 from repro.simulation.world import build_world
 from repro.testing.differential import (
     DEFAULT_CASES,
+    GROUP_DEFAULT,
     GROUP_SHARDED,
     run_replay_matrix,
     sharded_cases,
@@ -65,7 +66,7 @@ def test_exec_cache_invariant(replay_report, monkeypatch):
 
 def test_artifact_cache_round_trips(replay_report):
     assert (
-        replay_report.artifact_roundtrip_digest
+        replay_report.artifact_roundtrip_digests[GROUP_DEFAULT]
         == replay_report.results[0].dataset_digest
     )
 

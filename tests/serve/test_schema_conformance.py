@@ -191,6 +191,17 @@ def test_pagination_headers(golden_service):
         ({"limit": "9999"}, "maximum limit is 500"),
         ({"slot": "8000", "cursor": "8000"}, "cannot specify both slot and cursor"),
         ({"cursor": "not-a-slot"}, "invalid cursor argument"),
+        # Query integers are bare ASCII digits: no separators, signs,
+        # spaces or non-ASCII digits.
+        ({"limit": "1_0"}, "invalid limit argument"),
+        ({"limit": "+2"}, "invalid limit argument"),
+        ({"limit": " 2"}, "invalid limit argument"),
+        ({"limit": "\u0662"}, "invalid limit argument"),
+        ({"slot": "10_2"}, "invalid slot argument"),
+        ({"cursor": "\u0661\u0660\u0663"}, "invalid cursor argument"),
+        ({"cursor": "8000_\u0661"}, "invalid cursor argument"),
+        # More digits than int() converts.
+        ({"limit": "1" * 5000}, "invalid limit argument"),
     ],
 )
 def test_error_shape(golden_service, params, message):

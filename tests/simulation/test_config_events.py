@@ -94,6 +94,7 @@ class TestConfig:
             "enable_manifold_incident",
             "enable_eden_mispromise",
             "enable_timestamp_bug",
+            "extended_horizon",
         ],
     )
     def test_removed_fields_rejected_by_overrides(self, field):

@@ -1,12 +1,14 @@
-"""Epoch-segment plans, segment execution, and the extended horizon."""
+"""Epoch-segment plans, segment execution, and the study-window cap."""
 
 from __future__ import annotations
+
+import multiprocessing
 
 import pytest
 
 from repro.constants import STUDY_NUM_DAYS
 from repro.errors import ConfigError
-from repro.perf.sharding import ShardWorkerPool, host_cpu_count, run_sharded
+from repro.perf.sharding import host_cpu_count, run_sharded
 from repro.simulation.config import SimulationConfig, small_test_config
 from repro.simulation.segments import SegmentSpec, run_segment, segment_plan
 from repro.simulation.world import build_world
@@ -68,15 +70,8 @@ def test_zero_shard_workers_rejected():
 
 
 def test_study_window_cap_still_enforced_by_default():
-    with pytest.raises(ConfigError, match="extended_horizon"):
+    with pytest.raises(ConfigError, match="cannot exceed the study window"):
         SimulationConfig(num_days=STUDY_NUM_DAYS + 1)
-
-
-def test_extended_horizon_lifts_the_cap():
-    config = small_test_config(
-        num_days=STUDY_NUM_DAYS + 12, extended_horizon=True
-    )
-    assert config.num_days == STUDY_NUM_DAYS + 12
 
 
 # -- segment execution -----------------------------------------------------
@@ -105,42 +100,13 @@ def test_run_segment_returns_serializable_delta():
     )
 
 
-def test_extended_horizon_world_runs_past_the_study_window():
+def test_process_pool_shut_down_after_the_run():
     config = small_test_config(
-        num_days=STUDY_NUM_DAYS + 4,
-        blocks_per_day=1,
-        num_validators=30,
-        num_users=20,
-        network_nodes=8,
-        mean_user_txs_per_slot=2.0,
-        num_lending_positions=4,
-        num_long_tail_builders=2,
-        max_active_builders_per_slot=2,
-        extended_horizon=True,
-        segment_days=101,
-        shard_workers=2,
+        num_days=4, blocks_per_day=6, segment_days=2, shard_workers=2
     )
     run = run_sharded(config)
-    assert len(run.dataset.blocks) > 0
-    days = {obs.date for obs in run.dataset.blocks}
-    assert len(days) > STUDY_NUM_DAYS - 40  # some slots miss; most days land
-    assert run.digest() == run_sharded(config).digest()
-
-
-# -- the shard worker pool -------------------------------------------------
-
-
-def test_shard_worker_pool_context_manager_shuts_down():
-    with ShardWorkerPool(workers=2) as pool:
-        future = pool.executor().submit(divmod, 7, 2)
-        assert future.result() == (3, 1)
-    assert pool._executor is None
-    pool.shutdown()  # idempotent
-
-
-def test_shard_worker_pool_rejects_zero_workers():
-    with pytest.raises(ValueError):
-        ShardWorkerPool(workers=0)
+    assert len(run.deltas) == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_host_cpu_count_positive():

@@ -47,7 +47,7 @@ class TestCleanMatrix:
 
     def test_artifact_cache_round_trips(self, clean_report):
         assert (
-            clean_report.artifact_roundtrip_digest
+            clean_report.artifact_roundtrip_digests[GROUP_DEFAULT]
             == clean_report.results[0].dataset_digest
         )
 
@@ -75,7 +75,7 @@ class TestFaultedMatrix:
             # The fault plan is part of the artifact key, so the faulted
             # dataset caches and round-trips like a clean one.
             assert (
-                report.artifact_roundtrip_digest
+                report.artifact_roundtrip_digests[GROUP_DEFAULT]
                 == report.results[0].dataset_digest
             )
             return [(r.world_digest, r.dataset_digest) for r in report.results]
