@@ -91,29 +91,23 @@ class SlotAuction:
         ctx: SlotContext,
         proposer: Validator,
         active_builders: list[str],
-    ) -> list[BuilderSubmission]:
+    ) -> None:
         ordered = [
             builder
             for builder in (self.builders.get(name) for name in active_builders)
             if builder is not None
         ]
         # Builds run in active-builder order: they share the slot's RNG
-        # stream, so the order fixes every draw.
-        submissions: list[BuilderSubmission] = []
+        # stream, so the order fixes every draw.  Each relay keeps its own
+        # best accepted bid for the proposer phase.
         for builder in ordered:
             submission = builder.build(ctx, proposer)
             if submission is None:
                 continue
-            accepted_anywhere = False
             for relay_name in builder.relays:
                 relay = self.relays.get(relay_name)
-                if relay is None:
-                    continue
-                if relay.receive_submission(submission, ctx.day):
-                    accepted_anywhere = True
-            if accepted_anywhere:
-                submissions.append(submission)
-        return submissions
+                if relay is not None:
+                    relay.receive_submission(submission, ctx.day)
 
     # -- proposer phase ----------------------------------------------------
 

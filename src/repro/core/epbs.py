@@ -108,20 +108,32 @@ class EnshrinedPBSAuction(SlotAuction):
         """Produce this slot's block through the enshrined two-phase slot.
 
         Every proposer participates (the scheme is enshrined, not opt-in);
-        local building remains only as the no-bids fallback.
+        local building remains only as the no-bids fallback.  The staked
+        builders' builds are timed as ``builder_phase``; bid selection,
+        reveal, the PTC vote and settlement as ``proposer_phase``.
         """
-        ordered = [
-            builder
-            for builder in (self.builders.get(name) for name in active_builders)
-            if builder is not None
-            and self.registry.is_active(builder.name, ctx.day)
-        ]
-        submissions: list[BuilderSubmission] = []
-        for builder in ordered:
-            submission = builder.build(ctx, proposer)
-            if submission is not None:
-                submissions.append(submission)
+        with ctx.perf.timer("builder_phase"):
+            ordered = [
+                builder
+                for builder in (self.builders.get(name) for name in active_builders)
+                if builder is not None
+                and self.registry.is_active(builder.name, ctx.day)
+            ]
+            submissions: list[BuilderSubmission] = []
+            for builder in ordered:
+                submission = builder.build(ctx, proposer)
+                if submission is not None:
+                    submissions.append(submission)
+        with ctx.perf.timer("proposer_phase"):
+            return self._commit_and_reveal(ctx, proposer, submissions)
 
+    def _commit_and_reveal(
+        self,
+        ctx: SlotContext,
+        proposer: Validator,
+        submissions: list[BuilderSubmission],
+    ) -> SlotOutcome:
+        """Bid selection, payload reveal, the PTC vote and settlement."""
         # Phase 1: the proposer commits to the highest signed bid.
         best = self._select(submissions)
         if best is None:

@@ -36,6 +36,7 @@ from ..mev.searcher import (
 from ..types import derive_address, derive_pubkey, ether
 from .config import SimulationConfig
 from .events import Timeline
+from .sampling import WeightedPick
 
 # ---------------------------------------------------------------------------
 # Relays (Tables 2 and 3)
@@ -293,27 +294,23 @@ def build_validators(
         for validator in registry.add_many(entity, count):
             profiles[validator.index] = profile
     solo_count = max(0, config.num_validators - len(registry))
-    profile_names = list(PROFILE_SHARES)
-    profile_weights = np.array([PROFILE_SHARES[name] for name in profile_names])
-    profile_weights = profile_weights / profile_weights.sum()
+    profile_pick = WeightedPick(
+        list(PROFILE_SHARES), list(PROFILE_SHARES.values())
+    )
     for index in range(solo_count):
         validator = registry.add(f"solo-{index:05d}")
-        profiles[validator.index] = str(
-            rng.choice(profile_names, p=profile_weights)
-        )
+        profiles[validator.index] = profile_pick.choose(rng, 1)[0]
 
     never = 10**9
+    shares = [pbs_adoption_share(day) for day in range(config.num_days)]
     for validator in registry:
         if validator.entity == "AnkrPool":
             adoption[validator.index] = never
             continue
         draw = float(rng.random())
-        adoption_day = never
-        for day in range(config.num_days):
-            if pbs_adoption_share(day) >= draw:
-                adoption_day = day
-                break
-        adoption[validator.index] = adoption_day
+        adoption[validator.index] = next(
+            (day for day, share in enumerate(shares) if share >= draw), never
+        )
     return registry, profiles, adoption
 
 

@@ -73,16 +73,19 @@ from .entities import (
 )
 from .events import default_timeline
 from .faults import apply_fault
+from .sampling import WeightedPick
 from .segments import SEGMENT_STREAM_SALT, SegmentSpec
 
 _SECONDS_PER_DAY = 86_400
 _MEMPOOL_TTL_SECONDS = 0.75 * _SECONDS_PER_DAY
 _GENESIS_TIME = 1_663_224_179  # merge timestamp (2022-09-15 06:42:59 UTC)
 
-# Candidate tokens for user ERC-20 transfers.  A pre-built array keeps
-# ``rng.choice`` from re-converting the list on every generated transaction
-# (the draw sequence is identical either way).
-_TRANSFER_TOKENS = np.array(["USDC", "DAI", "USDT", "WBTC", "ALT1", "ALT2"])
+# Candidate tokens for user ERC-20 transfers, sanctioned-actor token
+# movements and new lending positions (each picked by an index draw).
+_TRANSFER_TOKENS = ("USDC", "DAI", "USDT", "WBTC", "ALT1", "ALT2")
+_SANCTIONED_TOKENS = ("USDC", "USDT", "DAI")
+_COLLATERAL_TOKENS = ("WBTC", "WETH", "ALT1")
+_DEBT_TOKENS = ("USDC", "DAI")
 
 # User workload mix: swaps, then token transfers, the rest ETH transfers;
 # independently, the share of user transactions sent as private flow.
@@ -233,11 +236,10 @@ class World:
             name: long_tail_start_day(index, config.num_days)
             for index, name in enumerate(self._tail_names)
         }
-        # Builder routing, reset by each day's step: order-flow weights, the
-        # sampling arrays built from them, and named builders' relay weights.
-        self._day_flow_weights: dict[str, float] = {}
-        self._flow_sampling_arrays: tuple | None = None
-        self._relay_route_weights: dict[str, dict[str, float]] = {}
+        # Builder routing, rebuilt by each day's step: the order-flow pick
+        # over builders with flow, and each named builder's relay-route pick.
+        self._flow_pick: WeightedPick | None = None
+        self._route_picks: dict[str, WeightedPick] = {}
 
         # Regime wiring: who runs the per-slot auction.
         self.builder_registry: BuilderRegistry | None = None
@@ -278,7 +280,7 @@ class World:
         self._ankr_deposit = derive_address("exchange", "ankr-deposit")
         self._borrower_counter = 0
         # Swap-eligible pool ids; built on first use (pools are static).
-        self._swap_pool_ids: np.ndarray | None = None
+        self._swap_pool_ids: tuple[str, ...] | None = None
         # (pool set, arbitrage cycles through it); built on first use.
         self._cached_cycles: tuple | None = None
 
@@ -413,8 +415,10 @@ class World:
         market = self.defi.markets[market_id]
         borrower = derive_address("borrower", self._borrower_counter)
         self._borrower_counter += 1
-        collateral_token = str(rng.choice(["WBTC", "WETH", "ALT1"]))
-        debt_token = str(rng.choice(["USDC", "DAI"]))
+        collateral_token = _COLLATERAL_TOKENS[
+            int(rng.integers(0, len(_COLLATERAL_TOKENS)))
+        ]
+        debt_token = _DEBT_TOKENS[int(rng.integers(0, len(_DEBT_TOKENS)))]
         collateral_value_eth = float(rng.uniform(4.0, 40.0))
         decimals_c = self.defi.tokens.token(collateral_token).decimals
         decimals_d = self.defi.tokens.token(debt_token).decimals
@@ -449,8 +453,6 @@ class World:
                 self.oracle.set_price("USDC", 0.88)
             if day == self.timeline.usdc_depeg_day + 2:
                 self.oracle.set_price("USDC", 0.99)
-        for relay in self.relays.values():
-            relay.refresh_sanctions_view(self.sanctions, date)
         self._top_up_users()
         refill = self.config.lending_refill_per_day
         if refill < 0:
@@ -463,45 +465,62 @@ class World:
         # The builder registry processes the day's deposits/activations.
         if self.builder_registry is not None:
             self.builder_registry.process_day(day)
-        # Refresh validator MEV-Boost configurations.  Only the mev_boost
-        # regime has MEV-Boost at all: under ePBS the protocol runs the
-        # auction for every proposer, and under local everyone self-builds.
+        # Refresh relay sanctions views and validator MEV-Boost
+        # configurations.  Only the mev_boost regime has relays and
+        # MEV-Boost at all: under ePBS the protocol runs the auction for
+        # every proposer, and under local everyone self-builds.
         if self.config.regime == "mev_boost":
+            for relay in self.relays.values():
+                relay.refresh_sanctions_view(self.sanctions, date)
+            menus = {
+                profile: calibration.relay_menu(profile, day)
+                for profile in set(self._profiles.values())
+            }
+            min_bid_wei = ether(self.config.min_bid_eth)
             for validator in self.validators:
-                adopted = self._adoption[validator.index] <= day
-                if not adopted:
-                    validator.disable_mev_boost()
-                    continue
-                menu = calibration.relay_menu(self._profiles[validator.index], day)
+                menu = (
+                    menus[self._profiles[validator.index]]
+                    if self._adoption[validator.index] <= day
+                    else ()
+                )
                 if menu:
                     validator.configure_mev_boost(menu)
-                    validator.min_bid_wei = ether(self.config.min_bid_eth)
+                    validator.min_bid_wei = min_bid_wei
                 else:
                     validator.disable_mev_boost()
         else:
             for validator in self.validators:
                 validator.disable_mev_boost()
-        # Builder relay routing and activity for the day.
-        self._day_flow_weights = {
+        # Builder order flow and relay routing for the day.
+        flow = {
             name: calibration.builder_flow_weight(name, day)
             for name in self.builders
             if not name.startswith("builder-")
         }
         for name in self._tail_names:
-            live = self._tail_start[name] <= day
-            self._day_flow_weights[name] = 0.001 if live else 0.0
+            flow[name] = 0.001 if self._tail_start[name] <= day else 0.0
+        with_flow = [name for name, weight in flow.items() if weight > 0]
+        self._flow_pick = (
+            WeightedPick(with_flow, [flow[name] for name in with_flow])
+            if with_flow
+            else None
+        )
+        tail_relays = tuple(
+            relay
+            for relay in calibration.LONG_TAIL_RELAY_POOL
+            if calibration.relay_is_live(relay, day)
+        )
+        self._route_picks = {}
         for name, builder in self.builders.items():
             if name.startswith("builder-"):
-                pool = [
-                    relay
-                    for relay in calibration.LONG_TAIL_RELAY_POOL
-                    if calibration.relay_is_live(relay, day)
-                ]
-                builder.relays = tuple(pool)
-            else:
-                weights = calibration.builder_relay_weights(name, day)
-                builder.relays = tuple(sorted(weights))
-                self._relay_route_weights[name] = weights
+                builder.relays = tail_relays
+                continue
+            weights = calibration.builder_relay_weights(name, day)
+            builder.relays = tuple(sorted(weights))
+            if weights:
+                self._route_picks[name] = WeightedPick(
+                    list(weights), list(weights.values())
+                )
 
     # ------------------------------------------------------------------
     # Transaction generation
@@ -552,7 +571,7 @@ class World:
                 sender, slot, max_fee, priority, sophistication, rng
             )
         elif roll < _SWAP_TX_SHARE + _TOKEN_TX_SHARE:
-            token = str(rng.choice(_TRANSFER_TOKENS))
+            token = _TRANSFER_TOKENS[int(rng.integers(0, len(_TRANSFER_TOKENS)))]
             recipient = self.users[int(rng.integers(0, len(self.users)))]
             balance = self.defi.tokens.balance_of(token, sender)
             amount = max(1, int(balance * float(rng.uniform(0.001, 0.02))))
@@ -590,19 +609,17 @@ class World:
         sophistication: float,
         rng: np.random.Generator,
     ) -> Transaction:
-        # Pools are static after world setup, so the candidate array (and
-        # its numpy conversion inside ``rng.choice``) is built only once.
+        # Pools are static after world setup, so the candidates are listed
+        # only once.
         pool_ids = self._swap_pool_ids
         if pool_ids is None:
-            pool_ids = np.array(
-                [
-                    pool_id
-                    for pool_id in self.defi.amm.pool_ids()
-                    if "TRON" not in pool_id
-                ]
+            pool_ids = tuple(
+                pool_id
+                for pool_id in self.defi.amm.pool_ids()
+                if "TRON" not in pool_id
             )
             self._swap_pool_ids = pool_ids
-        pool_id = str(rng.choice(pool_ids))
+        pool_id = pool_ids[int(rng.integers(0, len(pool_ids)))]
         pool = self.defi.amm.pool(pool_id)
         token_in = pool.spec.token0 if rng.random() < 0.5 else pool.spec.token1
         is_victim = bool(rng.random() < _VICTIM_SWAP_RATE)
@@ -661,7 +678,9 @@ class World:
         elif roll < 0.65:
             sender, actions = user, [EthTransfer(sanctioned, ether(float(rng.uniform(0.5, 10.0))))]
         else:
-            token = str(rng.choice(["USDC", "USDT", "DAI"]))
+            token = _SANCTIONED_TOKENS[
+                int(rng.integers(0, len(_SANCTIONED_TOKENS)))
+            ]
             decimals = self.defi.tokens.token(token).decimals
             amount = int(float(rng.uniform(1_000, 50_000)) * 10**decimals)
             if roll < 0.85:
@@ -780,7 +799,8 @@ class World:
         config = self.config
         slot_seconds = config.seconds_per_simulated_slot
         for day in range(day_start, day_end):
-            self._advance_day(day)
+            with self.perf.timer("day_step"):
+                self._advance_day(day)
             date = MERGE_DATE + datetime.timedelta(days=day)
             for slot_in_day in range(config.blocks_per_day):
                 global_index = day * config.blocks_per_day + slot_in_day
@@ -979,47 +999,18 @@ class World:
                     routed.setdefault(target, []).append(bundle)
         return routed
 
-    def _flow_arrays(self) -> tuple[list[str], "np.ndarray | None"]:
-        """Positive-weight builder names and normalized sampling probs.
-
-        Rebuilt only when the day's flow weights change (the dict is
-        replaced each day); rebuilding per sampled tx was a measured
-        hotspot.
-        """
-        weights = self._day_flow_weights
-        if not weights:
-            return [], None
-        cached = self._flow_sampling_arrays
-        if cached is None or cached[0] is not weights:
-            names = [name for name, weight in weights.items() if weight > 0]
-            if names:
-                probs = np.array([weights[name] for name in names], dtype=float)
-                probs = probs / probs.sum()
-            else:
-                probs = None
-            cached = (weights, names, probs)
-            self._flow_sampling_arrays = cached
-        return cached[1], cached[2]
-
     def _sample_builders_by_weight(self, count: int) -> tuple[str, ...]:
-        names, probs = self._flow_arrays()
-        if not names:
+        if self._flow_pick is None:
             return ()
-        count = min(count, len(names))
-        chosen = self._rng_searchers.choice(
-            names, size=count, replace=False, p=probs
-        )
-        return tuple(str(name) for name in np.atleast_1d(chosen))
+        return self._flow_pick.choose(self._rng_searchers, count)
 
     def _pick_active_builders(self, day: int) -> list[str]:
-        names, probs = self._flow_arrays()
-        if not names:
+        rng = self._rng_auction
+        if self._flow_pick is None:
             return []
-        count = min(self.config.max_active_builders_per_slot, len(names))
-        chosen = self._rng_auction.choice(
-            names, size=count, replace=False, p=probs
+        active = list(
+            self._flow_pick.choose(rng, self.config.max_active_builders_per_slot)
         )
-        active = [str(name) for name in np.atleast_1d(chosen)]
         # Builders with a scripted event today always show up to work —
         # the incidents happened, so their actors must be present.
         for name, builder in self.builders.items():
@@ -1036,16 +1027,9 @@ class World:
         # Builders submit to a per-slot sampled subset of their relay routes.
         for name in active:
             builder = self.builders[name]
-            route = self._relay_route_weights.get(name)
-            if route:
-                relay_names = list(route)
-                relay_probs = np.array([route[r] for r in relay_names], dtype=float)
-                relay_probs = relay_probs / relay_probs.sum()
-                take = min(len(relay_names), 1 + int(self._rng_auction.random() < 0.25))
-                picked = self._rng_auction.choice(
-                    relay_names, size=take, replace=False, p=relay_probs
-                )
-                relays = {str(r) for r in np.atleast_1d(picked)}
+            route = self._route_picks.get(name)
+            if route is not None:
+                relays = set(route.choose(rng, 1 + int(rng.random() < 0.25)))
                 # The exploit requires submitting to the relays whose
                 # validation the inflated claims abuse (Manifold in the
                 # paper's incident; scenarios can target any relay).

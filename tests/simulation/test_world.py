@@ -120,3 +120,16 @@ class TestDeterminism:
         blocks_before = len(small_world.chain)
         small_world.run()  # second call is a no-op
         assert len(small_world.chain) == blocks_before
+
+
+class TestPerfTimers:
+    def test_run_times_the_day_step(self, small_world):
+        assert small_world.perf.seconds("day_step") > 0.0
+
+    def test_epbs_run_times_both_auction_phases(self):
+        world = build_world(
+            small_test_config(num_days=2, blocks_per_day=4, regime="epbs")
+        ).run()
+        assert world.perf.seconds("builder_phase") > 0.0
+        assert world.perf.seconds("proposer_phase") > 0.0
+        assert 0.0 < world.perf.share("builder_phase", "slot_loop") < 1.0
