@@ -91,7 +91,7 @@ def _simulate_path(
     for pool in pools:
         try:
             out = pool.quote_out(token, amount)
-        except (SwapError, Exception):
+        except SwapError:
             return None
         if out <= 0:
             return None

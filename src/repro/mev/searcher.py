@@ -10,7 +10,7 @@ competitiveness of the builder market they sell into.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable, Hashable, TypeVar
 
 import numpy as np
 
@@ -41,6 +41,8 @@ from .sandwich import plan_sandwich
 
 _PRIORITY_FEE = gwei(1)
 
+_Plan = TypeVar("_Plan")
+
 
 @dataclass
 class SlotView:
@@ -59,8 +61,11 @@ class SlotView:
     # Local nonce allocation on top of the canonical state, so a searcher
     # can craft several transactions per slot without colliding.
     _nonce_offsets: dict[Address, int] = field(default_factory=dict)
-    # Shared memo for planning work that is identical across searchers
-    # looking at the same slot (e.g. the liquidation scan).
+    # Plans shared by every searcher planning this slot, keyed by what each
+    # plan depends on beyond the slot itself.  Reserves, balances, the
+    # mempool and the oracle do not change while searchers plan a slot, so
+    # a plan computed for one searcher is exactly the plan any other
+    # searcher with the same key would compute.
     _plan_cache: dict = field(default_factory=dict)
 
     def next_nonce(self, address: Address) -> int:
@@ -70,6 +75,20 @@ class SlotView:
 
     def max_fee(self) -> Wei:
         return self.base_fee * 2 + _PRIORITY_FEE
+
+    def plan_once(
+        self, key: Hashable, plan: Callable[..., _Plan], *args: Any, **kwargs: Any
+    ) -> _Plan:
+        """``plan(*args, **kwargs)``, run on the slot's first request for ``key``.
+
+        Later requests in the same slot, from any searcher, get the first
+        result, ``None`` included.
+        """
+        try:
+            return self._plan_cache[key]
+        except KeyError:
+            result = self._plan_cache[key] = plan(*args, **kwargs)
+            return result
 
 
 class Searcher:
@@ -122,17 +141,19 @@ class SandwichSearcher(Searcher):
 
     def find_bundles(self, view: SlotView) -> list[Bundle]:
         bundles: list[Bundle] = []
-        for victim_tx in view.mempool_txs:
-            swap = _single_swap_action(victim_tx)
-            if swap is None or swap.token_in != "WETH":
-                continue
-            if swap.amount_in < self.min_victim_amount:
-                continue
+        victims = view.plan_once(
+            ("sandwich-victims", self.min_victim_amount),
+            _sandwich_victims,
+            view.mempool_txs,
+            self.min_victim_amount,
+        )
+        for victim_tx, swap in victims:
             if not self._spots(view):
                 continue
-            pool = view.amm.pool(swap.pool_id)
-            plan = plan_sandwich(
-                pool,
+            plan = view.plan_once(
+                ("sandwich", victim_tx.tx_hash, self.min_profit_wei),
+                plan_sandwich,
+                view.amm.pool(swap.pool_id),
                 swap.amount_in,
                 swap.min_amount_out,
                 swap.token_in,
@@ -214,7 +235,9 @@ class ArbitrageSearcher(Searcher):
         for cycle in self._cycles:
             if not self._spots(view):
                 continue
-            plan = plan_cycle_arbitrage(
+            plan = view.plan_once(
+                ("arbitrage", cycle, budget, self.min_profit_wei),
+                plan_cycle_arbitrage,
                 view.amm,
                 cycle,
                 max_input=budget,
@@ -270,18 +293,14 @@ class LiquidationSearcher(Searcher):
 
     def find_bundles(self, view: SlotView) -> list[Bundle]:
         bundles: list[Bundle] = []
-        # Every liquidation searcher scans the same market snapshot, so the
-        # (deterministic) plan list is computed once per slot and shared.
-        cache_key = ("liquidations", self.min_bonus_wei)
-        plans = view._plan_cache.get(cache_key)
-        if plans is None:
-            plans = plan_liquidations(
-                view.markets,
-                view.oracle,
-                view.tokens,
-                min_bonus_wei=self.min_bonus_wei,
-            )
-            view._plan_cache[cache_key] = plans
+        plans = view.plan_once(
+            ("liquidations", self.min_bonus_wei),
+            plan_liquidations,
+            view.markets,
+            view.oracle,
+            view.tokens,
+            min_bonus_wei=self.min_bonus_wei,
+        )
         for plan in plans:
             if not self._spots(view):
                 continue
@@ -312,6 +331,19 @@ class LiquidationSearcher(Searcher):
                 )
             )
         return bundles
+
+
+def _sandwich_victims(
+    txs: list[Transaction], min_amount: int
+) -> list[tuple[Transaction, SwapExact]]:
+    """Single-swap transactions selling at least ``min_amount`` WETH, in order."""
+    victims = []
+    for tx in txs:
+        swap = _single_swap_action(tx)
+        if swap is None or swap.token_in != "WETH" or swap.amount_in < min_amount:
+            continue
+        victims.append((tx, swap))
+    return victims
 
 
 def _single_swap_action(tx: Transaction) -> SwapExact | None:

@@ -100,6 +100,14 @@ _VICTIM_SWAP_RATE = 0.32
 # Per-slot chance the naive public mempool bots try a liquidation (and
 # 0.8 of it for a cyclic arbitrage).
 _PUBLIC_SEARCHER_SKILL = 0.35
+# Daily top-ups: a holder below the floor gets the amount minted (WETH is
+# refilled up to its target instead).
+_USER_WETH_FLOOR, _USER_WETH_TARGET = ether(20), ether(40)
+_USER_ETH_FLOOR, _USER_ETH_TOP_UP = ether(10), ether(30)
+_USER_USDC_FLOOR, _USER_USDC_TOP_UP = 10_000 * 10**6, 40_000 * 10**6
+_USER_DAI_FLOOR, _USER_DAI_TOP_UP = ether(10_000), ether(40_000)
+_SEARCHER_ETH_FLOOR, _SEARCHER_ETH_TOP_UP = ether(500), ether(2_000)
+_PUBLIC_BOT_ETH_FLOOR, _PUBLIC_BOT_ETH_TOP_UP = ether(100), ether(400)
 
 
 @dataclass
@@ -386,24 +394,24 @@ class World:
         the victim-swap supply — and with it all MEV — dries up, which the
         real market does not do.
         """
-        tokens = self.defi.tokens
-        floor_weth = 20 * 10**18
+        token_balance, token_mint = self.defi.tokens.balance_of, self.defi.tokens.mint
+        eth_balance, eth_mint = self.state.balance_of, self.state.mint
         for user in self.users:
-            held = tokens.balance_of("WETH", user)
-            if held < floor_weth:
-                tokens.mint("WETH", user, 40 * 10**18 - held)
-            if self.state.balance_of(user) < ether(10):
-                self.state.mint(user, ether(30))
-            if tokens.balance_of("USDC", user) < 10_000 * 10**6:
-                tokens.mint("USDC", user, 40_000 * 10**6)
-            if tokens.balance_of("DAI", user) < 10_000 * 10**18:
-                tokens.mint("DAI", user, 40_000 * 10**18)
+            held = token_balance("WETH", user)
+            if held < _USER_WETH_FLOOR:
+                token_mint("WETH", user, _USER_WETH_TARGET - held)
+            if eth_balance(user) < _USER_ETH_FLOOR:
+                eth_mint(user, _USER_ETH_TOP_UP)
+            if token_balance("USDC", user) < _USER_USDC_FLOOR:
+                token_mint("USDC", user, _USER_USDC_TOP_UP)
+            if token_balance("DAI", user) < _USER_DAI_FLOOR:
+                token_mint("DAI", user, _USER_DAI_TOP_UP)
         for searcher in self.searchers:
             # Professional searchers rebalance their gas/tip inventory.
-            if self.state.balance_of(searcher.address) < ether(500):
-                self.state.mint(searcher.address, ether(2_000))
-        if self.state.balance_of(self._public_bot) < ether(100):
-            self.state.mint(self._public_bot, ether(400))
+            if eth_balance(searcher.address) < _SEARCHER_ETH_FLOOR:
+                eth_mint(searcher.address, _SEARCHER_ETH_TOP_UP)
+        if eth_balance(self._public_bot) < _PUBLIC_BOT_ETH_FLOOR:
+            eth_mint(self._public_bot, _PUBLIC_BOT_ETH_TOP_UP)
 
     def _seed_lending_positions(self, count: int) -> None:
         for _ in range(count):
@@ -468,7 +476,8 @@ class World:
         # Refresh relay sanctions views and validator MEV-Boost
         # configurations.  Only the mev_boost regime has relays and
         # MEV-Boost at all: under ePBS the protocol runs the auction for
-        # every proposer, and under local everyone self-builds.
+        # every proposer, and under local everyone self-builds, so their
+        # validators keep MEV-Boost off as they start.
         if self.config.regime == "mev_boost":
             for relay in self.relays.values():
                 relay.refresh_sanctions_view(self.sanctions, date)
@@ -488,9 +497,6 @@ class World:
                     validator.min_bid_wei = min_bid_wei
                 else:
                     validator.disable_mev_boost()
-        else:
-            for validator in self.validators:
-                validator.disable_mev_boost()
         # Builder order flow and relay routing for the day.
         flow = {
             name: calibration.builder_flow_weight(name, day)

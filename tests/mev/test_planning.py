@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.defi.amm import AmmExchange
+from repro.defi.amm import AmmExchange, LiquidityPool
 from repro.defi.lending import LendingMarket
 from repro.defi.oracle import PriceOracle
 from repro.defi.tokens import TokenRegistry
+from repro.errors import SwapError
 from repro.mev.arbitrage import find_arbitrage_cycles, plan_cycle_arbitrage
 from repro.mev.liquidation import plan_liquidations
 from repro.mev.sandwich import plan_sandwich
@@ -116,6 +117,30 @@ class TestArbitragePlanning:
         plan = plan_cycle_arbitrage(amm, cycles[0], max_input=10**18)
         assert plan is not None
         assert plan.amount_in <= 10**18
+
+    def test_quote_errors_mean_no_plan(self, monkeypatch):
+        amm = self._two_pool_setup(1.05)
+        cycle = find_arbitrage_cycles(amm)[0]
+
+        def failing_quote(pool, token_in, amount_in):
+            raise SwapError("no liquidity")
+
+        monkeypatch.setattr(LiquidityPool, "quote_out", failing_quote)
+        assert plan_cycle_arbitrage(amm, cycle) is None
+
+    def test_unexpected_errors_escape_sizing(self, monkeypatch):
+        amm = self._two_pool_setup(1.05)
+        cycle = find_arbitrage_cycles(amm)[0]
+        real_quote = LiquidityPool.quote_out
+
+        def broken_quote(pool, token_in, amount_in):
+            if pool.pool_id == cycle[-1]:
+                raise RuntimeError("quote bug")
+            return real_quote(pool, token_in, amount_in)
+
+        monkeypatch.setattr(LiquidityPool, "quote_out", broken_quote)
+        with pytest.raises(RuntimeError, match="quote bug"):
+            plan_cycle_arbitrage(amm, cycle)
 
     def test_no_cycles_without_start_token(self):
         tokens = TokenRegistry()

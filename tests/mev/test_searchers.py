@@ -1,5 +1,8 @@
 """Unit tests for searcher agents and bundles."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from repro.mev.bundles import (
     KIND_SANDWICH,
     make_bundle,
 )
+import repro.mev.searcher as searcher_module
 from repro.mev.searcher import (
     ArbitrageSearcher,
     LiquidationSearcher,
@@ -29,6 +33,7 @@ from repro.mev.searcher import (
 from repro.types import derive_address, ether, gwei
 
 SEARCHER_ADDR = derive_address("srch", "bot")
+RIVAL_ADDR = derive_address("srch", "rival")
 
 
 def _view(tokens, amm, markets=None, oracle=None, mempool_txs=None):
@@ -85,7 +90,8 @@ class TestBundles:
 
 
 class TestSandwichSearcher:
-    def _victim(self, tokens, amm, slack=0.95, amount=10 * 10**18):
+    @staticmethod
+    def _victim(tokens, amm, slack=0.95, amount=10 * 10**18):
         factory = TransactionFactory()
         victim_addr = derive_address("srch", "victim")
         quote = amm.pool("WETH-USDC-30").quote_out("WETH", amount)
@@ -173,6 +179,122 @@ class TestArbitrageSearcher:
         broke = derive_address("srch", "broke")
         searcher = ArbitrageSearcher("bot", broke, skill=1.0)
         assert searcher.find_bundles(_view(tokens, amm)) == []
+
+
+def _counting(monkeypatch, name):
+    """Replace ``repro.mev.searcher.<name>`` with a wrapper counting calls."""
+    real = getattr(searcher_module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(searcher_module, name, counted)
+    return calls
+
+
+def _search_slot(searchers, view, share_plans):
+    """Each searcher's bundles in order, then the view's next draw.
+
+    Bundle ids come from a process-wide counter, so they are blanked.
+    """
+    found = []
+    for searcher in searchers:
+        if not share_plans:
+            view._plan_cache.clear()
+        found.append(
+            [replace(bundle, bundle_id="") for bundle in searcher.find_bundles(view)]
+        )
+    return found, view.rng.random()
+
+
+class TestSharedSlotPlans:
+    """Searchers in one slot share plans without moving a draw or a bundle."""
+
+    @staticmethod
+    def _arb_world(rival_budget):
+        tokens = TokenRegistry()
+        for symbol, decimals in (("WETH", 18), ("USDC", 6), ("DAI", 18)):
+            tokens.deploy(symbol, decimals)
+        amm = AmmExchange(tokens)
+        amm.register_pool("WETH", "USDC", 1_000 * 10**18, 1_500_000 * 10**6)
+        amm.register_pool(
+            "WETH", "USDC", 1_000 * 10**18, 1_600_000 * 10**6, fee_bps=5
+        )
+        amm.register_pool("WETH", "DAI", 1_000 * 10**18, 1_450_000 * 10**18)
+        amm.register_pool(
+            "USDC", "DAI", 5_000_000 * 10**6, 5_000_000 * 10**18, fee_bps=5
+        )
+        tokens.mint("WETH", SEARCHER_ADDR, 500 * 10**18)
+        tokens.mint("WETH", RIVAL_ADDR, rival_budget)
+        return tokens, amm
+
+    @staticmethod
+    def _arb_searchers():
+        return [
+            ArbitrageSearcher("arb-a", SEARCHER_ADDR, skill=1.0),
+            ArbitrageSearcher("arb-b", RIVAL_ADDR, skill=1.0, bid_fraction=0.7),
+        ]
+
+    def _arb_run(self, monkeypatch, rival_budget, share_plans):
+        tokens, amm = self._arb_world(rival_budget)
+        calls = _counting(monkeypatch, "plan_cycle_arbitrage")
+        found, next_draw = _search_slot(
+            self._arb_searchers(), _view(tokens, amm), share_plans
+        )
+        return found, next_draw, Counter(args[1] for args in calls)
+
+    def test_equal_budgets_plan_each_cycle_once(self, monkeypatch):
+        shared, shared_draw, shared_calls = self._arb_run(
+            monkeypatch, 500 * 10**18, share_plans=True
+        )
+        alone, alone_draw, alone_calls = self._arb_run(
+            monkeypatch, 500 * 10**18, share_plans=False
+        )
+        assert len(shared_calls) > 1
+        assert set(shared_calls.values()) == {1}
+        assert alone_calls == shared_calls + shared_calls
+        assert all(shared)
+        assert shared == alone
+        assert shared_draw == alone_draw
+
+    def test_unequal_budgets_plan_separately(self, monkeypatch):
+        shared, shared_draw, shared_calls = self._arb_run(
+            monkeypatch, 2 * 10**18, share_plans=True
+        )
+        alone, alone_draw, alone_calls = self._arb_run(
+            monkeypatch, 2 * 10**18, share_plans=False
+        )
+        assert len(shared_calls) > 1
+        assert set(shared_calls.values()) == {2}
+        assert shared_calls == alone_calls
+        assert shared == alone
+        assert shared_draw == alone_draw
+        # The smaller budget caps the rival's trade, so its plans differ.
+        assert shared[0][0].txs[0].actions != shared[1][0].txs[0].actions
+
+    def test_sandwich_victim_scanned_and_planned_once(self, monkeypatch, amm_world):
+        tokens, amm = amm_world
+        victim = TestSandwichSearcher._victim(tokens, amm)
+
+        def run(share_plans):
+            scans = _counting(monkeypatch, "_sandwich_victims")
+            plans = _counting(monkeypatch, "plan_sandwich")
+            searchers = [
+                SandwichSearcher("sw-a", SEARCHER_ADDR, skill=1.0),
+                SandwichSearcher("sw-b", RIVAL_ADDR, skill=1.0, bid_fraction=0.6),
+            ]
+            view = _view(tokens, amm, mempool_txs=[victim])
+            return _search_slot(searchers, view, share_plans), len(scans), len(plans)
+
+        (shared, shared_draw), shared_scans, shared_plans = run(True)
+        (alone, alone_draw), alone_scans, alone_plans = run(False)
+        assert (shared_scans, shared_plans) == (1, 1)
+        assert (alone_scans, alone_plans) == (2, 2)
+        assert [len(bundles) for bundles in shared] == [1, 1]
+        assert shared == alone
+        assert shared_draw == alone_draw
 
 
 class TestLiquidationSearcher:

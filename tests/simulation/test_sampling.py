@@ -111,16 +111,23 @@ def test_index_draw_matches_unweighted_choice(length):
         assert actual.integers(0, 2**40) == expected.integers(0, 2**40)
 
 
-def test_day_step_installs_each_profiles_relay_menu():
+@pytest.mark.parametrize("regime", ["mev_boost", "epbs", "local"])
+def test_day_step_installs_each_profiles_relay_menu(regime):
     # The digest pins stop at day 70; the menus change until day 165.
     world = build_world(
-        small_test_config(num_days=198, num_validators=60, min_bid_eth=0.05)
+        small_test_config(
+            num_days=198, num_validators=60, min_bid_eth=0.05, regime=regime
+        )
     )
     min_bid_wei = ether(0.05)
     for day in range(198):
         world._advance_day(day)
         for validator in world.validators:
-            if world._adoption[validator.index] <= day:
+            if regime != "mev_boost":
+                # Only MEV-Boost has relay menus; validators keep it off.
+                assert not validator.uses_mev_boost, (day, validator.index)
+                assert validator.relays == ()
+            elif world._adoption[validator.index] <= day:
                 menu = calibration.relay_menu(world._profiles[validator.index], day)
                 assert validator.relays == menu, (day, validator.index)
                 assert validator.uses_mev_boost == bool(menu)
