@@ -1,37 +1,22 @@
-"""Perf trajectory benchmark: world build throughput and cache economics.
+"""Shard-worker scaling curve: one epoch-segment plan across worker counts.
 
-Measures, in one process and therefore one environment:
+The scenario is partitioned into epoch segments (``segment_days``) and
+executed across ``shard_workers`` processes (:mod:`repro.perf.sharding`),
+once per worker count in ``--shard-curve``.  Every point of the curve
+must produce the *same* sharded run digest (worker count is scheduling,
+not semantics); the curve plus the recorded ``host_cpus`` shows how much
+of the wall time process sharding recovers on this machine.
 
-1. **Optimized cold** — the world built at default settings, with the
-   shared per-slot execution cache and its hit/miss counters.
-2. **Optimized warm** — the steady-state benchmark-session cost: the
-   collected study dataset loaded from the persistent artifact cache
-   (:mod:`repro.perf.artifacts`), which is how ``benchmarks/conftest.py``
-   obtains the world's dataset on every session after the first.
-3. **Sharded scaling curve** — the same scenario partitioned into epoch
-   segments (``segment_days``) and executed across ``shard_workers``
-   processes (:mod:`repro.perf.sharding`), once per worker count in
-   ``--shard-curve``.  Every point of the curve must produce the *same*
-   sharded run digest (worker count is scheduling, not semantics); the
-   curve plus the recorded ``host_cpus`` shows how much of the
-   builder-phase wall time process sharding recovers on this machine.
+Everything else a world costs — setup, simulate, collect, artifact save
+and load, report — is measured by ``perfbench/`` in paired runs with
+pinned digests; this script measures only what perfbench does not.
 
-That the cache never changes a world is a tier-1 test
-(``tests/perf/test_determinism.py``), not a second build here.
+Writes ``BENCH_perf.json`` at the repo root: ``scale`` and ``sharded``
+(seconds, blocks/sec and speedup vs the 1-worker run per curve point,
+plus the merged builder-phase share).  Full scale, or scaled down with
+``--days 4 --blocks 8 --segment-days 2``::
 
-Emits ``BENCH_perf.json`` at the repo root:
-
-- ``optimized_cold`` — seconds, blocks/sec, builder-phase share and the
-  exec-cache counters of the cold build.
-- ``optimized_warm`` — the warm artifact load, reported on its own
-  rather than as a ratio against a cold rebuild.
-- ``sharded`` — the per-worker-count scaling curve (seconds,
-  blocks/sec, speedup vs the 1-worker sharded run) and the merged
-  builder-phase share.
-
-Run directly for the full benchmark scale, or scaled down::
-
-    PYTHONPATH=src python benchmarks/bench_perf_world.py --days 2 --blocks 8 --shard-curve 1,2
+    PYTHONPATH=src python benchmarks/bench_perf_world.py --shard-curve 1,2
 """
 
 from __future__ import annotations
@@ -39,33 +24,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import tempfile
 import time
 from pathlib import Path
 
-from repro.datasets import collect_study_dataset
-from repro.perf.artifacts import (
-    config_content_hash,
-    load_study_artifact,
-    save_study_artifact,
-)
 from repro.perf.sharding import host_cpu_count, run_sharded
-from repro.simulation import SimulationConfig, build_world
+from repro.simulation import SimulationConfig
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _DEFAULT_OUT = _REPO_ROOT / "BENCH_perf.json"
-
-
-def _timed_build(config: SimulationConfig):
-    start = time.perf_counter()
-    world = build_world(config).run()
-    return world, time.perf_counter() - start
-
-
-def _timed(fn, *args) -> float:
-    start = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - start
 
 
 def run_shard_curve(
@@ -136,163 +102,26 @@ def run_shard_curve(
     }
 
 
-def run_columnar_benchmark(
-    config: SimulationConfig,
-    cache_dir: Path | None,
-    collect_secs: float,
-) -> dict:
-    """Columnar economics: the mmap-backed artifact warm load, and the
-    analysis pipeline against the pinned per-object reference.
-
-    The full report pipeline runs twice on the loaded dataset: vectorized
-    over the mmapped columns, and through the per-object loops frozen in
-    ``bench_analysis_legacy`` over its ``blocks`` (a ``LazyBlockList``
-    yields the same ``BlockObservation`` objects a list would).
-    """
-    import sys
-
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from bench_analysis_legacy import (
-        run_legacy_report_pipeline,
-        run_report_pipeline,
-    )
-
-    loaded = load_study_artifact(config, cache_dir)
-    if loaded is None:
-        raise RuntimeError("columnar benchmark artifact failed to round-trip")
-    mmap_secs = min(
-        _timed(load_study_artifact, config, cache_dir) for _ in range(3)
-    )
-
-    # Warm both pipelines once (first-touch page faults, lazy imports,
-    # observation materialization), check they produce bit-identical
-    # figures, then take best-of-N.
-    vectorized = run_report_pipeline(loaded)
-    legacy = run_legacy_report_pipeline(loaded)
-    mismatched = [key for key in vectorized if vectorized[key] != legacy[key]]
-    if mismatched:
-        raise RuntimeError(
-            f"vectorized pipeline diverged from per-object reference: {mismatched}"
-        )
-    vectorized_secs = min(_timed(run_report_pipeline, loaded) for _ in range(5))
-    legacy_secs = min(
-        _timed(run_legacy_report_pipeline, loaded) for _ in range(3)
-    )
-
-    return {
-        "description": (
-            "columnar BlockTable: mmap-backed .npz artifact warm load, and "
-            "the report pipeline (figs 3-18 + table 4) vectorized vs the "
-            "pinned per-object reference"
-        ),
-        "collection_seconds": round(collect_secs, 3),
-        "artifact": {"columnar_warm_load_seconds": round(mmap_secs, 4)},
-        "analysis_pipeline": {
-            "vectorized_seconds": round(vectorized_secs, 4),
-            "legacy_seconds": round(legacy_secs, 4),
-            "speedup": round(legacy_secs / vectorized_secs, 2)
-            if vectorized_secs > 0
-            else None,
-        },
-    }
-
-
 def run_benchmark(
     num_days: int,
     blocks_per_day: int,
-    cache_dir: Path | None = None,
-    segment_days: int = 0,
-    shard_curve: tuple[int, ...] = (),
+    segment_days: int,
+    shard_curve: tuple[int, ...],
 ) -> dict:
-    """Run all three measurements and return the JSON-ready payload."""
-    optimized_cfg = SimulationConfig(
+    """The seed-7 world's scaling curve as the JSON-ready payload."""
+    config = SimulationConfig(
         seed=7, num_days=num_days, blocks_per_day=blocks_per_day
     )
-    optimized_world, optimized_secs = _timed_build(optimized_cfg)
-
-    # Steady-state benchmark session: dataset comes from the artifact
-    # cache instead of a rebuild.  Collection itself is part of the first
-    # (cold) session, so it is measured separately from the load.
-    collect_start = time.perf_counter()
-    dataset = collect_study_dataset(optimized_world)
-    collect_secs = time.perf_counter() - collect_start
-    save_study_artifact(optimized_cfg, dataset, cache_dir)
-    warm_start = time.perf_counter()
-    loaded = load_study_artifact(optimized_cfg, cache_dir)
-    warm_secs = time.perf_counter() - warm_start
-    if loaded is None:
-        raise RuntimeError("artifact cache failed to round-trip the dataset")
-
-    blocks = sum(1 for _ in optimized_world.chain)
-    perf = optimized_world.perf
-    hits = perf.count("exec_cache_hits")
-    misses = perf.count("exec_cache_misses")
-    lookups = hits + misses
-
-    payload = {
-        "scale": {
-            "num_days": num_days,
-            "blocks_per_day": blocks_per_day,
-            "blocks": blocks,
-        },
-        "digest": optimized_world.digest()[:16],
-        "config_hash": config_content_hash(optimized_cfg),
-        "optimized_cold": {
-            "seconds": round(optimized_secs, 3),
-            "blocks_per_second": round(blocks / optimized_secs, 2),
-            "builder_phase_share": round(
-                perf.share("builder_phase", "slot_loop"), 3
-            ),
-            "exec_cache": {
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": round(hits / lookups, 3) if lookups else 0.0,
-            },
-            "dataset_collection_seconds": round(collect_secs, 3),
-        },
-        "optimized_warm": {
-            "description": (
-                "benchmark-session world acquisition after the first "
-                "run: the collected dataset loads from the artifact "
-                "cache instead of re-simulating"
-            ),
-            "seconds": round(warm_secs, 4),
-            "blocks_per_second": round(blocks / warm_secs, 2)
-            if warm_secs > 0
-            else None,
-        },
+    return {
+        "scale": {"num_days": num_days, "blocks_per_day": blocks_per_day},
+        "sharded": run_shard_curve(config, segment_days, shard_curve),
     }
-    payload["columnar"] = run_columnar_benchmark(
-        optimized_cfg, cache_dir, collect_secs
-    )
-    if shard_curve and segment_days > 0:
-        payload["sharded"] = run_shard_curve(
-            optimized_cfg, segment_days, shard_curve
-        )
-    return payload
 
 
-# -- pytest smoke test ------------------------------------------------------
-
-
-def test_perf_world_smoke(tmp_path):
-    """Tiny-scale end-to-end run: the artifact round-trips."""
-    payload = run_benchmark(num_days=2, blocks_per_day=6, cache_dir=tmp_path)
-    assert payload["scale"]["blocks"] > 0
-    assert payload["optimized_warm"]["seconds"] >= 0.0
-    columnar = payload["columnar"]
-    assert columnar["artifact"]["columnar_warm_load_seconds"] >= 0.0
-    assert columnar["analysis_pipeline"]["vectorized_seconds"] >= 0.0
-
-
-def test_shard_curve_smoke(tmp_path):
+def test_shard_curve_smoke():
     """Tiny sharded curve: both worker counts reproduce one digest."""
     payload = run_benchmark(
-        num_days=4,
-        blocks_per_day=6,
-        cache_dir=tmp_path,
-        segment_days=2,
-        shard_curve=(1, 2),
+        num_days=4, blocks_per_day=8, segment_days=2, shard_curve=(1, 2)
     )
     sharded = payload["sharded"]
     assert sharded["digests_equal"] is True
@@ -315,36 +144,22 @@ def main() -> None:
     parser.add_argument("--blocks", type=int, default=40)
     parser.add_argument("--out", type=Path, default=_DEFAULT_OUT)
     parser.add_argument(
-        "--tmp-cache",
-        action="store_true",
-        help="use a throwaway artifact cache dir (CI smoke runs)",
-    )
-    parser.add_argument(
         "--segment-days",
         type=int,
         default=22,
-        help="epoch-segment length for the sharded curve (0 disables)",
+        help="epoch-segment length shared by every curve point",
     )
     parser.add_argument(
         "--shard-curve",
         default="1,2,4,8",
-        help="comma-separated shard_workers counts ('' skips the curve)",
+        help="comma-separated shard_workers counts",
     )
     args = parser.parse_args()
 
-    cache_dir = None
-    if args.tmp_cache:
-        cache_dir = Path(tempfile.mkdtemp(prefix="repro-artifact-"))
-    curve = tuple(
-        int(w) for w in args.shard_curve.split(",") if w.strip()
-    )
-    payload = run_benchmark(
-        args.days,
-        args.blocks,
-        cache_dir,
-        segment_days=args.segment_days,
-        shard_curve=curve,
-    )
+    curve = tuple(int(w) for w in args.shard_curve.split(",") if w.strip())
+    if args.segment_days <= 0 or not curve:
+        parser.error("the curve needs --segment-days > 0 and a worker count")
+    payload = run_benchmark(args.days, args.blocks, args.segment_days, curve)
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
     print(f"\nwrote {args.out}")

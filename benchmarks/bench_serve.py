@@ -1,30 +1,28 @@
-"""Load benchmark for ``python -m repro serve``.
+"""Many-client load benchmark for the ``python -m repro serve`` worker pool.
 
-Boots the service as a subprocess, waits for its ``READY <url>
-workers=<n>`` line, then drives N concurrent keep-alive clients through
-a deterministic workload mix — payload cursor walks (the index-layer
-pagination path), exact-slot submission queries, registration pages,
-the /analysis/* endpoints and service metadata — and reports latency
-percentiles and throughput into ``BENCH_serve.json``.  Percentiles are
-recorded overall *and* per endpoint class (``paginated`` / ``analysis``
-/ ``metadata``), so wins from the wire-encoding caches are attributable
-to the path they touch.
+For each worker count in ``--workers`` (e.g. ``1,2,4``) it boots the
+service as a subprocess with that many pre-forked workers, waits for its
+``READY <url> workers=<n>`` line, then drives the mode's concurrent
+keep-alive clients through a deterministic workload mix — payload cursor
+walks (the index-layer pagination path), exact-slot submission queries,
+registration pages, the /analysis/* endpoints and service metadata.
+Each worker count is one point in ``BENCH_serve.json``: status counts,
+connection failures, throughput and latency percentiles overall *and*
+per endpoint class (``paginated`` / ``analysis`` / ``metadata``), with
+the host's ``host_cpus`` and an ``oversubscribed`` flag on points with
+more workers than CPUs.  perfbench's ``relay-api`` workload measures the
+serve path itself, over two connections to one server; this script
+measures what it does not, many clients against a worker pool.
 
 Modes::
 
-    python benchmarks/bench_serve.py --mode full    # 198-day artifact, >=1000 clients
-    python benchmarks/bench_serve.py --mode smoke   # small world, 100 clients (CI)
+    python benchmarks/bench_serve.py --mode full --workers 1,2,4  # 198-day artifact, 1000 clients
+    python benchmarks/bench_serve.py --mode smoke --workers 1,2   # small world, 100 clients (CI)
 
-``--workers N`` serves through the pre-forked worker pool;
-``--worker-curve 1,2,4`` repeats the run per worker count and records an
-rps/p50/p99 scaling curve (with ``host_cpus`` and per-point
-``oversubscribed`` annotations, matching the ``--shard-curve``
-convention in ``bench_perf_world.py``).
-
-``--baseline BENCH_serve.json`` turns the run into a pass/fail gate:
-any 5xx fails, and so does a p99 above ``max(--max-p99-ratio x the
-committed p99, --p99-floor-ms)`` — the floor absorbs scheduler noise on
-small CI boxes.
+``--baseline BENCH_serve.json`` turns the run into a pass/fail gate on
+every point: any 5xx or connection failure fails, and so does a p99
+above ``max(MAX_P99_RATIO x the committed 1-worker p99, P99_FLOOR_MS)``
+— the floor absorbs scheduler noise on small CI boxes.
 """
 
 from __future__ import annotations
@@ -32,15 +30,20 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import pathlib
 import statistics
 import subprocess
 import sys
 import time
 
+from repro.perf.sharding import host_cpu_count
+
 REPO = pathlib.Path(__file__).resolve().parent.parent
 OUT_PATH = REPO / "BENCH_serve.json"
+#: The gate's p99 bound: this many times the committed 1-worker p99 ...
+MAX_P99_RATIO = 2.0
+#: ... but never below this floor, which absorbs small-runner noise.
+P99_FLOOR_MS = 250.0
 
 PAYLOADS = "/relay/v1/data/bidtraces/proposer_payload_delivered"
 SUBMISSIONS = "/relay/v1/data/bidtraces/builder_blocks_received"
@@ -267,55 +270,52 @@ def _run_point(serve_args: list[str], clients: int, requests: int) -> dict:
         process.wait(timeout=30)
 
 
-def _gate(section: dict, baseline_path: pathlib.Path, mode: str,
-          ratio: float, floor_ms: float) -> list[str]:
+def _gate(points: list[dict], baseline_path: pathlib.Path, mode: str) -> list[str]:
+    """Every point against one bound from the committed 1-worker p99."""
+    baseline = json.loads(baseline_path.read_text()).get(mode, {})
+    committed = {p["workers"]: p for p in baseline.get("points", ())}.get(1)
+    if committed is None:
+        return [f"baseline {baseline_path} has no 1-worker {mode!r} point"]
+    committed_p99 = committed["latency_ms"]["p99"]
+    allowed = max(MAX_P99_RATIO * committed_p99, P99_FLOOR_MS)
     problems = []
-    server_errors = sum(
-        count for status, count in section["status_counts"].items()
-        if status.startswith("5")
-    )
-    if server_errors:
-        problems.append(f"{server_errors} responses were 5xx")
-    if section["connection_failures"]:
-        problems.append(f"{section['connection_failures']} connection failures")
-    baseline = json.loads(baseline_path.read_text()).get(mode)
-    if baseline is None:
-        problems.append(f"baseline {baseline_path} has no {mode!r} section")
-        return problems
-    committed_p99 = baseline["latency_ms"]["p99"]
-    allowed = max(ratio * committed_p99, floor_ms)
-    measured = section["latency_ms"]["p99"]
-    if measured > allowed:
-        problems.append(
-            f"p99 {measured:.1f}ms exceeds allowed {allowed:.1f}ms "
-            f"(baseline {committed_p99:.1f}ms x {ratio}, floor {floor_ms}ms)"
+    for point in points:
+        label = f"workers={point['workers']}"
+        server_errors = sum(
+            count for status, count in point["status_counts"].items()
+            if status.startswith("5")
         )
+        if server_errors:
+            problems.append(f"{label}: {server_errors} responses were 5xx")
+        if point["connection_failures"]:
+            problems.append(
+                f"{label}: {point['connection_failures']} connection failures"
+            )
+        measured = point["latency_ms"]["p99"]
+        if measured > allowed:
+            problems.append(
+                f"{label}: p99 {measured:.1f}ms exceeds allowed "
+                f"{allowed:.1f}ms (baseline {committed_p99:.1f}ms x "
+                f"{MAX_P99_RATIO}, floor {P99_FLOOR_MS}ms)"
+            )
     return problems
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mode", choices=sorted(MODES), default="smoke")
-    parser.add_argument("--clients", type=int, default=None)
-    parser.add_argument("--requests-per-client", type=int, default=None)
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="serve with this many pre-forked workers",
-    )
-    parser.add_argument(
-        "--worker-curve", default=None,
-        help="comma-separated worker counts (e.g. 1,2,4): run the load "
-             "once per count and record the scaling curve; the 1-worker "
-             "point doubles as the section's headline numbers",
+        "--workers", default="1",
+        help="comma-separated worker counts (e.g. 1,2,4): one server boot "
+             "and one full point per count",
     )
     parser.add_argument("--out", type=pathlib.Path, default=OUT_PATH)
     parser.add_argument(
         "--baseline", type=pathlib.Path, default=None,
-        help="compare against this committed BENCH_serve.json and exit "
-             "non-zero on any 5xx or p99 regression",
+        help="compare every point against this committed BENCH_serve.json "
+             "and exit non-zero on any 5xx, connection failure or p99 "
+             "regression",
     )
-    parser.add_argument("--max-p99-ratio", type=float, default=2.0)
-    parser.add_argument("--p99-floor-ms", type=float, default=250.0)
     parser.add_argument(
         "--no-write", action="store_true",
         help="do not update --out (gate-only runs)",
@@ -323,67 +323,37 @@ def main() -> int:
     args = parser.parse_args()
 
     spec = MODES[args.mode]
-    clients = args.clients or spec["clients"]
-    requests = args.requests_per_client or spec["requests_per_client"]
-
-    if args.worker_curve:
-        counts = [int(w) for w in args.worker_curve.split(",") if w]
-        host_cpus = os.cpu_count() or 1
-        points = []
-        section = None
-        for workers in counts:
-            print(
-                f"[bench_serve] booting server ({args.mode}, "
-                f"workers={workers})...",
-                file=sys.stderr,
-            )
-            run = _run_point(
-                spec["serve_args"] + ["--workers", str(workers)],
-                clients, requests,
-            )
-            points.append({"workers": workers, **{
-                "requests_per_second": run["requests_per_second"],
-                "p50_ms": run["latency_ms"]["p50"],
-                "p99_ms": run["latency_ms"]["p99"],
-            }})
-            if section is None or workers == 1:
-                section = run
-        baseline_rps = next(
-            (p["requests_per_second"] for p in points if p["workers"] == 1),
-            None,
-        )
-        for point in points:
-            # A worker count beyond the host's CPUs measures scheduler
-            # contention, not scaling — annotate it and skip the speedup
-            # claim rather than publish a misleading number.
-            oversubscribed = host_cpus < point["workers"]
-            point["oversubscribed"] = oversubscribed
-            point["speedup_vs_one_worker"] = (
-                None
-                if oversubscribed or not baseline_rps
-                else round(point["requests_per_second"] / baseline_rps, 2)
-            )
-        section["worker_curve"] = {
-            "description": (
-                "same client load against --workers N; kernel "
-                "SO_REUSEPORT load-balancing across pre-forked workers"
-            ),
-            "host_cpus": host_cpus,
-            "points": points,
-        }
-    else:
-        serve_args = list(spec["serve_args"])
-        if args.workers > 1:
-            serve_args += ["--workers", str(args.workers)]
+    host_cpus = host_cpu_count()
+    points = []
+    for workers in (int(w) for w in args.workers.split(",") if w.strip()):
         print(
-            f"[bench_serve] booting server ({args.mode}, "
-            f"workers={args.workers})...",
+            f"[bench_serve] booting server ({args.mode}, workers={workers})...",
             file=sys.stderr,
         )
-        section = _run_point(serve_args, clients, requests)
-        if args.workers > 1:
-            section["workers"] = args.workers
-    section["description"] = spec["description"]
+        run = _run_point(
+            spec["serve_args"] + ["--workers", str(workers)],
+            spec["clients"], spec["requests_per_client"],
+        )
+        # A worker count beyond the host's CPUs measures scheduler
+        # contention, not scaling — annotate it and skip the speedup
+        # claim rather than publish a misleading number.
+        points.append(
+            {"workers": workers, "oversubscribed": host_cpus < workers, **run}
+        )
+    one_worker_rps = next(
+        (p["requests_per_second"] for p in points if p["workers"] == 1), None
+    )
+    for point in points:
+        point["speedup_vs_one_worker"] = (
+            None
+            if point["oversubscribed"] or not one_worker_rps
+            else round(point["requests_per_second"] / one_worker_rps, 2)
+        )
+    section = {
+        "description": spec["description"],
+        "host_cpus": host_cpus,
+        "points": points,
+    }
     print(json.dumps({args.mode: section}, indent=2))
 
     if not args.no_write:
@@ -395,10 +365,7 @@ def main() -> int:
         print(f"[bench_serve] wrote {args.out}", file=sys.stderr)
 
     if args.baseline is not None:
-        problems = _gate(
-            section, args.baseline, args.mode,
-            args.max_p99_ratio, args.p99_floor_ms,
-        )
+        problems = _gate(points, args.baseline, args.mode)
         if problems:
             for problem in problems:
                 print(f"[bench_serve] FAIL: {problem}", file=sys.stderr)

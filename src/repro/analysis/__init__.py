@@ -57,7 +57,7 @@ from .regimes import (
     render_regime_comparison,
 )
 from .rewards import daily_user_payment_shares
-from .timeseries import DailySeries, group_by_date
+from .timeseries import DailySeries
 
 __all__ = [
     "daily_pbs_share",
@@ -91,5 +91,4 @@ __all__ = [
     "regime_metrics",
     "render_regime_comparison",
     "DailySeries",
-    "group_by_date",
 ]

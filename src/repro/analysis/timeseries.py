@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
-from ..datasets.records import BlockObservation
 from ..errors import AnalysisError
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -58,28 +55,6 @@ class DailySeries:
         return float(np.mean(selected))
 
 
-def group_by_date(
-    blocks: Iterable[BlockObservation],
-) -> dict[datetime.date, list[BlockObservation]]:
-    """Bucket block observations by calendar date, ascending."""
-    buckets: dict[datetime.date, list[BlockObservation]] = {}
-    for obs in blocks:
-        buckets.setdefault(obs.date, []).append(obs)
-    return dict(sorted(buckets.items()))
-
-
-def daily_series(
-    name: str,
-    blocks: Iterable[BlockObservation],
-    reducer: Callable[[list[BlockObservation]], float],
-) -> DailySeries:
-    """Apply a per-day reducer over grouped observations."""
-    buckets = group_by_date(blocks)
-    dates = tuple(buckets)
-    values = tuple(float(reducer(day_blocks)) for day_blocks in buckets.values())
-    return DailySeries(name=name, dates=dates, values=values)
-
-
 def percentile(values: Sequence[float], q: float) -> float:
     if not values:
         raise AnalysisError("cannot take a percentile of no data")
@@ -94,9 +69,8 @@ def day_slices(
 ) -> tuple[tuple[datetime.date, ...], np.ndarray, np.ndarray]:
     """(dates, starts, ends) of same-date runs in a sorted ordinal array.
 
-    The vectorized counterpart of :func:`group_by_date`: analyses slice
-    value columns with ``[start:end]`` per day instead of materializing
-    per-day observation lists.
+    Analyses slice value columns with ``[start:end]`` per day instead of
+    materializing per-day observation lists.
     """
     uniques, starts = np.unique(ordinals, return_index=True)
     ends = np.append(starts[1:], ordinals.size)

@@ -134,6 +134,17 @@ class BuilderSubmission:
         return self.claimed_by_relay.get(relay_name, self.claimed_value_wei)
 
 
+def gross_overclaim_boundary(paid_wei: Wei) -> Wei:
+    """The largest claim on a ``paid_wei`` payment that is not *gross*.
+
+    A claim above it (1.5x what was paid, and at least 0.01 ETH more) is
+    exploit-grade: ePBS slashes the builder and the conformance harness
+    flags the relay.  Optimistic bids overshoot by ~0.2%, which must never
+    count as gross.
+    """
+    return max(int(paid_wei * 1.5), paid_wei + 10**16)
+
+
 # ---------------------------------------------------------------------------
 # The builder
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from ..beacon.validator import Validator
 from ..chain.validation import validate_header
 from ..types import Wei
 from .auction import MODE_FALLBACK, MODE_LOCAL, SlotAuction, SlotOutcome
-from .builder import BlockBuilder, BuilderSubmission
+from .builder import BlockBuilder, BuilderSubmission, gross_overclaim_boundary
 from .context import SlotContext
 from .proposer import LocalBlockBuilder
 
@@ -62,13 +62,6 @@ MODE_EPBS_EMPTY = "epbs-empty"
 
 #: Payload-timeliness committee size (seats per slot).
 PTC_SIZE = 8
-
-#: Reneging beyond these thresholds is slashable; below them a shortfall
-#: is settled silently (optimistic bids overshoot by ~0.2%, which must
-#: never slash).  Values mirror the conformance harness's
-#: gross-overpromise boundary.
-GROSS_RENEGE_RATIO = 1.5
-GROSS_RENEGE_FLOOR_WEI: Wei = 10**16
 
 
 class EnshrinedPBSAuction(SlotAuction):
@@ -332,11 +325,9 @@ class EnshrinedPBSAuction(SlotAuction):
         settled = self.registry.charge(
             submission.builder_name, recipient, shortfall, state=state
         )
-        gross_boundary = max(
-            int(submission.payment_wei * GROSS_RENEGE_RATIO),
-            submission.payment_wei + GROSS_RENEGE_FLOOR_WEI,
-        )
-        if submission.claimed_value_wei > gross_boundary:
+        if submission.claimed_value_wei > gross_overclaim_boundary(
+            submission.payment_wei
+        ):
             self.registry.slash(
                 submission.builder_name,
                 shortfall,

@@ -109,10 +109,6 @@ class StudyDataset:
     def builder_profit_wei(self) -> np.ndarray:
         return self.table.builder_profit_wei
 
-    @property
-    def date_ordinals(self) -> np.ndarray:
-        return self.table.date_ordinal
-
     # -- row access ---------------------------------------------------------
 
     def block(self, number: int) -> BlockObservation:

@@ -142,17 +142,6 @@ def exact_segment_sums(values: np.ndarray, starts: np.ndarray) -> list[int]:
     return [(int(h) << 32) + int(l) for h, l in zip(hi, lo)]
 
 
-def segment_starts(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(unique values, start indices) of runs in a sorted array."""
-    uniques, starts = np.unique(sorted_values, return_index=True)
-    return uniques, starts
-
-
-def segment_lengths(starts: np.ndarray, total: int) -> np.ndarray:
-    """Lengths of contiguous segments given their start indices."""
-    return np.diff(np.append(starts, total))
-
-
 # -- string encoding --------------------------------------------------------
 
 

@@ -9,7 +9,6 @@ bundle as an indivisible unit when packing blocks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from ..chain.transaction import Transaction
@@ -24,14 +23,11 @@ _VALID_KINDS = frozenset(
     {KIND_SANDWICH, KIND_ARBITRAGE, KIND_LIQUIDATION, KIND_BENIGN}
 )
 
-_bundle_counter = itertools.count()
-
 
 @dataclass(frozen=True)
 class Bundle:
     """An atomic, ordered transaction group bidding for block inclusion."""
 
-    bundle_id: str
     searcher: str
     txs: tuple[Transaction, ...]
     kind: str
@@ -46,9 +42,13 @@ class Bundle:
         if self.kind not in _VALID_KINDS:
             raise PBSError(f"unknown bundle kind {self.kind!r}")
         if not self.txs:
-            raise PBSError(f"bundle {self.bundle_id} has no transactions")
+            raise PBSError(
+                f"{self.kind} bundle from {self.searcher} has no transactions"
+            )
         if self.bid_wei < 0:
-            raise PBSError(f"bundle {self.bundle_id} has a negative bid")
+            raise PBSError(
+                f"{self.kind} bundle from {self.searcher} has a negative bid"
+            )
 
     @property
     def tx_hashes(self) -> tuple[Hash, ...]:
@@ -67,11 +67,10 @@ def make_bundle(
     bid_wei: Wei,
     conflict_key: str = "",
 ) -> Bundle:
-    """Create a bundle with a unique id."""
+    """Create a bundle, keyed by searcher and first transaction by default."""
     if not txs:
         raise PBSError("a bundle needs at least one transaction")
     return Bundle(
-        bundle_id=f"bundle-{next(_bundle_counter)}",
         searcher=searcher,
         txs=tuple(txs),
         kind=kind,

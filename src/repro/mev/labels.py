@@ -124,9 +124,6 @@ class MevDataset:
     def labels_for_block(self, block_number: int) -> list[MevLabel]:
         return list(self._by_block.get(block_number, []))
 
-    def labels_for_tx(self, tx_hash: Hash) -> list[MevLabel]:
-        return list(self._by_tx.get(tx_hash, []))
-
     def is_mev_tx(self, tx_hash: Hash) -> bool:
         return tx_hash in self._by_tx
 

@@ -54,12 +54,6 @@ class PerfRegistry:
             "counters": dict(self.counters),
         }
 
-    def merge(self, other: "PerfRegistry") -> None:
-        for name, value in other.timers.items():
-            self.timers[name] += value
-        for name, value in other.counters.items():
-            self.counters[name] += value
-
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` payload into this registry.
 

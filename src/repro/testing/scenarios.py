@@ -23,6 +23,7 @@ from typing import Any
 from ..beacon.builders import SLASH_REASON_RENEGING, SLASH_REASON_WITHHELD
 from ..constants import MERGE_DATE, MERGE_SLOT
 from ..core.auction import MODE_FALLBACK
+from ..core.builder import gross_overclaim_boundary
 from ..core.policies import MevFilterPolicy
 from ..datasets.collector import StudyDataset, collect_study_dataset
 from ..errors import ScenarioError
@@ -41,7 +42,6 @@ from ..simulation.faults import (
     FaultSpec,
 )
 from ..simulation.world import build_world
-from ..types import Wei
 from .oracles import (
     KIND_INTERNAL_MISPROMISE,
     KIND_SANCTIONS_LAG,
@@ -50,12 +50,6 @@ from .oracles import (
     OracleReport,
     run_oracles,
 )
-
-#: Claims this many times the delivered value (or over the absolute floor)
-#: count as *gross* overpromises — the detection signal for exploit-grade
-#: mispromises, excluding the benign ~0.2% optimistic overclaims.
-GROSS_OVERPROMISE_RATIO = 1.5
-GROSS_OVERPROMISE_FLOOR_WEI: Wei = 10**16  # 0.01 ETH
 
 
 @dataclass
@@ -143,10 +137,7 @@ def _gross_overpromises(world, dataset: StudyDataset) -> list[DetectedAnomaly]:
         if not obs.claimed_by_relay:
             continue
         delivered = obs.delivered_value_wei
-        threshold = max(
-            int(delivered * GROSS_OVERPROMISE_RATIO),
-            delivered + GROSS_OVERPROMISE_FLOOR_WEI,
-        )
+        threshold = gross_overclaim_boundary(delivered)
         day = (obs.date - MERGE_DATE).days
         builder = builders_by_pubkey.get(obs.builder_pubkey)
         builder_name = builder.name if builder else "<unknown>"

@@ -1,24 +1,54 @@
-"""Pinned per-object analysis implementations (pre-columnar reference).
+"""The vectorized report pipeline against the pinned per-object reference.
 
 These are the hot aggregation loops exactly as they existed before the
-columnar backend, kept verbatim so ``bench_perf_world.py`` can measure
-the vectorized pipeline against a stable baseline instead of against a
-moving git revision.  They are benchmark fixtures, not an API — the live
+columnar backend, kept verbatim as the reference the vectorized analysis
+modules must reproduce.  They are test fixtures, not an API — the live
 implementations are in :mod:`repro.analysis`.
 
 ``run_legacy_report_pipeline`` computes the same figures/tables the
 ``python -m repro report`` command renders; ``run_report_pipeline``
-computes them through the current vectorized modules.
+computes them through the current vectorized modules.  The test below
+demands equal output for all ten on the session's 70-day dataset, which
+spans the paper's incidents, and on a copy of it with every third block's
+relay claims dropped.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import datetime
+from typing import Callable, Iterable
+
 import numpy as np
+import pytest
 
 from repro.analysis import concentration
 from repro.analysis.relays import pbs_totals_row
-from repro.analysis.timeseries import DailySeries, daily_series, group_by_date
+from repro.analysis.timeseries import DailySeries
+from repro.datasets.records import BlockObservation
 from repro.types import to_ether
+
+
+def group_by_date(
+    blocks: Iterable[BlockObservation],
+) -> dict[datetime.date, list[BlockObservation]]:
+    """Bucket block observations by calendar date, ascending."""
+    buckets: dict[datetime.date, list[BlockObservation]] = {}
+    for obs in blocks:
+        buckets.setdefault(obs.date, []).append(obs)
+    return dict(sorted(buckets.items()))
+
+
+def daily_series(
+    name: str,
+    blocks: Iterable[BlockObservation],
+    reducer: Callable[[list[BlockObservation]], float],
+) -> DailySeries:
+    """Apply a per-day reducer over grouped observations."""
+    buckets = group_by_date(blocks)
+    dates = tuple(buckets)
+    values = tuple(float(reducer(day_blocks)) for day_blocks in buckets.values())
+    return DailySeries(name=name, dates=dates, values=values)
 
 
 # -- legacy (per-object) implementations ------------------------------------
@@ -334,3 +364,33 @@ def run_report_pipeline(dataset) -> dict:
         "fig18": daily_sanctioned_share(dataset),
         "table4": (rows, pbs_totals_row(rows)),
     }
+
+
+def _unclaimed_every_third(dataset):
+    """The dataset with every third block's relay claims dropped.
+
+    Every PBS block of the collected world is relay-claimed, so this is
+    what exercises the union rule's other half: blocks that are PBS by
+    the payment convention alone, as 0.4 % of the paper's were.
+    """
+    blocks = [
+        dataclasses.replace(obs, claimed_by_relay={}) if i % 3 == 0 else obs
+        for i, obs in enumerate(dataset.blocks)
+    ]
+    return dataclasses.replace(dataset, blocks=blocks)
+
+
+@pytest.mark.parametrize("variant", ["collected", "unclaimed-every-third"])
+def test_vectorized_pipeline_matches_per_object_reference(medium_dataset, variant):
+    dataset = medium_dataset
+    if variant == "unclaimed-every-third":
+        dataset = _unclaimed_every_third(medium_dataset)
+        assert (dataset.table.is_pbs & ~dataset.table.relay_claimed).any()
+    vectorized = run_report_pipeline(dataset)
+    reference = run_legacy_report_pipeline(dataset)
+    assert len(reference) == 10 and vectorized.keys() == reference.keys()
+    mismatched = [key for key in reference if vectorized[key] != reference[key]]
+    assert not mismatched, (
+        f"vectorized pipeline diverged from the per-object reference: "
+        f"{mismatched}"
+    )

@@ -1,5 +1,7 @@
 """Tests for the enshrined-PBS counterfactual."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.beacon.builders import (
@@ -7,6 +9,8 @@ from repro.beacon.builders import (
     BuilderRegistry,
     EpbsLedger,
 )
+from repro.constants import MERGE_DATE
+from repro.core.builder import gross_overclaim_boundary
 from repro.core.epbs import (
     MODE_EPBS,
     MODE_EPBS_EMPTY,
@@ -17,6 +21,7 @@ from repro.core.proposer import LocalBlockBuilder
 from repro.datasets import collect_study_dataset
 from repro.simulation import build_world
 from repro.simulation.config import small_test_config
+from repro.testing.scenarios import _gross_overpromises
 
 from test_pbs_flow import MiniWorld
 
@@ -105,6 +110,40 @@ class TestEnshrinedAuction:
             world.context(), world.proposer, ["test-builder"]
         )
         assert outcome.mode == "pbs-fallback"
+
+
+@pytest.mark.parametrize("paid", [10**15, 10**17])  # floor / ratio branch
+@pytest.mark.parametrize("excess_wei, gross", [(0, False), (1, True)])
+@pytest.mark.parametrize("checker", ["epbs-slashing", "relay-detector"])
+def test_gross_overclaim_boundary(checker, excess_wei, gross, paid):
+    """A claim at the boundary is not gross; one wei above it is, for
+    both the ePBS slashing and the relay-trust detector."""
+    claim = gross_overclaim_boundary(paid) + excess_wei
+    if checker == "epbs-slashing":
+        world = MiniWorld()
+        world.add_public_tx()
+        auction = _staked_auction(world)
+        world.builder.scripted_mispromise = {10: (claim, paid)}
+        outcome = auction.run(world.context(), world.proposer, ["test-builder"])
+        submission = outcome.winning_submission
+        assert submission.claimed_value_wei == claim
+        assert submission.payment_wei == paid
+        assert auction.registry.record(world.builder.name).slashed is gross
+    else:
+        block = SimpleNamespace(
+            number=1,
+            date=MERGE_DATE,
+            builder_pubkey=None,
+            claimed_by_relay={"test-relay": claim},
+            delivered_value_wei=paid,
+        )
+        anomalies = _gross_overpromises(
+            SimpleNamespace(builders={}, relays={}),
+            SimpleNamespace(blocks=[block]),
+        )
+        assert [a.kind for a in anomalies] == (
+            ["gross-overpromise"] if gross else []
+        )
 
 
 class TestPayloadTimelinessCommittee:

@@ -1,7 +1,6 @@
 """Unit tests for searcher agents and bundles."""
 
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,17 +194,12 @@ def _counting(monkeypatch, name):
 
 
 def _search_slot(searchers, view, share_plans):
-    """Each searcher's bundles in order, then the view's next draw.
-
-    Bundle ids come from a process-wide counter, so they are blanked.
-    """
+    """Each searcher's bundles in order, then the view's next draw."""
     found = []
     for searcher in searchers:
         if not share_plans:
             view._plan_cache.clear()
-        found.append(
-            [replace(bundle, bundle_id="") for bundle in searcher.find_bundles(view)]
-        )
+        found.append(searcher.find_bundles(view))
     return found, view.rng.random()
 
 

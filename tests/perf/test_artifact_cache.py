@@ -6,10 +6,12 @@ import dataclasses
 import datetime
 import importlib
 import logging
+import mmap
 import pickle
 import shutil
 import sys
 
+import numpy as np
 import pytest
 
 from repro.datasets.collector import StudyDataset
@@ -83,7 +85,34 @@ class TestConfigHash:
         assert config_content_hash(changed) != base
 
 
+def _mmap_backed(column: np.ndarray) -> bool:
+    """True when the column's buffer is a view into a memory map."""
+    while isinstance(column.base, np.ndarray):
+        column = column.base
+    return isinstance(column.base, memoryview) and isinstance(
+        column.base.obj, mmap.mmap
+    )
+
+
 class TestRoundTrip:
+    def test_collected_dataset_loads_mmap_backed(
+        self, medium_world, medium_dataset, tmp_path
+    ):
+        # A collected 70-day dataset, not a hand-built one: every plain
+        # column must come back as a view into the mapped .npz, and the
+        # round trip must not change a single field value.
+        save_study_artifact(medium_world.config, medium_dataset, tmp_path)
+        loaded = load_study_artifact(medium_world.config, tmp_path)
+        assert loaded is not None
+        plain = {
+            name: column
+            for name, column in loaded.table.columns.items()
+            if column.dtype != object
+        }
+        assert plain
+        assert [name for name in plain if not _mmap_backed(plain[name])] == []
+        assert loaded.content_digest() == medium_dataset.content_digest()
+
     def test_save_then_load(self, tmp_path):
         dataset = _dataset(1, 2, 3)
         path = save_study_artifact(_config(), dataset, cache_dir=tmp_path)
