@@ -9,10 +9,12 @@ registration pages, the /analysis/* endpoints and service metadata.
 Each worker count is one point in ``BENCH_serve.json``: status counts,
 connection failures, throughput and latency percentiles overall *and*
 per endpoint class (``paginated`` / ``analysis`` / ``metadata``), with
-the host's ``host_cpus`` and an ``oversubscribed`` flag on points with
-more workers than CPUs.  perfbench's ``relay-api`` workload measures the
-serve path itself, over two connections to one server; this script
-measures what it does not, many clients against a worker pool.
+the host's ``host_cpus`` and an ``oversubscribed`` flag on points whose
+workers plus this script's load generator, one more busy process on the
+same CPUs, outnumber the CPUs; such a point publishes no speedup.
+perfbench's ``relay-api`` workload measures the serve path itself, over
+two connections to one server; this script measures what it does not,
+many clients against a worker pool.
 
 Modes::
 
@@ -334,11 +336,12 @@ def main() -> int:
             spec["serve_args"] + ["--workers", str(workers)],
             spec["clients"], spec["requests_per_client"],
         )
-        # A worker count beyond the host's CPUs measures scheduler
-        # contention, not scaling — annotate it and skip the speedup
-        # claim rather than publish a misleading number.
+        # Workers plus this process's load generator beyond the host's
+        # CPUs measure scheduler contention, not scaling — annotate the
+        # point and skip the speedup claim rather than publish a
+        # misleading number.
         points.append(
-            {"workers": workers, "oversubscribed": host_cpus < workers, **run}
+            {"workers": workers, "oversubscribed": workers + 1 > host_cpus, **run}
         )
     one_worker_rps = next(
         (p["requests_per_second"] for p in points if p["workers"] == 1), None

@@ -124,10 +124,10 @@ class Chain:
         for block in self._blocks:
             hasher.update(block.block_hash.encode())
             result = self._results[block.block_hash]
-            for outcome in result.outcomes:
+            for tx_index, outcome in enumerate(result.outcomes):
                 receipt = outcome.receipt
                 hasher.update(
-                    f"{receipt.tx_hash}|{receipt.tx_index}|{receipt.status}|"
+                    f"{receipt.tx_hash}|{tx_index}|{receipt.status}|"
                     f"{receipt.gas_used}|{receipt.effective_gas_price}".encode()
                 )
                 for log in receipt.logs:

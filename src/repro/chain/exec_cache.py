@@ -21,6 +21,10 @@ Correctness rests on *verified read/write-set replay*:
   single delta credited to the actual recipient at replay time, and
   sentinel trace frames are rebound.  (Direct-tip accounting stays exact
   because only ``TipCoinbase`` produces non-top-level value frames.)
+* A receipt names no block position — a transaction's position is its
+  index in the block's outcome list — so every hit returns the variant's
+  recorded outcome object itself.  Only a variant with coinbase-tip
+  frames builds a new outcome on each replay, naming its fee recipient.
 
 Both the recorder and every reuser apply effects through the same replay
 routine, so a cached outcome is bit-identical to direct execution — the
@@ -34,7 +38,7 @@ small and hit rates high.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import DefiError, ExecutionError, InsufficientBalanceError
 from ..types import Address, Wei, derive_address
@@ -169,10 +173,8 @@ class CachedVariant:
     # (domain, key, value-or-None) triples; None means deletion.
     protocol_writes: tuple[tuple[str, object, object], ...]
     outcome: TxOutcome | None
+    # False means every replay returns ``outcome`` itself.
     has_sentinel_frames: bool
-    # Memo of outcomes rebound per (tx_index[, fee_recipient]); purely an
-    # object-reuse cache, so it is excluded from equality and repr.
-    rebound: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass
@@ -206,7 +208,6 @@ class ExecutionCache:
         ctx: ExecutionContext,
         base_fee_per_gas: Wei,
         fee_recipient: Address,
-        tx_index: int = 0,
     ) -> TxOutcome:
         """Drop-in replacement for ``engine.execute_transaction``.
 
@@ -219,14 +220,14 @@ class ExecutionCache:
             for variant in variants:
                 if self._matches(variant, ctx):
                     self.stats.hits += 1
-                    return self._apply(variant, ctx, fee_recipient, tx_index)
+                    return self._apply(variant, ctx, fee_recipient)
             if len(variants) >= _MAX_VARIANTS:
                 # Conflict-heavy transaction: recording yet another variant
                 # costs more than it can ever save.  Direct execution has
                 # identical effects, so determinism is unaffected.
                 self.stats.misses += 1
                 return engine.execute_transaction(
-                    tx, ctx, base_fee_per_gas, fee_recipient, tx_index=tx_index
+                    tx, ctx, base_fee_per_gas, fee_recipient
                 )
         self.stats.misses += 1
         actions = tx.actions
@@ -235,7 +236,7 @@ class ExecutionCache:
         else:
             variant = self._record(engine, tx, ctx, base_fee_per_gas)
         self._variants.setdefault(tx.tx_hash, []).append(variant)
-        return self._apply(variant, ctx, fee_recipient, tx_index)
+        return self._apply(variant, ctx, fee_recipient)
 
     def variant_count(self, tx_hash: str) -> int:
         return len(self._variants.get(tx_hash, ()))
@@ -353,7 +354,6 @@ class ExecutionCache:
         except (ExecutionError, DefiError, InsufficientBalanceError):
             receipt = Receipt(
                 tx_hash=tx.tx_hash,
-                tx_index=0,
                 status=STATUS_FAILURE,
                 gas_used=gas_used,
                 effective_gas_price=base_fee_per_gas + priority_per_gas,
@@ -383,7 +383,6 @@ class ExecutionCache:
 
         receipt = Receipt(
             tx_hash=tx.tx_hash,
-            tx_index=0,
             status=STATUS_SUCCESS,
             gas_used=gas_used,
             effective_gas_price=base_fee_per_gas + priority_per_gas,
@@ -510,7 +509,6 @@ class ExecutionCache:
 
         receipt = Receipt(
             tx_hash=tx.tx_hash,
-            tx_index=0,
             status=status,
             gas_used=gas_used,
             effective_gas_price=base_fee_per_gas + priority_per_gas,
@@ -543,16 +541,15 @@ class ExecutionCache:
         variant: CachedVariant,
         ctx: ExecutionContext,
         fee_recipient: Address,
-        tx_index: int,
     ) -> TxOutcome:
         """Apply a variant's effects to ``ctx`` — the single replay path.
 
         Used by the recorder and every reuser alike, so both produce the
         same writes in the same layers direct execution would have.  The
-        returned outcome is specialized (receipt position, sentinel frames
-        rebound to the real fee recipient) with a per-variant memo, and is
-        built with direct dataclass construction — ``dataclasses.replace``
-        field introspection was a measured hotspot.
+        returned outcome is the variant's recorded one, except that a
+        variant with sentinel frames returns a copy rebound to the real fee
+        recipient, built with direct dataclass construction —
+        ``dataclasses.replace`` field introspection was a measured hotspot.
         """
         if variant.error is not None:
             error_cls, message = variant.error
@@ -577,50 +574,24 @@ class ExecutionCache:
 
         outcome = variant.outcome
         if not variant.has_sentinel_frames:
-            if outcome.receipt.tx_index == tx_index:
-                return outcome
-            memo_key: object = tx_index
-        else:
-            memo_key = (tx_index, fee_recipient)
-        memo = variant.rebound
-        cached = memo.get(memo_key)
-        if cached is not None:
-            return cached
-        receipt = outcome.receipt
-        if receipt.tx_index != tx_index:
-            receipt = Receipt(
-                tx_hash=receipt.tx_hash,
-                tx_index=tx_index,
-                status=receipt.status,
-                gas_used=receipt.gas_used,
-                effective_gas_price=receipt.effective_gas_price,
-                logs=receipt.logs,
-            )
-        trace = outcome.trace
-        if variant.has_sentinel_frames:
-            trace = TransactionTrace(
-                tx_hash=trace.tx_hash,
-                frames=tuple(
-                    CallFrame(
-                        depth=frame.depth,
-                        sender=frame.sender,
-                        recipient=fee_recipient,
-                        value_wei=frame.value_wei,
-                        kind=frame.kind,
-                    )
-                    if frame.recipient == COINBASE_SENTINEL
-                    else frame
-                    for frame in trace.frames
-                ),
-            )
-        if receipt is outcome.receipt and trace is outcome.trace:
             return outcome
-        rebound = TxOutcome(
-            receipt=receipt,
-            trace=trace,
+        trace = outcome.trace
+        frames = tuple(
+            CallFrame(
+                depth=frame.depth,
+                sender=frame.sender,
+                recipient=fee_recipient,
+                value_wei=frame.value_wei,
+                kind=frame.kind,
+            )
+            if frame.recipient == COINBASE_SENTINEL
+            else frame
+            for frame in trace.frames
+        )
+        return TxOutcome(
+            receipt=outcome.receipt,
+            trace=TransactionTrace(tx_hash=trace.tx_hash, frames=frames),
             burned_wei=outcome.burned_wei,
             priority_fee_wei=outcome.priority_fee_wei,
             direct_tip_wei=outcome.direct_tip_wei,
         )
-        memo[memo_key] = rebound
-        return rebound

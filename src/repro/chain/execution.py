@@ -139,7 +139,6 @@ class ExecutionEngine:
         ctx: ExecutionContext,
         base_fee_per_gas: Wei,
         fee_recipient: Address,
-        tx_index: int = 0,
     ) -> TxOutcome:
         """Execute one transaction, charging fees and applying its actions.
 
@@ -201,7 +200,6 @@ class ExecutionEngine:
 
         receipt = Receipt(
             tx_hash=tx.tx_hash,
-            tx_index=tx_index,
             status=status,
             gas_used=gas_used,
             effective_gas_price=base_fee_per_gas + priority_per_gas,
@@ -243,11 +241,7 @@ class ExecutionEngine:
                 continue
             try:
                 outcome = self.execute_transaction(
-                    tx,
-                    ctx,
-                    base_fee_per_gas,
-                    fee_recipient,
-                    tx_index=len(result.included),
+                    tx, ctx, base_fee_per_gas, fee_recipient
                 )
             except (ExecutionError, InsufficientBalanceError):
                 result.dropped.append(tx.tx_hash)

@@ -41,10 +41,13 @@ class Log:
 
 @dataclass(frozen=True)
 class Receipt:
-    """Execution outcome of one transaction inside a block."""
+    """Execution outcome of one transaction inside a block.
+
+    It names no position: a transaction's position is its index in the
+    block's outcome list.
+    """
 
     tx_hash: Hash
-    tx_index: int
     status: int
     gas_used: int
     effective_gas_price: int

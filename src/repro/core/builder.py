@@ -329,9 +329,7 @@ class BlockBuilder:
             ):
                 continue
             try:
-                outcome = execute_tx(
-                    tx, fork, fee_recipient, tx_index=len(included)
-                )
+                outcome = execute_tx(tx, fork, fee_recipient)
             except (ExecutionError, InsufficientBalanceError):
                 continue
             included.append(tx)
@@ -367,11 +365,7 @@ class BlockBuilder:
             )
             try:
                 outcome = ctx.engine.execute_transaction(
-                    payment_tx,
-                    fork,
-                    ctx.base_fee,
-                    fee_recipient,
-                    tx_index=len(result.included),
+                    payment_tx, fork, ctx.base_fee, fee_recipient
                 )
             except (ExecutionError, InsufficientBalanceError):
                 payment_tx = None
@@ -473,12 +467,7 @@ class BlockBuilder:
         outcomes = []
         for tx in bundle.txs:
             try:
-                outcome = ctx.execute_tx(
-                    tx,
-                    bundle_fork,
-                    fee_recipient,
-                    tx_index=len(result.included) + len(outcomes),
-                )
+                outcome = ctx.execute_tx(tx, bundle_fork, fee_recipient)
             except (ExecutionError, InsufficientBalanceError):
                 return False
             if not outcome.success:

@@ -100,7 +100,6 @@ class SlotContext:
         tx: Transaction,
         fork: ExecutionContext,
         fee_recipient: Address,
-        tx_index: int = 0,
     ) -> TxOutcome:
         """Execute through the slot's shared cache when the slot has one.
 
@@ -109,13 +108,6 @@ class SlotContext:
         """
         if self.exec_cache is not None:
             return self.exec_cache.execute(
-                self.engine,
-                tx,
-                fork,
-                self.base_fee,
-                fee_recipient,
-                tx_index=tx_index,
+                self.engine, tx, fork, self.base_fee, fee_recipient
             )
-        return self.engine.execute_transaction(
-            tx, fork, self.base_fee, fee_recipient, tx_index=tx_index
-        )
+        return self.engine.execute_transaction(tx, fork, self.base_fee, fee_recipient)

@@ -40,7 +40,6 @@ class MevLabel:
 
 @dataclass(frozen=True)
 class _SwapRecord:
-    tx_index: int
     tx_hash: Hash
     pool: str
     sender: str
@@ -59,7 +58,6 @@ def _swap_records(receipts: list[Receipt]) -> list[_SwapRecord]:
         for log in receipt.logs_with_topic(SWAP_EVENT_TOPIC):
             records.append(
                 _SwapRecord(
-                    tx_index=receipt.tx_index,
                     tx_hash=receipt.tx_hash,
                     pool=log.address,
                     sender=log.data["sender"],
@@ -146,7 +144,6 @@ def detect_arbitrage(
     for tx_hash, records in by_tx.items():
         if len(records) < 2:
             continue
-        records.sort(key=lambda record: record.tx_index)
         chained = all(
             records[k].token_out == records[k + 1].token_in
             and records[k].amount_out >= records[k + 1].amount_in

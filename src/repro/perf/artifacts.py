@@ -48,6 +48,8 @@ from typing import Any
 import numpy as np
 from numpy.lib import format as npy_format
 
+from ..errors import DataError
+
 #: Bump when simulation semantics or the artifact layout change; old
 #: artifacts become unreadable.  3 = columnar .npz + pickle remainder
 #: carrying the .npz's column stamp.
@@ -163,7 +165,7 @@ def load_study_artifact(config: Any, cache_dir: Path | None = None) -> Any:
         return None
     try:
         return _attach_columns(payload, _columns_path(cache_dir, config_hash))
-    except (OSError, zipfile.BadZipFile, ValueError, KeyError) as error:
+    except (OSError, zipfile.BadZipFile, ValueError, KeyError, DataError) as error:
         _LOG.warning(
             "discarding stale/corrupt study artifact %s: %s", path, error
         )

@@ -116,12 +116,24 @@ class TestHitMissSemantics:
         assert fork.state.balance_of(BUILDER_A) == 0
 
     def test_tx_index_rebinding(self, cache, engine, canonical, factory):
+        """A replay at a later block position shares the recorded outcome."""
+        carol = derive_address("cache", "carol")
+        canonical.state.mint(carol, ether(1))
         tx = _transfer_tx(factory)
-        cache.execute(engine, tx, canonical.fork(), BASE_FEE, BUILDER_A, tx_index=0)
-        outcome = cache.execute(
-            engine, tx, canonical.fork(), BASE_FEE, BUILDER_A, tx_index=5
+        recorded = cache.execute(engine, tx, canonical.fork(), BASE_FEE, BUILDER_A)
+
+        earlier = factory.create(
+            carol, 0, [EthTransfer(BUILDER_B, 1)], gwei(20), gwei(1)
         )
-        assert outcome.receipt.tx_index == 5
+        later = canonical.fork()
+        cache.execute(engine, earlier, later, BASE_FEE, BUILDER_A)
+        replayed = cache.execute(engine, tx, later, BASE_FEE, BUILDER_A)
+        assert cache.stats.hits == 1
+        assert replayed is recorded
+
+        direct = canonical.fork()
+        engine.execute_transaction(earlier, direct, BASE_FEE, BUILDER_A)
+        assert replayed == engine.execute_transaction(tx, direct, BASE_FEE, BUILDER_A)
 
     def test_coinbase_tip_frames_rebound(self, cache, engine, canonical, factory):
         tx = factory.create(ALICE, 0, [TipCoinbase(ether(1))], gwei(20), gwei(1))
@@ -131,6 +143,22 @@ class TestHitMissSemantics:
         )
         assert outcome.direct_tip_wei == ether(1)
         assert outcome.trace.frames[0].recipient == BUILDER_B
+
+    def test_tip_outcome_rebound_per_fee_recipient(
+        self, cache, engine, canonical, factory
+    ):
+        tx = factory.create(ALICE, 0, [TipCoinbase(ether(1))], gwei(20), gwei(1))
+        for_a = cache.execute(engine, tx, canonical.fork(), BASE_FEE, BUILDER_A)
+        for_b = cache.execute(engine, tx, canonical.fork(), BASE_FEE, BUILDER_B)
+        assert [frame.recipient for frame in for_a.trace.frames] == [BUILDER_A]
+        assert [frame.recipient for frame in for_b.trace.frames] == [BUILDER_B]
+        assert for_b == engine.execute_transaction(
+            tx, canonical.fork(), BASE_FEE, BUILDER_B
+        )
+
+        again = cache.execute(engine, tx, canonical.fork(), BASE_FEE, BUILDER_A)
+        assert cache.stats.hits == 2
+        assert again == for_a
 
 
 class TestErrorCaching:

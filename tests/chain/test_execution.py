@@ -186,7 +186,11 @@ class TestBlockExecution:
         result = engine.execute_block(
             txs, ctx, BASE_FEE, FEE_RECIPIENT, gas_limit=30_000_000
         )
-        assert [r.tx_index for r in result.receipts] == [0, 1, 2]
+        # A transaction's position is its index in the block's lists.
+        assert result.included == txs
+        assert [r.tx_hash for r in result.receipts] == [
+            tx.tx_hash for tx in result.included
+        ]
 
     def test_empty_block(self, engine, ctx):
         result = engine.execute_block([], ctx, BASE_FEE, FEE_RECIPIENT, 30_000_000)

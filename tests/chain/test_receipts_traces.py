@@ -59,7 +59,6 @@ class TestReceipts:
     def _receipt(self, status=STATUS_SUCCESS, logs=()):
         return Receipt(
             tx_hash=derive_hash("rt", "tx"),
-            tx_index=0,
             status=status,
             gas_used=21_000,
             effective_gas_price=gwei(12),

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.datasets import columnar
 from repro.datasets.collector import StudyDataset
 from repro.datasets.records import BlockObservation, DatasetInventory
 from repro.mev.labels import MevDataset
@@ -112,6 +113,19 @@ class TestRoundTrip:
         assert plain
         assert [name for name in plain if not _mmap_backed(plain[name])] == []
         assert loaded.content_digest() == medium_dataset.content_digest()
+
+    def test_missing_column_is_a_miss(
+        self, medium_world, medium_dataset, tmp_path, monkeypatch, caplog
+    ):
+        # A column added to BlockTable without a format bump leaves older
+        # archives one column short: loading one is a miss, not a crash.
+        save_study_artifact(medium_world.config, medium_dataset, tmp_path)
+        monkeypatch.setattr(
+            columnar, "ALL_COLUMNS", (*columnar.ALL_COLUMNS, "added_column")
+        )
+        with caplog.at_level(logging.WARNING, logger=artifacts.__name__):
+            assert load_study_artifact(medium_world.config, tmp_path) is None
+        assert "discarding stale/corrupt study artifact" in caplog.text
 
     def test_save_then_load(self, tmp_path):
         dataset = _dataset(1, 2, 3)

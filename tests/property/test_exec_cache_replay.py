@@ -94,7 +94,7 @@ def _run(txs, mutation, execute):
             ctx.state.mint(SENDERS[mutation[1]], mutation[2])
         recipient = BUILDER_A if index % 2 == 0 else BUILDER_B
         try:
-            outcome = execute(tx, ctx, recipient, index)
+            outcome = execute(tx, ctx, recipient)
         except ExecutionError as exc:
             log.append(("error", str(exc)))
         else:
@@ -126,15 +126,15 @@ class TestCacheReplayEquivalence:
         direct = _run(
             txs,
             mutation,
-            lambda tx, ctx, recipient, i: engine.execute_transaction(
-                tx, ctx, BASE_FEE, recipient, tx_index=i
+            lambda tx, ctx, recipient: engine.execute_transaction(
+                tx, ctx, BASE_FEE, recipient
             ),
         )
         cached = _run(
             txs,
             mutation,
-            lambda tx, ctx, recipient, i: cache.execute(
-                engine, tx, ctx, BASE_FEE, recipient, tx_index=i
+            lambda tx, ctx, recipient: cache.execute(
+                engine, tx, ctx, BASE_FEE, recipient
             ),
         )
         _assert_equivalent(*direct, *cached)
@@ -151,22 +151,22 @@ class TestCacheReplayEquivalence:
         _run(
             txs,
             mutation,
-            lambda tx, ctx, recipient, i: cache.execute(
-                engine, tx, ctx, BASE_FEE, BUILDER_A, tx_index=i
+            lambda tx, ctx, recipient: cache.execute(
+                engine, tx, ctx, BASE_FEE, BUILDER_A
             ),
         )
         direct = _run(
             txs,
             mutation,
-            lambda tx, ctx, recipient, i: engine.execute_transaction(
-                tx, ctx, BASE_FEE, recipient, tx_index=i
+            lambda tx, ctx, recipient: engine.execute_transaction(
+                tx, ctx, BASE_FEE, recipient
             ),
         )
         cached = _run(
             txs,
             mutation,
-            lambda tx, ctx, recipient, i: cache.execute(
-                engine, tx, ctx, BASE_FEE, recipient, tx_index=i
+            lambda tx, ctx, recipient: cache.execute(
+                engine, tx, ctx, BASE_FEE, recipient
             ),
         )
         _assert_equivalent(*direct, *cached)

@@ -115,7 +115,6 @@ class TestScreener:
     def _receipt(self, logs=(), tx_hash=None):
         return Receipt(
             tx_hash=tx_hash or derive_hash("sanc", "tx"),
-            tx_index=0,
             status=1,
             gas_used=21_000,
             effective_gas_price=gwei(10),
