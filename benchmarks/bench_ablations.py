@@ -22,14 +22,16 @@ from reporting import emit
 def test_ablation_pbs_identification_rule(study, benchmark):
     """Relay-claimed vs payment-convention vs union (the paper's rule)."""
 
+    table = study.table
+
     def classify():
-        union = sum(1 for obs in study.blocks if obs.is_pbs)
-        relay_only = sum(1 for obs in study.blocks if obs.relay_claimed)
-        payment_only = sum(1 for obs in study.blocks if obs.has_pbs_payment)
+        union = int(table.is_pbs.sum())
+        relay_only = int(table.relay_claimed.sum())
+        payment_only = int(table.has_pbs_payment.sum())
         return union, relay_only, payment_only
 
     union, relay_only, payment_only = benchmark(classify)
-    total = len(study.blocks)
+    total = len(table)
     emit(
         "ablation_pbs_id",
         render_table(
@@ -87,7 +89,7 @@ def test_ablation_relay_attribution(study, benchmark):
     def full_credit_shares():
         shares = {}
         total = 0
-        for obs in study.blocks:
+        for obs in study.table.to_observations():
             if not obs.claimed_by_relay:
                 continue
             total += 1
@@ -126,7 +128,7 @@ def test_ablation_builder_clustering(study, benchmark):
     pubkeys_only = len(
         {
             obs.builder_pubkey
-            for obs in study.blocks
+            for obs in study.table.to_observations()
             if obs.builder_pubkey is not None
         }
     )
@@ -172,7 +174,7 @@ def test_ablation_screening_depth(study_world, study, benchmark):
         return flagged
 
     shallow = benchmark(shallow_flagged)
-    deep = sum(1 for obs in study.blocks if obs.is_sanctioned)
+    deep = int(study.table.is_sanctioned.sum())
     emit(
         "ablation_screening_depth",
         render_table(

@@ -19,7 +19,7 @@ def test_fig07_builders_per_relay(study, benchmark):
         values = [
             count
             for date, count in counts.items()
-            if lo <= (date - min(study.dates())).days <= hi
+            if lo <= (date - min(study.table.dates())).days <= hi
         ]
         return statistics.mean(values) if values else 0.0
 

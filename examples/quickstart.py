@@ -11,6 +11,7 @@ from repro.analysis import (
 )
 from repro.analysis.report import render_series
 from repro.datasets import collect_study_dataset
+from repro.datasets.columnar import exact_sum
 from repro.simulation import SimulationConfig, build_world
 from repro.types import to_ether
 
@@ -44,7 +45,7 @@ def main() -> None:
     for series in daily_user_payment_shares(dataset):
         print(render_series(series))
 
-    total_value = sum(obs.block_value_wei for obs in dataset.blocks)
+    total_value = exact_sum(dataset.table.block_value_wei)
     print(f"\ntotal user-generated block value: {to_ether(total_value):.2f} ETH")
     print("done — see examples/ for deeper studies.")
 

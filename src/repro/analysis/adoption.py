@@ -10,15 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..datasets.collector import StudyDataset
-from .timeseries import DailySeries, by_date_order, day_slices
+from .timeseries import DailySeries, day_slices
 
 
 def daily_pbs_share(dataset: StudyDataset) -> DailySeries:
     """Share of each day's blocks built through PBS."""
     table = dataset.table
-    ordinals, (is_pbs,) = by_date_order(table.date_ordinal, [table.is_pbs])
-    dates, starts, ends = day_slices(ordinals)
-    counts = np.add.reduceat(is_pbs.astype(np.int64), starts) if len(starts) else []
+    dates, starts, ends = day_slices(table.date_ordinal)
+    is_pbs = table.is_pbs.astype(np.int64)
+    counts = np.add.reduceat(is_pbs, starts) if len(starts) else []
     values = tuple(
         float(count / (end - start))
         for count, start, end in zip(counts, starts, ends)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..datasets.collector import StudyDataset
 from ..datasets.columnar import exact_segment_sums
-from .timeseries import DailySeries, by_date_order, day_slices
+from .timeseries import DailySeries, day_slices
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,7 @@ def _mask_split(dataset: StudyDataset):
 
 def _masked_days(dataset: StudyDataset, mask: np.ndarray, values: np.ndarray):
     """Day slices of ``values`` restricted to ``mask`` rows."""
-    index = np.flatnonzero(mask)
-    ordinals, (selected,) = by_date_order(
-        dataset.table.date_ordinal[index], [values[index]]
-    )
-    return day_slices(ordinals), selected
+    return day_slices(dataset.table.date_ordinal[mask]), values[mask]
 
 
 def daily_block_value(dataset: StudyDataset) -> tuple[DailySeries, DailySeries]:
@@ -117,14 +113,11 @@ def daily_private_tx_share(
     table = dataset.table
     series = []
     for name, mask in _mask_split(dataset):
-        index = np.flatnonzero(mask)
-        ordinals, (txs, private) = by_date_order(
-            table.date_ordinal[index],
-            [table.col("tx_count")[index], table.col("private_tx_count")[index]],
+        dates, starts, _ = day_slices(table.date_ordinal[mask])
+        tx_sums = exact_segment_sums(table.col("tx_count")[mask], starts)
+        private_sums = exact_segment_sums(
+            table.col("private_tx_count")[mask], starts
         )
-        dates, starts, _ = day_slices(ordinals)
-        tx_sums = exact_segment_sums(txs, starts)
-        private_sums = exact_segment_sums(private, starts)
         values = tuple(
             private_sum / tx_sum if tx_sum else 0.0
             for tx_sum, private_sum in zip(tx_sums, private_sums)

@@ -8,15 +8,13 @@ only (the paper's "Builder 3"/"Builder 6" cases with no on-chain trace).
 
 Clustering runs over the columnar table: rows group by fee-recipient /
 pubkey via ``np.unique`` and groups sharing a pubkey are merged through
-a sparse connected-components pass — no ``BlockObservation`` is
-materialized unless a caller reads ``cluster.blocks``.
+a sparse connected-components pass — no ``BlockObservation`` is built.
 """
 
 from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -24,8 +22,7 @@ from scipy.sparse import csgraph
 
 from ..datasets.collector import StudyDataset
 from ..datasets.columnar import exact_segment_sums
-from ..datasets.records import BlockObservation
-from .timeseries import DailySeries, by_date_order, day_slices
+from .timeseries import DailySeries, day_slices
 
 
 @dataclass
@@ -33,27 +30,17 @@ class BuilderCluster:
     """One clustered builder: pubkeys sharing fee-recipient addresses.
 
     ``indices`` are the cluster's row positions in the dataset's block
-    table, ascending; ``blocks`` materializes the corresponding
-    observations on demand for legacy callers.
+    table, ascending.
     """
 
     name: str
     pubkeys: set[str] = field(default_factory=set)
     addresses: set[str] = field(default_factory=set)
     indices: list[int] = field(default_factory=list)
-    _blocks_source: Sequence[BlockObservation] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def block_count(self) -> int:
         return len(self.indices)
-
-    @property
-    def blocks(self) -> list[BlockObservation]:
-        if self._blocks_source is None:
-            return []
-        return [self._blocks_source[i] for i in self.indices]
 
 
 def _decode(value) -> str:
@@ -200,7 +187,6 @@ def cluster_builders(dataset: StudyDataset) -> list[BuilderCluster]:
                 pubkeys=pubkeys,
                 addresses=addresses,
                 indices=rows.tolist(),
-                _blocks_source=dataset.blocks,
             )
         )
     clusters.sort(key=lambda cluster: cluster.block_count, reverse=True)
@@ -217,11 +203,9 @@ def daily_builder_shares(
     for index, cluster in enumerate(clusters):
         cluster_of_row[cluster.indices] = index
 
-    pbs_rows = np.flatnonzero(table.is_pbs)
-    ordinals, (row_clusters,) = by_date_order(
-        table.date_ordinal[pbs_rows], [cluster_of_row[pbs_rows]]
-    )
-    dates, starts, ends = day_slices(ordinals)
+    pbs = table.is_pbs
+    row_clusters = cluster_of_row[pbs]
+    dates, starts, ends = day_slices(table.date_ordinal[pbs])
     num_clusters = max(len(clusters), 1)
     day_index = np.repeat(np.arange(len(dates)), ends - starts)
     valid = row_clusters >= 0
@@ -287,19 +271,13 @@ def daily_profit_split(dataset: StudyDataset) -> tuple[DailySeries, DailySeries]
     """
     table = dataset.table
     positive = np.asarray(table.block_value_wei > 0, dtype=bool)
-    selected = np.flatnonzero(table.is_pbs & positive)
-    ordinals, (value_col, builder_col, proposer_col) = by_date_order(
-        table.date_ordinal[selected],
-        [
-            table.block_value_wei[selected],
-            table.builder_profit_wei[selected],
-            table.proposer_profit_wei[selected],
-        ],
+    selected = table.is_pbs & positive
+    dates, starts, _ = day_slices(table.date_ordinal[selected])
+    value_sums = exact_segment_sums(table.block_value_wei[selected], starts)
+    builder_sums = exact_segment_sums(table.builder_profit_wei[selected], starts)
+    proposer_sums = exact_segment_sums(
+        table.proposer_profit_wei[selected], starts
     )
-    dates, starts, _ = day_slices(ordinals)
-    value_sums = exact_segment_sums(value_col, starts)
-    builder_sums = exact_segment_sums(builder_col, starts)
-    proposer_sums = exact_segment_sums(proposer_col, starts)
     builder_values = tuple(
         builder / value if value else 0.0
         for builder, value in zip(builder_sums, value_sums)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..datasets.collector import StudyDataset
 from ..datasets.columnar import isin_strings, per_segment_counts
-from .timeseries import DailySeries, by_date_order, day_slices
+from .timeseries import DailySeries, day_slices
 
 
 def daily_compliant_relay_share(dataset: StudyDataset) -> DailySeries:
@@ -34,10 +34,7 @@ def daily_compliant_relay_share(dataset: StudyDataset) -> DailySeries:
 
     index = np.flatnonzero(counts > 0)
     fractions = compliant_claims[index] / counts[index]
-    ordinals, (fractions,) = by_date_order(
-        table.date_ordinal[index], [fractions]
-    )
-    dates, starts, ends = day_slices(ordinals)
+    dates, starts, ends = day_slices(table.date_ordinal[index])
     # Sequential (not pairwise) summation of the per-block fractions, so
     # the day means match the per-object accumulation bit for bit.
     values = tuple(
@@ -55,16 +52,9 @@ def daily_sanctioned_share(
     table = dataset.table
     series = []
     for name, mask in (("PBS", table.is_pbs), ("non-PBS", ~table.is_pbs)):
-        index = np.flatnonzero(mask)
-        ordinals, (sanctioned,) = by_date_order(
-            table.date_ordinal[index], [table.is_sanctioned[index]]
-        )
-        dates, starts, ends = day_slices(ordinals)
-        counts = (
-            np.add.reduceat(sanctioned.astype(np.int64), starts)
-            if len(starts)
-            else []
-        )
+        dates, starts, ends = day_slices(table.date_ordinal[mask])
+        sanctioned = table.is_sanctioned[mask].astype(np.int64)
+        counts = np.add.reduceat(sanctioned, starts) if len(starts) else []
         values = tuple(
             float(count / (end - start))
             for count, start, end in zip(counts, starts, ends)

@@ -17,7 +17,7 @@ import numpy as np
 from ..datasets.collector import StudyDataset
 from ..datasets.columnar import exact_sum, isin_strings, per_segment_counts
 from ..mev.detection import MEV_SANDWICH
-from .timeseries import DailySeries, by_date_order, day_slices
+from .timeseries import DailySeries, day_slices
 
 
 def daily_mev_per_block(
@@ -47,11 +47,8 @@ def daily_mev_per_block(
     series = []
     label = kind or "MEV"
     for name, mask in (("PBS", table.is_pbs), ("non-PBS", ~table.is_pbs)):
-        index = np.flatnonzero(mask)
-        ordinals, (counts,) = by_date_order(
-            table.date_ordinal[index], [label_counts[index]]
-        )
-        dates, starts, ends = day_slices(ordinals)
+        dates, starts, ends = day_slices(table.date_ordinal[mask])
+        counts = label_counts[mask]
         sums = np.add.reduceat(counts, starts) if len(starts) else []
         values = tuple(
             float(int(total) / (end - start))
@@ -95,11 +92,8 @@ def daily_mev_value_share(
 
     series = []
     for name, mask in (("PBS", table.is_pbs), ("non-PBS", ~table.is_pbs)):
-        index = np.flatnonzero(mask)
-        ordinals, (shares, pos) = by_date_order(
-            table.date_ordinal[index], [share_of_row[index], positive[index]]
-        )
-        dates, starts, ends = day_slices(ordinals)
+        dates, starts, ends = day_slices(table.date_ordinal[mask])
+        shares, pos = share_of_row[mask], positive[mask]
         values = []
         for start, end in zip(starts, ends):
             day_pos = pos[start:end]

@@ -54,7 +54,7 @@ def regime_metrics(
 ) -> RegimeMetrics:
     """Reduce one regime's dataset to its comparison row.
 
-    Works on any :class:`StudyDataset` — its blocks iterate to
+    Works on any :class:`StudyDataset` — it reads the block table as
     :class:`BlockObservation` rows, and the ePBS counters come from the
     consensus-side ledger the collector attaches only when the regime
     stakes builders.
@@ -64,7 +64,7 @@ def regime_metrics(
     delivered_wei = 0
     sanctioned = 0
     blocks = 0
-    for obs in dataset.blocks:
+    for obs in dataset.table.to_observations():
         blocks += 1
         producer = obs.extra_data or obs.proposer_entity
         producer_blocks[producer] = producer_blocks.get(producer, 0.0) + 1.0

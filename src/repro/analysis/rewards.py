@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..datasets.collector import StudyDataset
 from ..datasets.columnar import exact_segment_sums
-from .timeseries import DailySeries, by_date_order, day_slices
+from .timeseries import DailySeries, day_slices
 
 
 def daily_user_payment_shares(
@@ -21,18 +21,10 @@ def daily_user_payment_shares(
 ) -> tuple[DailySeries, DailySeries, DailySeries]:
     """(base-fee share, priority-fee share, direct-transfer share) per day."""
     table = dataset.table
-    ordinals, (burned_col, priority_col, direct_col) = by_date_order(
-        table.date_ordinal,
-        [
-            table.col("burned_wei"),
-            table.col("priority_fees_wei"),
-            table.col("direct_transfers_wei"),
-        ],
-    )
-    dates, starts, _ = day_slices(ordinals)
-    burned_sums = exact_segment_sums(burned_col, starts)
-    priority_sums = exact_segment_sums(priority_col, starts)
-    direct_sums = exact_segment_sums(direct_col, starts)
+    dates, starts, _ = day_slices(table.date_ordinal)
+    burned_sums = exact_segment_sums(table.col("burned_wei"), starts)
+    priority_sums = exact_segment_sums(table.col("priority_fees_wei"), starts)
+    direct_sums = exact_segment_sums(table.col("direct_transfers_wei"), starts)
 
     base_values, priority_values, direct_values = [], [], []
     for burned, priority, direct in zip(burned_sums, priority_sums, direct_sums):
@@ -55,12 +47,9 @@ def daily_user_payment_shares(
 def daily_total_user_payments_eth(dataset: StudyDataset) -> DailySeries:
     """Total user payments per day, in ETH."""
     table = dataset.table
-    ordinals, (burned_col, value_col) = by_date_order(
-        table.date_ordinal, [table.col("burned_wei"), table.block_value_wei]
-    )
-    dates, starts, _ = day_slices(ordinals)
-    burned_sums = exact_segment_sums(burned_col, starts)
-    value_sums = exact_segment_sums(value_col, starts)
+    dates, starts, _ = day_slices(table.date_ordinal)
+    burned_sums = exact_segment_sums(table.col("burned_wei"), starts)
+    value_sums = exact_segment_sums(table.block_value_wei, starts)
     values = tuple(
         float((burned + value) / 10**18)
         for burned, value in zip(burned_sums, value_sums)

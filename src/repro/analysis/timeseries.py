@@ -77,17 +77,3 @@ def day_slices(
     dates = tuple(datetime.date.fromordinal(int(o)) for o in uniques)
     return dates, starts, ends
 
-
-def by_date_order(
-    ordinals: np.ndarray, columns: list[np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Stable-sort ``columns`` by date ordinal when not already sorted.
-
-    Collected tables are block-number ordered, which is chronological, so
-    this is a no-op on every normal dataset — the sort only triggers for
-    hand-built observation lists in tests.
-    """
-    if ordinals.size and np.any(ordinals[1:] < ordinals[:-1]):
-        order = np.argsort(ordinals, kind="stable")
-        return ordinals[order], [column[order] for column in columns]
-    return ordinals, columns

@@ -3,8 +3,7 @@
 Implements the pieces of Ethereum PoS the paper relies on: 12-second slots
 grouped into 32-slot epochs, a validator registry with 32-ETH staking and
 entity (staking-pool) attribution, seeded proposer election with epoch
-lookahead, per-block beacon rewards, and the beacon chain record of
-proposed/missed slots.
+lookahead, and the beacon chain record of proposed/missed slots.
 """
 
 from .builders import (
@@ -18,7 +17,6 @@ from .builders import (
     builder_withdrawal_credentials,
 )
 from .chain import BeaconBlockRecord, BeaconChain
-from .rewards import RewardLedger
 from .schedule import ProposerSchedule
 from .validator import Validator, ValidatorRegistry
 
@@ -31,7 +29,6 @@ __all__ = [
     "EpbsDataset",
     "EpbsLedger",
     "EpbsSlotRecord",
-    "RewardLedger",
     "ProposerSchedule",
     "SlashingEvent",
     "Validator",

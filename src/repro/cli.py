@@ -107,8 +107,8 @@ def _build_dataset(args: argparse.Namespace):
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     world, dataset = _build_dataset(args)
-    pbs = dataset.pbs_blocks()
-    print(f"blocks: {len(dataset.blocks)} ({len(pbs)} PBS)")
+    table = dataset.table
+    print(f"blocks: {len(table)} ({int(table.is_pbs.sum())} PBS)")
     print(f"transactions: {world.chain.total_transactions()}")
     print(f"missed slots: {world.beacon.missed_count()}")
     print(render_series(daily_pbs_share(dataset)))

@@ -15,10 +15,6 @@ SECONDS_PER_SLOT = 12
 SLOTS_PER_EPOCH = 32
 STAKE_PER_VALIDATOR_WEI = ether(32)
 
-# Approximate per-block consensus-layer rewards quoted in the paper (Sec. 2.1).
-BEACON_PROPOSER_REWARD_WEI = ether(0.034)
-BEACON_ATTESTER_REWARD_WEI = ether(0.0000125)
-
 # --- Execution layer (EIP-1559 fee market) ---------------------------------
 TARGET_BLOCK_GAS = 15_000_000
 MAX_BLOCK_GAS = 30_000_000

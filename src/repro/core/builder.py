@@ -126,9 +126,6 @@ class BuilderSubmission:
     speculative_ctx: ExecutionContext
     # Relay-specific claim overrides (the Manifold-incident exploit).
     claimed_by_relay: dict[str, Wei] = field(default_factory=dict)
-    # The Nov-10 2022 bug: blocks carrying broken timestamps that proposer
-    # nodes reject after signing, forcing local fallback.
-    invalid_timestamp: bool = False
 
     def claimed_for(self, relay_name: str) -> Wei:
         return self.claimed_by_relay.get(relay_name, self.claimed_value_wei)
@@ -419,7 +416,6 @@ class BlockBuilder:
             payment_wei=payment,
             claimed_value_wei=claimed,
             speculative_ctx=fork,
-            invalid_timestamp=ctx.day in self.timestamp_bug_days,
         )
         inflated = self.claim_inflation.get(ctx.day)
         if inflated:

@@ -6,20 +6,16 @@ observations, MEV label sources, and OFAC screening.  The resulting
 :class:`StudyDataset` is the only thing the analysis package reads.
 
 Per-block values append straight into :class:`~.columnar.ColumnBuilder`
-lists and finalize into a :class:`~.columnar.BlockTable`;
-``dataset.blocks`` is a :class:`~.columnar.LazyBlockList` that
-materializes :class:`BlockObservation` objects only when a caller indexes
-or iterates it.  :meth:`StudyDataset.content_digest` is defined over field
-values, never over the storage layout.
+lists and finalize into a :class:`~.columnar.BlockTable`, the dataset's
+only copy of its blocks.  :meth:`StudyDataset.content_digest` is defined
+over field values, never over the storage layout.
 """
 
 from __future__ import annotations
 
 import copy
-import datetime
 import hashlib
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +30,7 @@ from ..mev.labels import MevDataset
 from ..sanctions.ofac import SanctionsList
 from ..sanctions.screening import SanctionScreener
 from ..types import Hash, Wei
-from .columnar import BlockTable, ColumnBuilder, LazyBlockList
+from .columnar import BlockTable, ColumnBuilder
 from .records import BlockObservation, DatasetInventory
 
 
@@ -42,12 +38,13 @@ from .records import BlockObservation, DatasetInventory
 class StudyDataset:
     """Everything the measurement pipeline consumes.
 
-    ``blocks`` is a :class:`LazyBlockList` over the dataset's
-    :class:`BlockTable`.  A hand-built list of observations is converted
-    into one on construction, so every dataset is columnar.
+    ``table`` holds one row per proposed block, in block order: block
+    numbers increase and dates never decrease, so the analyses slice days
+    straight out of the columns.  Construction raises :class:`DataError`
+    on any other order.
     """
 
-    blocks: Sequence[BlockObservation]
+    table: BlockTable
     mev: MevDataset
     relays: dict[str, Relay]
     sanctions: SanctionsList
@@ -57,90 +54,16 @@ class StudyDataset:
     # The ePBS protocol record (deposits, slashings, per-slot PTC votes);
     # None unless the world ran under the ``epbs`` regime.
     epbs: EpbsDataset | None = None
-    # Lazily built caches; never constructor arguments, part of equality
-    # or pickles.
-    _by_number: dict[int, BlockObservation] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _dates: list[datetime.date] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        if not isinstance(self.blocks, LazyBlockList):
-            self.blocks = LazyBlockList(BlockTable.from_observations(self.blocks))
-
-    # -- columnar access ----------------------------------------------------
-
-    @property
-    def table(self) -> BlockTable:
-        """The columnar view of :attr:`blocks`."""
-        return self.blocks.table
-
-    # Vectorized per-block accessors, mirroring the BlockObservation
-    # derived properties as column expressions (one element per block, in
-    # block order).  The analysis modules consume these.
-
-    @property
-    def is_pbs(self) -> np.ndarray:
-        return self.table.is_pbs
-
-    @property
-    def relay_claimed(self) -> np.ndarray:
-        return self.table.relay_claimed
-
-    @property
-    def has_pbs_payment(self) -> np.ndarray:
-        return self.table.has_pbs_payment
-
-    @property
-    def is_sanctioned(self) -> np.ndarray:
-        return self.table.is_sanctioned
-
-    @property
-    def block_value_wei(self) -> np.ndarray:
-        return self.table.block_value_wei
-
-    @property
-    def proposer_profit_wei(self) -> np.ndarray:
-        return self.table.proposer_profit_wei
-
-    @property
-    def builder_profit_wei(self) -> np.ndarray:
-        return self.table.builder_profit_wei
-
-    # -- row access ---------------------------------------------------------
-
-    def block(self, number: int) -> BlockObservation:
-        if not self._by_number:
-            self._by_number = {obs.number: obs for obs in self.blocks}
-        try:
-            return self._by_number[number]
-        except KeyError:
-            raise DataError(f"no observation for block {number}") from None
-
-    def pbs_blocks(self) -> list[BlockObservation]:
-        return [self.blocks[i] for i in np.flatnonzero(self.table.is_pbs)]
-
-    def non_pbs_blocks(self) -> list[BlockObservation]:
-        return [self.blocks[i] for i in np.flatnonzero(~self.table.is_pbs)]
-
-    def dates(self) -> list[datetime.date]:
-        """Sorted unique dates, cached (recomputing per analysis added up)."""
-        if self._dates is None:
-            self._dates = self.table.dates()
-        return list(self._dates)
-
-    # -- pickling -----------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        # Drop rebuildable caches: the block-number index and the date
-        # cache can be large or stale.  The table rides in the
-        # LazyBlockList.
-        state = dict(self.__dict__)
-        state["_by_number"] = {}
-        state["_dates"] = None
-        return state
+        numbers = self.table.col("number")
+        ordinals = self.table.date_ordinal
+        if np.any(numbers[1:] <= numbers[:-1]):
+            raise DataError(
+                "blocks break block order: block numbers repeat or go down"
+            )
+        if np.any(ordinals[1:] < ordinals[:-1]):
+            raise DataError("blocks break block order: dates go down")
 
     # -- digest -------------------------------------------------------------
 
@@ -159,8 +82,8 @@ class StudyDataset:
             hasher.update(text.encode())
             hasher.update(b"\x00")
 
-        for obs in sorted(self.blocks, key=lambda o: o.number):
-            _feed_observation(feed, obs)
+        for i in range(len(self.table)):
+            _feed_observation(feed, self.table.row(i))
         feed(f"labels:{len(self.mev)}")
         for source, count in sorted(self.inventory.mev_labels_by_source.items()):
             feed(f"labels:{source}={count}")
@@ -244,9 +167,10 @@ def merge_study_datasets(datasets: "list[StudyDataset]") -> StudyDataset:
 
     Blocks merge by array concatenation, so the parts must arrive in
     block order (segment-index order, as ``run_sharded`` gathers them).
-    Out-of-order parts raise :class:`DataError`: the ePBS ledger, relay
-    stores and MEV labels concatenate in the order given, so re-sorting
-    only the blocks would change the merged digest.
+    Out-of-order parts fail the merged dataset's order check with
+    :class:`DataError`: the ePBS ledger, relay stores and MEV labels
+    concatenate in the order given, so re-sorting only the blocks would
+    change the merged digest.
     """
     if not datasets:
         raise DataError("cannot merge an empty dataset list")
@@ -274,10 +198,6 @@ def merge_study_datasets(datasets: "list[StudyDataset]") -> StudyDataset:
     epbs_parts = [d.epbs for d in datasets if d.epbs is not None]
     epbs = EpbsDataset.concat(epbs_parts) if epbs_parts else None
 
-    table = BlockTable.concat([d.table for d in datasets])
-    if not table.is_number_sorted():
-        raise DataError("datasets must be merged in block order")
-
     inventory = DatasetInventory(
         blocks=total_blocks,
         transactions=total_txs,
@@ -294,7 +214,7 @@ def merge_study_datasets(datasets: "list[StudyDataset]") -> StudyDataset:
         ofac_addresses=first.inventory.ofac_addresses,
     )
     return StudyDataset(
-        blocks=LazyBlockList(table),
+        table=BlockTable.concat([d.table for d in datasets]),
         mev=mev,
         relays=relays,
         sanctions=first.sanctions,
@@ -414,7 +334,7 @@ def _collect_study_dataset(world, perf) -> StudyDataset:
         if relay.policy.is_censoring
     )
     return StudyDataset(
-        blocks=LazyBlockList(builder.finish()),
+        table=builder.finish(),
         mev=mev,
         relays=dict(world.relays),
         sanctions=world.sanctions,

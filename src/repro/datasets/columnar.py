@@ -10,7 +10,7 @@ semantically meaningful (``sanctioned_tx_hashes`` keeps tuple order;
 ``private_tx_hashes`` is a set and is stored sorted; dict fields keep
 insertion order).
 
-Three concerns shape the module:
+Two concerns shape the module:
 
 * **Exact integer arithmetic.**  Wei amounts are unbounded Python ints in
   :class:`~.records.BlockObservation` and analysis results must not change
@@ -25,17 +25,16 @@ Three concerns shape the module:
   Hex identifiers (hashes, addresses, pubkeys) are stored as ASCII bytes
   (``S``-dtype) — four times smaller than unicode — and decoded only when
   an observation object is materialized.
-* **Laziness.**  ``LazyBlockList`` materializes ``BlockObservation``
-  objects row by row on first access and caches them, so legacy callers
-  that index or iterate ``StudyDataset.blocks`` keep working (including
-  identity checks) while vectorized consumers never pay for objects at
-  all.
+
+A row becomes a :class:`BlockObservation` only when a caller asks for
+one (:meth:`BlockTable.row`, :meth:`BlockTable.to_observations`); the
+daily analyses read columns and build no rows.
 """
 
 from __future__ import annotations
 
 import datetime
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -298,10 +297,10 @@ class ColumnBuilder:
 class BlockTable:
     """Column-oriented storage of a list of :class:`BlockObservation`.
 
-    Rows are ordered exactly as the observations were appended (block
-    number order for collected datasets).  Derived column expressions
-    (``is_pbs``, ``block_value_wei``, ...) mirror the per-object derived
-    properties and are cached after first use.
+    Rows are ordered exactly as the observations were appended; a
+    :class:`~.collector.StudyDataset` requires block order.  Derived
+    column expressions (``is_pbs``, ``block_value_wei``, ...) mirror the
+    per-object derived properties and are cached after first use.
     """
 
     def __init__(self, columns: dict[str, np.ndarray]) -> None:
@@ -558,12 +557,6 @@ class BlockTable:
             for o in np.unique(self.columns["date_ordinal"])
         ]
 
-    def is_number_sorted(self) -> bool:
-        numbers = self.columns["number"]
-        if numbers.shape[0] <= 1:
-            return True
-        return bool(np.all(numbers[1:] >= numbers[:-1]))
-
     # -- concatenation (the sharded merge path) ------------------------------
 
     @classmethod
@@ -571,8 +564,8 @@ class BlockTable:
         """Concatenate tables row-wise; offsets are rebased, values appended.
 
         This is the sharded merge: per-segment tables arrive in
-        segment-index order, so the result is already block-number sorted
-        and no per-object sort is needed.
+        segment-index order, and the merged dataset's constructor checks
+        that the result is in block order.
         """
         if not tables:
             raise DataError("cannot concatenate zero BlockTables")
@@ -643,42 +636,3 @@ class BlockTable:
         if objects:
             columns.update(objects)
         return cls(columns)
-
-
-class LazyBlockList(Sequence):
-    """A sequence of ``BlockObservation`` materialized from a table on demand.
-
-    Rows are cached after first materialization so repeated access returns
-    the *same* object (callers rely on identity, e.g. ``dataset.block``
-    lookups against ``dataset.blocks[i]``).
-    """
-
-    def __init__(self, table: BlockTable) -> None:
-        self._table = table
-        self._cache: list[BlockObservation | None] = [None] * len(table)
-
-    @property
-    def table(self) -> BlockTable:
-        return self._table
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self._cache)
-        obs = self._cache[index]
-        if obs is None:
-            obs = self._table.row(index)
-            self._cache[index] = obs
-        return obs
-
-    def __iter__(self) -> Iterator[BlockObservation]:
-        for i in range(len(self._cache)):
-            yield self[i]
-
-    def __reduce__(self):
-        # Pickle only the table; the materialization cache is rebuilt lazily.
-        return (LazyBlockList, (self._table,))

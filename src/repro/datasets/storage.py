@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import pathlib
+from dataclasses import asdict
 
 from ..errors import DataError
 from ..types import to_ether
@@ -39,7 +40,7 @@ def export_study_dataset(dataset: StudyDataset, directory: str | pathlib.Path) -
     with blocks_path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(_BLOCK_FIELDS)
-        for obs in dataset.blocks:
+        for obs in dataset.table.to_observations():
             writer.writerow(
                 (
                     obs.number,
@@ -99,22 +100,8 @@ def export_study_dataset(dataset: StudyDataset, directory: str | pathlib.Path) -
     written[MEV_CSV] = str(mev_path)
 
     inventory_path = out / INVENTORY_JSON
-    inventory = dataset.inventory
     inventory_path.write_text(
-        json.dumps(
-            {
-                "blocks": inventory.blocks,
-                "transactions": inventory.transactions,
-                "logs": inventory.logs,
-                "traces": inventory.traces,
-                "mev_labels_by_source": inventory.mev_labels_by_source,
-                "mev_labels_union": inventory.mev_labels_union,
-                "mempool_arrival_times": inventory.mempool_arrival_times,
-                "relay_data_entries": inventory.relay_data_entries,
-                "ofac_addresses": inventory.ofac_addresses,
-            },
-            indent=2,
-        ),
+        json.dumps(asdict(dataset.inventory), indent=2),
         encoding="utf-8",
     )
     written[INVENTORY_JSON] = str(inventory_path)

@@ -100,7 +100,6 @@ class Searcher:
         address: Address,
         skill: float = 0.8,
         bid_fraction: float = 0.85,
-        builders: tuple[str, ...] = (),
     ) -> None:
         if not 0.0 <= skill <= 1.0:
             raise ValueError(f"skill must be in [0, 1], got {skill}")
@@ -110,7 +109,6 @@ class Searcher:
         self.address = address
         self.skill = skill
         self.bid_fraction = bid_fraction
-        self.builders = builders
 
     def find_bundles(self, view: SlotView) -> list[Bundle]:
         """Plan this slot's opportunities; overridden per searcher type."""

@@ -7,15 +7,17 @@ module caches that dataset on disk keyed by a content hash of the config,
 so benchmark sessions whose config is unchanged skip the simulation
 entirely (``benchmarks/conftest.py`` wires this up).
 
-Format 3 splits a dataset across two files:
+Format 4 splits a dataset across two files:
 
 * ``study-<hash>.columns.npz`` — every numpy column of the dataset's
   :class:`~repro.datasets.columnar.BlockTable`, uncompressed
   (``np.savez``), loaded zero-copy by memory-mapping the archive and
   pointing each array at its bytes inside the zip members;
-* ``study-<hash>.pkl`` — the pickled non-columnar remainder (MEV labels,
-  relay stores, sanctions, inventory) plus any object-dtype overflow
+* ``study-<hash>.pkl`` — the dataset's other fields (MEV labels, relay
+  stores, sanctions, inventory, ...) plus any object-dtype overflow
   columns, with the format stamp, the config hash and the column stamp.
+  The load rebuilds the dataset through its constructor, so a loaded
+  dataset passes the same block-order check as a collected one.
 
 The column stamp is the ``.npz``'s ``(member, CRC-32, size)`` list, read
 from its zip central directory.  The columns file is replaced before the
@@ -51,9 +53,9 @@ from numpy.lib import format as npy_format
 from ..errors import DataError
 
 #: Bump when simulation semantics or the artifact layout change; old
-#: artifacts become unreadable.  3 = columnar .npz + pickle remainder
-#: carrying the .npz's column stamp.
-ARTIFACT_FORMAT = 3
+#: artifacts become unreadable.  4 = columnar .npz + pickle of the
+#: dataset's other fields carrying the .npz's column stamp.
+ARTIFACT_FORMAT = 4
 
 _CACHE_DIR_ENV = "REPRO_ARTIFACT_CACHE"
 
@@ -118,13 +120,17 @@ def save_study_artifact(
     with zipfile.ZipFile(tmp_columns) as archive:
         stamp = _column_stamp(archive)
     os.replace(tmp_columns, columns_path)
-    # The remainder pickles with the blocks stripped: the columns file
-    # carries them.  Object-dtype overflow columns (wei values beyond
-    # int64) cannot be mmapped and ride along in the pickle.
+    # Every field but the table pickles: the columns file carries the
+    # table.  Object-dtype overflow columns (wei values beyond int64)
+    # cannot be mmapped and ride along in the pickle.
     payload = {
         "format": ARTIFACT_FORMAT,
         "config_hash": config_hash,
-        "dataset": dataclasses.replace(dataset, blocks=[]),
+        "fields": {
+            field.name: getattr(dataset, field.name)
+            for field in dataclasses.fields(dataset)
+            if field.name != "table"
+        },
         "object_columns": objects,
         "column_stamp": stamp,
     }
@@ -173,17 +179,17 @@ def load_study_artifact(config: Any, cache_dir: Path | None = None) -> Any:
 
 
 def _attach_columns(payload: dict, columns_path: Path) -> Any:
-    """Rehydrate the pickled dataset from its mmapped column file."""
-    from ..datasets.columnar import BlockTable, LazyBlockList
+    """Rebuild the dataset from its pickled fields and mmapped columns."""
+    from ..datasets.collector import StudyDataset
+    from ..datasets.columnar import BlockTable
 
     plain, stamp = mmap_npz_columns(columns_path)
     if stamp != payload["column_stamp"]:
         raise ValueError(f"{columns_path.name} was not written with this pickle")
-    dataset = payload["dataset"]
-    dataset.blocks = LazyBlockList(
-        BlockTable.from_arrays(plain, payload["object_columns"])
+    return StudyDataset(
+        table=BlockTable.from_arrays(plain, payload["object_columns"]),
+        **payload["fields"],
     )
-    return dataset
 
 
 def mmap_npz_columns(

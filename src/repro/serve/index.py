@@ -232,11 +232,6 @@ class BlockJoin:
     def __init__(self, table) -> None:
         self._by_hash: dict[str, int] = {}
         self._by_number: dict[int, int] = {}
-        if table is None or len(table) == 0:
-            self._numbers = self._gas_used = self._gas_limit = None
-            self._tx_counts = self._hashes = None
-            return
-        self._numbers = table.col("number")
         self._gas_used = table.col("gas_used")
         self._gas_limit = table.col("gas_limit")
         self._tx_counts = table.col("tx_count")
@@ -244,7 +239,7 @@ class BlockJoin:
             value.decode("ascii") if isinstance(value, bytes) else str(value)
             for value in table.col("block_hash").tolist()
         ]
-        for position, number in enumerate(self._numbers.tolist()):
+        for position, number in enumerate(table.col("number").tolist()):
             self._by_number[int(number)] = position
         for position, block_hash in enumerate(self._hashes):
             self._by_hash[block_hash] = position
@@ -289,9 +284,9 @@ class DatasetIndex:
 
     @classmethod
     def build(
-        cls, relay_stores: Mapping[str, object], table=None
+        cls, relay_stores: Mapping[str, object], table
     ) -> "DatasetIndex":
-        """Index ``{name: RelayDataStore}`` plus an optional block table.
+        """Index ``{name: RelayDataStore}`` plus the dataset's block table.
 
         The combined view (:data:`ALL_RELAYS`) concatenates stores in
         relay-name order, so within one slot rows order by relay name
@@ -322,18 +317,11 @@ class DatasetIndex:
 
     @classmethod
     def from_dataset(cls, dataset) -> "DatasetIndex":
-        """Index a :class:`~repro.datasets.collector.StudyDataset`.
-
-        Duck-typed: ``dataset`` needs ``.relays`` (name -> relay holding
-        a ``.data`` store); the block join is built when observations are
-        present and skipped otherwise (store-only test harnesses).
-        """
+        """Index a :class:`~repro.datasets.collector.StudyDataset`."""
         stores = {
             name: relay.data for name, relay in dataset.relays.items()
         }
-        blocks = getattr(dataset, "blocks", None)
-        table = dataset.table if blocks is not None and len(blocks) else None
-        return cls.build(stores, table)
+        return cls.build(stores, dataset.table)
 
     def relay_names(self) -> list[str]:
         return sorted(name for name in self.relays if name != ALL_RELAYS)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .index import (
     ALL_RELAYS,
@@ -115,13 +115,8 @@ def _parse_int(params: dict[str, str], name: str) -> int | None:
 
 
 class QueryService:
-    """The query layer over one collected dataset.
-
-    ``dataset`` needs ``.relays`` (name -> relay with an append-only
-    ``.data`` store); the analysis endpoints additionally need the full
-    :class:`~repro.datasets.collector.StudyDataset` surface and return
-    503 when it is absent (store-only test harnesses).
-    """
+    """The query layer over one collected
+    :class:`~repro.datasets.collector.StudyDataset`."""
 
     def __init__(self, dataset) -> None:
         self.dataset = dataset
@@ -243,16 +238,11 @@ class QueryService:
 
     # -- analysis endpoints --------------------------------------------
 
-    def _require_table(self) -> None:
-        if getattr(self.dataset, "table", None) is None:
-            raise ServeError(503, "analysis unavailable: no block table")
-
     def _analysis_hhi(self, params: dict[str, str]) -> Response:
         from ..analysis.builders import daily_builder_shares
         from ..analysis.concentration import daily_hhi_series
         from ..analysis.relays import daily_relay_shares
 
-        self._require_table()
         relay = daily_hhi_series("relay HHI", daily_relay_shares(self.dataset))
         builder = daily_hhi_series("builder HHI", daily_builder_shares(self.dataset))
         return _ok(
@@ -265,7 +255,6 @@ class QueryService:
     def _analysis_value_split(self, params: dict[str, str]) -> Response:
         from ..analysis.rewards import daily_user_payment_shares
 
-        self._require_table()
         base, priority, direct = daily_user_payment_shares(self.dataset)
         return _ok(
             {
@@ -282,7 +271,6 @@ class QueryService:
             overall_sanctioned_shares,
         )
 
-        self._require_table()
         pbs, non_pbs = daily_sanctioned_share(self.dataset)
         return _ok(
             {
@@ -323,7 +311,7 @@ class QueryService:
             rows.append(
                 {
                     "name": name,
-                    "endpoint": getattr(relay, "endpoint", ""),
+                    "endpoint": relay.endpoint,
                     "payloads": len(indexes.payloads),
                     "submissions": len(indexes.submissions),
                     "registrations": len(indexes.registrations),
@@ -332,19 +320,4 @@ class QueryService:
         return _ok(rows)
 
     def _inventory(self, params: dict[str, str]) -> Response:
-        inventory = getattr(self.dataset, "inventory", None)
-        if inventory is None:
-            raise ServeError(503, "inventory unavailable")
-        return _ok(
-            {
-                "blocks": inventory.blocks,
-                "transactions": inventory.transactions,
-                "logs": inventory.logs,
-                "traces": inventory.traces,
-                "mev_labels_by_source": inventory.mev_labels_by_source,
-                "mev_labels_union": inventory.mev_labels_union,
-                "mempool_arrival_times": inventory.mempool_arrival_times,
-                "relay_data_entries": inventory.relay_data_entries,
-                "ofac_addresses": inventory.ofac_addresses,
-            }
-        )
+        return _ok(asdict(self.dataset.inventory))

@@ -22,7 +22,6 @@ from ..beacon.builders import (
     EpbsLedger,
 )
 from ..beacon.chain import BeaconBlockRecord, BeaconChain
-from ..beacon.rewards import RewardLedger
 from ..beacon.schedule import ProposerSchedule
 from ..beacon.validator import Validator, ValidatorRegistry
 from ..chain.chain import Chain
@@ -221,7 +220,6 @@ class World:
         )
         self.schedule = ProposerSchedule(self.validators, seed=config.seed)
         self.beacon = BeaconChain()
-        self.rewards = RewardLedger()
 
         # PBS layer.
         self.relays: dict[str, Relay] = build_relays(config)
@@ -1063,7 +1061,6 @@ class World:
                     payload_withheld=outcome.payload_withheld,
                 )
             )
-            self.rewards.reward_proposer(outcome.proposer.index)
             self.mempool.expire(ctx.build_cutoff_time)
             self.slot_records.append(
                 SlotRecord(
@@ -1093,7 +1090,6 @@ class World:
                 used_mev_boost=outcome.used_pbs,
             )
         )
-        self.rewards.reward_proposer(outcome.proposer.index)
         included = [tx.tx_hash for tx in outcome.block.transactions]
         self.mempool.remove_included(included)
         self.private_flow.remove_included(included)

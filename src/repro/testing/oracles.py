@@ -303,7 +303,9 @@ def check_relay_consistency(world, dataset: StudyDataset) -> list[OracleFinding]
     findings: list[OracleFinding] = []
     builders = _builder_by_pubkey(world)
     day_of_slot = {rec.slot: rec.day for rec in world.slot_records}
-    obs_by_number = {obs.number: obs for obs in dataset.blocks}
+    obs_by_number = {
+        obs.number: obs for obs in dataset.table.to_observations()
+    }
 
     for relay in world.relays.values():
         accepted = {
@@ -413,7 +415,7 @@ def check_mempool_causality(world, dataset: StudyDataset) -> list[OracleFinding]
     """Public transactions were first seen before inclusion; private ones never."""
     findings: list[OracleFinding] = []
     observations = world.observations
-    for obs in dataset.blocks:
+    for obs in dataset.table.to_observations():
         block = world.chain.block_by_number(obs.number)
         block_time = float(block.header.timestamp)
         if obs.private_tx_count != len(obs.private_tx_hashes):
@@ -476,7 +478,7 @@ def check_sanctions_soundness(world, dataset: StudyDataset) -> list[OracleFindin
     findings: list[OracleFinding] = []
     screener = SanctionScreener(world.sanctions, world.defi.tokens)
     sanctions = world.sanctions
-    for obs in dataset.blocks:
+    for obs in dataset.table.to_observations():
         block = world.chain.block_by_number(obs.number)
         result = world.chain.execution_result(block.block_hash)
         recomputed = tuple(

@@ -133,7 +133,7 @@ def _gross_overpromises(world, dataset: StudyDataset) -> list[DetectedAnomaly]:
         for pubkey in builder.pubkeys
     }
     counts: dict[tuple[str, str], list[str]] = {}
-    for obs in dataset.blocks:
+    for obs in dataset.table.to_observations():
         if not obs.claimed_by_relay:
             continue
         delivered = obs.delivered_value_wei

@@ -31,6 +31,7 @@ from repro.datasets.collector import (
     _detect_builder_payment,
     collect_study_dataset,
 )
+from repro.datasets.columnar import BlockTable
 from repro.datasets.records import BlockObservation
 from repro.sanctions.screening import SanctionScreener
 from repro.simulation.config import small_test_config
@@ -102,7 +103,7 @@ def collected_run():
     """(collected dataset, reference observations) of one run world."""
     world = build_world(small_test_config(num_days=5, blocks_per_day=8)).run()
     collected = collect_study_dataset(world)
-    assert len(collected.blocks) > 0
+    assert len(collected.table) > 0
     assert collected.inventory.relay_data_entries > 0
     return collected, reference_observations(world)
 
@@ -111,12 +112,14 @@ def collected_run():
 def dataset_pair(collected_run):
     """(collected dataset, the same dataset with reference observations)."""
     collected, observations = collected_run
-    return collected, dataclasses.replace(collected, blocks=observations)
+    return collected, dataclasses.replace(
+        collected, table=BlockTable.from_observations(observations)
+    )
 
 
 def test_collected_blocks_match_reference(collected_run):
     collected, observations = collected_run
-    assert list(collected.blocks) == observations
+    assert collected.table.to_observations() == observations
 
 
 def _comparable(value):
@@ -197,14 +200,16 @@ def test_backend_equivalence(name, dataset_pair):
 
 
 def test_cluster_blocks_match_backends(dataset_pair):
-    """Cluster membership materializes the same block numbers."""
+    """Cluster membership selects the same block numbers."""
     collected, reference = dataset_pair
-    by_collected = [
-        [obs.number for obs in cluster.blocks]
-        for cluster in builders.cluster_builders(collected)
-    ]
-    by_reference = [
-        [obs.number for obs in cluster.blocks]
-        for cluster in builders.cluster_builders(reference)
-    ]
+
+    def cluster_numbers(dataset):
+        numbers = dataset.table.col("number")
+        return [
+            numbers[cluster.indices].tolist()
+            for cluster in builders.cluster_builders(dataset)
+        ]
+
+    by_collected = cluster_numbers(collected)
+    by_reference = cluster_numbers(reference)
     assert by_collected == by_reference

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.builders import cluster_builders
 from repro.datasets.collector import StudyDataset
+from repro.datasets.columnar import BlockTable
 from repro.datasets.records import BlockObservation, DatasetInventory
 from repro.mev.labels import MevDataset
 from repro.sanctions.ofac import SanctionsList
@@ -43,7 +44,7 @@ def _obs(number, fee_recipient, pubkey=None, payment=10, proposer_fee=None):
 
 def _dataset(observations):
     return StudyDataset(
-        blocks=observations,
+        table=BlockTable.from_observations(observations),
         mev=MevDataset(),
         relays={},
         sanctions=SanctionsList(),

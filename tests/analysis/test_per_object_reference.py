@@ -25,6 +25,7 @@ import pytest
 from repro.analysis import concentration
 from repro.analysis.relays import pbs_totals_row
 from repro.analysis.timeseries import DailySeries
+from repro.datasets.columnar import BlockTable
 from repro.datasets.records import BlockObservation
 from repro.types import to_ether
 
@@ -57,7 +58,7 @@ def daily_series(
 def legacy_daily_pbs_share(dataset) -> DailySeries:
     return daily_series(
         "PBS share",
-        dataset.blocks,
+        dataset.table.to_observations(),
         lambda day_blocks: sum(obs.is_pbs for obs in day_blocks) / len(day_blocks),
     )
 
@@ -72,7 +73,7 @@ def legacy_daily_user_payment_shares(dataset):
             return 0.0, 0.0, 0.0
         return burned / total, priority / total, direct / total
 
-    buckets = group_by_date(dataset.blocks)
+    buckets = group_by_date(dataset.table.to_observations())
     dates = tuple(buckets)
     triples = [_shares(day_blocks) for day_blocks in buckets.values()]
     return (
@@ -84,7 +85,8 @@ def legacy_daily_user_payment_shares(dataset):
 
 def legacy_daily_relay_shares(dataset, include_non_pbs=False):
     shares = {}
-    for date, day_blocks in group_by_date(dataset.blocks).items():
+    blocks = dataset.table.to_observations()
+    for date, day_blocks in group_by_date(blocks).items():
         weights = {}
         denominator = 0
         for obs in day_blocks:
@@ -129,7 +131,7 @@ def legacy_cluster_builders(dataset):
         return None
 
     by_key = {}
-    for obs in dataset.blocks:
+    for obs in dataset.table.to_observations():
         key = _key(obs)
         if key is None:
             continue
@@ -180,7 +182,7 @@ def legacy_daily_builder_shares(dataset):
         for obs in cluster.blocks:
             name_by_block[obs.number] = cluster.name
     shares = {}
-    pbs_blocks = [obs for obs in dataset.blocks if obs.is_pbs]
+    pbs_blocks = [obs for obs in dataset.table.to_observations() if obs.is_pbs]
     for date, day_blocks in group_by_date(pbs_blocks).items():
         counts = {}
         total = 0
@@ -197,8 +199,8 @@ def legacy_daily_builder_shares(dataset):
 
 def legacy_daily_block_value(dataset):
     series = []
-    pbs = [obs for obs in dataset.blocks if obs.is_pbs]
-    non_pbs = [obs for obs in dataset.blocks if not obs.is_pbs]
+    pbs = [obs for obs in dataset.table.to_observations() if obs.is_pbs]
+    non_pbs = [obs for obs in dataset.table.to_observations() if not obs.is_pbs]
     for name, blocks in zip(("PBS", "non-PBS"), (pbs, non_pbs)):
         buckets = group_by_date(blocks)
         dates = tuple(buckets)
@@ -212,8 +214,8 @@ def legacy_daily_block_value(dataset):
 
 def legacy_daily_private_tx_share(dataset):
     series = []
-    pbs = [obs for obs in dataset.blocks if obs.is_pbs]
-    non_pbs = [obs for obs in dataset.blocks if not obs.is_pbs]
+    pbs = [obs for obs in dataset.table.to_observations() if obs.is_pbs]
+    non_pbs = [obs for obs in dataset.table.to_observations() if not obs.is_pbs]
     for name, blocks in zip(("PBS", "non-PBS"), (pbs, non_pbs)):
         buckets = group_by_date(blocks)
         dates = tuple(buckets)
@@ -228,8 +230,8 @@ def legacy_daily_private_tx_share(dataset):
 
 def legacy_daily_mev_per_block(dataset, kind=None):
     series = []
-    pbs = [obs for obs in dataset.blocks if obs.is_pbs]
-    non_pbs = [obs for obs in dataset.blocks if not obs.is_pbs]
+    pbs = [obs for obs in dataset.table.to_observations() if obs.is_pbs]
+    non_pbs = [obs for obs in dataset.table.to_observations() if not obs.is_pbs]
     for name, blocks in zip(("PBS", "non-PBS"), (pbs, non_pbs)):
         buckets = group_by_date(blocks)
         dates = tuple(buckets)
@@ -249,7 +251,9 @@ def legacy_daily_mev_per_block(dataset, kind=None):
 
 def legacy_daily_compliant_relay_share(dataset):
     compliant = dataset.compliant_relays
-    buckets = group_by_date([obs for obs in dataset.blocks if obs.relay_claimed])
+    buckets = group_by_date(
+        [obs for obs in dataset.table.to_observations() if obs.relay_claimed]
+    )
     dates = tuple(buckets)
     values = []
     for day_blocks in buckets.values():
@@ -263,8 +267,8 @@ def legacy_daily_compliant_relay_share(dataset):
 
 def legacy_daily_sanctioned_share(dataset):
     series = []
-    pbs = [obs for obs in dataset.blocks if obs.is_pbs]
-    non_pbs = [obs for obs in dataset.blocks if not obs.is_pbs]
+    pbs = [obs for obs in dataset.table.to_observations() if obs.is_pbs]
+    non_pbs = [obs for obs in dataset.table.to_observations() if not obs.is_pbs]
     for name, blocks in zip(("PBS", "non-PBS"), (pbs, non_pbs)):
         buckets = group_by_date(blocks)
         dates = tuple(buckets)
@@ -280,7 +284,7 @@ def legacy_relay_trust_table(dataset):
     from repro.analysis.relays import RelayTrustRow
 
     per_relay = {}
-    for obs in dataset.blocks:
+    for obs in dataset.table.to_observations():
         if not obs.claimed_by_relay:
             continue
         delivered = obs.delivered_value_wei
@@ -375,9 +379,11 @@ def _unclaimed_every_third(dataset):
     """
     blocks = [
         dataclasses.replace(obs, claimed_by_relay={}) if i % 3 == 0 else obs
-        for i, obs in enumerate(dataset.blocks)
+        for i, obs in enumerate(dataset.table.to_observations())
     ]
-    return dataclasses.replace(dataset, blocks=blocks)
+    return dataclasses.replace(
+        dataset, table=BlockTable.from_observations(blocks)
+    )
 
 
 @pytest.mark.parametrize("variant", ["collected", "unclaimed-every-third"])

@@ -77,13 +77,14 @@ class TestBuilderAnalyses:
     def test_clusters_cover_pbs_blocks(self, small_dataset):
         clusters = an.cluster_builders(small_dataset)
         clustered = sum(cluster.block_count for cluster in clusters)
-        assert clustered == len(small_dataset.pbs_blocks())
+        assert clustered == int(small_dataset.table.is_pbs.sum())
 
     def test_clusters_disjoint(self, small_dataset):
         clusters = an.cluster_builders(small_dataset)
+        block_numbers = small_dataset.table.col("number")
         seen = set()
         for cluster in clusters:
-            numbers = {obs.number for obs in cluster.blocks}
+            numbers = set(block_numbers[cluster.indices].tolist())
             assert not numbers & seen
             seen |= numbers
 

@@ -5,12 +5,9 @@ import datetime
 import pytest
 
 from repro.beacon.chain import BeaconBlockRecord, BeaconChain
-from repro.beacon.rewards import RewardLedger
 from repro.beacon.schedule import ProposerSchedule, epoch_of_slot, slot_timestamp
 from repro.beacon.validator import ValidatorRegistry
 from repro.constants import (
-    BEACON_ATTESTER_REWARD_WEI,
-    BEACON_PROPOSER_REWARD_WEI,
     SECONDS_PER_SLOT,
     SLOTS_PER_EPOCH,
 )
@@ -101,26 +98,6 @@ class TestSchedule:
             counts[idx] = counts.get(idx, 0) + 1
         # Every validator should propose at least once in 3200 slots.
         assert len(counts) == len(registry)
-
-
-class TestRewards:
-    def test_proposer_reward(self):
-        ledger = RewardLedger()
-        amount = ledger.reward_proposer(3)
-        assert amount == BEACON_PROPOSER_REWARD_WEI
-        assert ledger.total_rewards(3) == BEACON_PROPOSER_REWARD_WEI
-
-    def test_attester_rewards(self):
-        ledger = RewardLedger()
-        total = ledger.reward_attesters([1, 2, 3])
-        assert total == 3 * BEACON_ATTESTER_REWARD_WEI
-        assert ledger.total_rewards(2) == BEACON_ATTESTER_REWARD_WEI
-
-    def test_rewards_accumulate(self):
-        ledger = RewardLedger()
-        ledger.reward_proposer(1)
-        ledger.reward_proposer(1)
-        assert ledger.total_rewards(1) == 2 * BEACON_PROPOSER_REWARD_WEI
 
 
 class TestBeaconChain:

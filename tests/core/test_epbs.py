@@ -19,6 +19,8 @@ from repro.core.epbs import (
 )
 from repro.core.proposer import LocalBlockBuilder
 from repro.datasets import collect_study_dataset
+from repro.datasets.columnar import BlockTable
+from repro.datasets.records import BlockObservation
 from repro.simulation import build_world
 from repro.simulation.config import small_test_config
 from repro.testing.scenarios import _gross_overpromises
@@ -130,16 +132,33 @@ def test_gross_overclaim_boundary(checker, excess_wei, gross, paid):
         assert submission.payment_wei == paid
         assert auction.registry.record(world.builder.name).slashed is gross
     else:
-        block = SimpleNamespace(
+        # The proposer is its own fee recipient, so the block value is
+        # what was delivered.
+        block = BlockObservation(
             number=1,
+            block_hash="0x01",
+            slot=1,
             date=MERGE_DATE,
-            builder_pubkey=None,
+            proposer_index=0,
+            proposer_entity="solo",
+            proposer_fee_recipient="0xaa",
+            fee_recipient="0xaa",
+            extra_data="",
+            gas_used=0,
+            gas_limit=30_000_000,
+            base_fee_per_gas=7,
+            burned_wei=0,
+            priority_fees_wei=paid,
+            direct_transfers_wei=0,
+            tx_count=0,
+            private_tx_count=0,
+            builder_payment_wei=0,
             claimed_by_relay={"test-relay": claim},
-            delivered_value_wei=paid,
         )
+        assert block.delivered_value_wei == paid
         anomalies = _gross_overpromises(
             SimpleNamespace(builders={}, relays={}),
-            SimpleNamespace(blocks=[block]),
+            SimpleNamespace(table=BlockTable.from_observations([block])),
         )
         assert [a.kind for a in anomalies] == (
             ["gross-overpromise"] if gross else []
@@ -214,6 +233,6 @@ class TestEnshrinedWorld:
         # Value enforcement does nothing for censorship: sanctioned
         # transactions still land (or not) per builder behaviour.
         dataset = collect_study_dataset(epbs_world)
-        assert any(obs.is_sanctioned for obs in dataset.blocks) or (
-            len(dataset.blocks) < 200  # tiny worlds may see none; not a fail
+        assert dataset.table.is_sanctioned.any() or (
+            len(dataset.table) < 200  # tiny worlds may see none; not a fail
         )

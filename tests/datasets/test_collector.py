@@ -1,23 +1,14 @@
 """Tests for dataset collection over the small session world."""
 
-import pytest
-
 from repro.datasets import collect_study_dataset
-from repro.errors import DataError
 
 
 class TestBlockObservations:
     def test_one_observation_per_block(self, small_world, small_dataset):
-        assert len(small_dataset.blocks) == len(small_world.chain)
-
-    def test_lookup(self, small_dataset):
-        first = small_dataset.blocks[0]
-        assert small_dataset.block(first.number) is first
-        with pytest.raises(DataError):
-            small_dataset.block(1)
+        assert len(small_dataset.table) == len(small_world.chain)
 
     def test_values_consistent(self, small_dataset):
-        for obs in small_dataset.blocks:
+        for obs in small_dataset.table.to_observations():
             assert obs.block_value_wei == (
                 obs.priority_fees_wei + obs.direct_transfers_wei
             )
@@ -29,16 +20,18 @@ class TestBlockObservations:
             record.block_number: record.mode == "pbs"
             for record in small_world.slot_records
         }
-        for obs in small_dataset.blocks:
+        for obs in small_dataset.table.to_observations():
             assert obs.is_pbs == ground_truth[obs.number], obs.number
 
     def test_pbs_split_partition(self, small_dataset):
-        pbs = small_dataset.pbs_blocks()
-        non_pbs = small_dataset.non_pbs_blocks()
-        assert len(pbs) + len(non_pbs) == len(small_dataset.blocks)
+        rows = small_dataset.table.to_observations()
+        pbs = [obs for obs in rows if obs.is_pbs]
+        non_pbs = [obs for obs in rows if not obs.is_pbs]
+        assert len(pbs) + len(non_pbs) == len(rows)
+        assert len(pbs) == int(small_dataset.table.is_pbs.sum())
 
     def test_proposer_profit_definitions(self, small_dataset):
-        for obs in small_dataset.blocks:
+        for obs in small_dataset.table.to_observations():
             if not obs.is_pbs:
                 # Non-PBS proposers keep the entire block value.
                 assert obs.proposer_profit_wei == obs.block_value_wei
@@ -56,20 +49,20 @@ class TestBlockObservations:
             for record in small_world.slot_records
             if record.mode == "pbs"
         }
-        for obs in small_dataset.blocks:
+        for obs in small_dataset.table.to_observations():
             if obs.number in payments and obs.has_pbs_payment:
                 assert obs.builder_payment_wei == payments[obs.number]
 
     def test_private_classification_catches_payment_tx(self, small_dataset):
         # Every PBS block's payment transaction never hit the mempool, so
         # PBS blocks must show at least one private transaction.
-        for obs in small_dataset.blocks:
+        for obs in small_dataset.table.to_observations():
             if obs.has_pbs_payment:
                 assert obs.private_tx_count >= 1
 
     def test_dates_sorted(self, small_dataset):
-        dates = small_dataset.dates()
-        assert dates == sorted(dates)
+        ordinals = small_dataset.table.date_ordinal.tolist()
+        assert ordinals == sorted(ordinals)
 
 
 class TestInventory:
@@ -103,11 +96,11 @@ class TestRelayJoin:
         }
 
     def test_claimed_values_positive(self, small_dataset):
-        for obs in small_dataset.blocks:
+        for obs in small_dataset.table.to_observations():
             for value in obs.claimed_by_relay.values():
                 assert value >= 0
 
     def test_relay_claims_have_pubkeys(self, small_dataset):
-        for obs in small_dataset.blocks:
+        for obs in small_dataset.table.to_observations():
             if obs.relay_claimed:
                 assert obs.builder_pubkey is not None

@@ -1,4 +1,5 @@
-"""Columnar block-table tests: lossless round-trips and merge hygiene."""
+"""Columnar block-table tests: lossless round-trips, merge hygiene and
+the dataset's block-order rule."""
 
 from __future__ import annotations
 
@@ -10,13 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.collector import (
+    StudyDataset,
     collect_study_dataset,
     merge_study_datasets,
 )
-from repro.datasets.columnar import BlockTable, LazyBlockList
-from repro.datasets.records import BlockObservation
+from repro.datasets.columnar import BlockTable
+from repro.datasets.records import BlockObservation, DatasetInventory
 from repro.errors import DataError
+from repro.mev.labels import MevDataset
 from repro.perf.sharding import run_sharded
+from repro.sanctions.ofac import SanctionsList
 from repro.simulation.config import small_test_config
 
 # Wei amounts deliberately straddle the int64 boundary so the object-dtype
@@ -126,7 +130,7 @@ class TestMergeHygiene:
             }
             for part in parts
         ]
-        blocks_before = [len(part.blocks) for part in parts]
+        blocks_before = [len(part.table) for part in parts]
 
         first = merge_study_datasets(parts)
         second = merge_study_datasets(parts)
@@ -139,7 +143,7 @@ class TestMergeHygiene:
             for part in parts
         ]
         assert after == before
-        assert [len(part.blocks) for part in parts] == blocks_before
+        assert [len(part.table) for part in parts] == blocks_before
         # Idempotence: a repeated merge of the same inputs is identical.
         assert first.content_digest() == second.content_digest()
         assert first.inventory == second.inventory
@@ -160,38 +164,98 @@ class TestMergeHygiene:
         run = run_sharded(config, check_oracles=False)
         parts = [delta.dataset for delta in run.deltas]
         merged = merge_study_datasets(parts)
-        expected = sorted({d for part in parts for d in part.dates()})
-        assert merged.dates() == expected
+        expected = sorted({d for part in parts for d in part.table.dates()})
+        assert merged.table.dates() == expected
 
 
 class TestDatesCache:
-    def test_dates_cached_and_copied(self):
-        config = small_test_config(num_days=3, blocks_per_day=4)
-        from repro.simulation.world import build_world
-
-        world = build_world(config).run()
-        dataset = collect_study_dataset(world)
-        assert len(dataset.blocks) > 0
-        assert dataset.inventory.relay_data_entries > 0
-        first = dataset.dates()
-        first.append(datetime.date(2099, 1, 1))  # caller mutation must not leak
-        assert dataset.dates() != first
-        assert dataset.dates() == sorted({obs.date for obs in dataset.blocks})
-
     def test_collected_blocks_are_columnar_by_default(self):
         config = small_test_config(num_days=2, blocks_per_day=4)
         from repro.simulation.world import build_world
 
         dataset = collect_study_dataset(build_world(config))
-        assert isinstance(dataset.blocks, LazyBlockList)
+        assert isinstance(dataset.table, BlockTable)
+        assert not hasattr(dataset, "blocks")
 
     def test_hand_built_lists_become_columnar(self):
         config = small_test_config(num_days=2, blocks_per_day=4)
         from repro.simulation.world import build_world
 
         dataset = collect_study_dataset(build_world(config).run())
-        observations = list(dataset.blocks)
-        rebuilt = dataclasses.replace(dataset, blocks=observations)
-        assert isinstance(rebuilt.blocks, LazyBlockList)
-        assert list(rebuilt.blocks) == observations
+        observations = dataset.table.to_observations()
+        rebuilt = dataclasses.replace(
+            dataset, table=BlockTable.from_observations(observations)
+        )
+        assert rebuilt.table.to_observations() == observations
         assert rebuilt.content_digest() == dataset.content_digest()
+
+
+def _dataset_of(observations: list[BlockObservation]) -> StudyDataset:
+    """A hand-built dataset around ``observations`` and nothing else."""
+    return StudyDataset(
+        table=BlockTable.from_observations(observations),
+        mev=MevDataset(),
+        relays={},
+        sanctions=SanctionsList(),
+        inventory=DatasetInventory(
+            blocks=len(observations),
+            transactions=0,
+            logs=0,
+            traces=0,
+            mev_labels_by_source={},
+            mev_labels_union=0,
+            mempool_arrival_times=0,
+            relay_data_entries=0,
+            ofac_addresses=0,
+        ),
+    )
+
+
+class TestBlockOrder:
+    """A dataset's rows are in block order, checked once at construction."""
+
+    @staticmethod
+    def _blocks(numbers, days):
+        start = datetime.date(2022, 10, 1)
+        return [
+            BlockObservation(
+                number=number,
+                block_hash=f"0x{number:04x}",
+                slot=number,
+                date=start + datetime.timedelta(days=day),
+                proposer_index=0,
+                proposer_entity="solo",
+                proposer_fee_recipient="0xaa",
+                fee_recipient="0xaa",
+                extra_data="",
+                gas_used=0,
+                gas_limit=30_000_000,
+                base_fee_per_gas=7,
+                burned_wei=0,
+                priority_fees_wei=0,
+                direct_transfers_wei=0,
+                tx_count=0,
+                private_tx_count=0,
+                builder_payment_wei=0,
+            )
+            for number, day in zip(numbers, days)
+        ]
+
+    def test_ordered_blocks_are_accepted(self):
+        dataset = _dataset_of(self._blocks([1, 2, 5], [0, 0, 1]))
+        assert dataset.table.col("number").tolist() == [1, 2, 5]
+
+    def test_empty_table_is_accepted(self):
+        assert len(_dataset_of([]).table) == 0
+
+    def test_repeated_block_number_raises(self):
+        with pytest.raises(DataError, match="block order"):
+            _dataset_of(self._blocks([1, 2, 2], [0, 0, 0]))
+
+    def test_decreasing_block_number_raises(self):
+        with pytest.raises(DataError, match="block order"):
+            _dataset_of(self._blocks([1, 3, 2], [0, 0, 0]))
+
+    def test_decreasing_date_raises(self):
+        with pytest.raises(DataError, match="block order"):
+            _dataset_of(self._blocks([1, 2, 3], [0, 1, 0]))

@@ -35,9 +35,11 @@ class TestExport:
     def test_block_rows_round_trip(self, exported, small_dataset):
         directory, _ = exported
         rows = load_block_rows(directory)
-        assert len(rows) == len(small_dataset.blocks)
+        table = small_dataset.table
+        assert len(rows) == len(table)
         first = rows[0]
-        obs = small_dataset.block(int(first["number"]))
+        numbers = table.col("number").tolist()
+        obs = table.row(numbers.index(int(first["number"])))
         assert first["block_hash"] == obs.block_hash
         assert int(first["is_pbs"]) == int(obs.is_pbs)
         assert int(first["tx_count"]) == obs.tx_count

@@ -61,7 +61,7 @@ def _dataset(*numbers: int) -> StudyDataset:
         for number in numbers
     ]
     return StudyDataset(
-        blocks=observations,
+        table=columnar.BlockTable.from_observations(observations),
         mev=MevDataset(),
         relays={},
         sanctions=SanctionsList(),
@@ -132,7 +132,7 @@ class TestRoundTrip:
         path = save_study_artifact(_config(), dataset, cache_dir=tmp_path)
         assert path.exists()
         loaded = load_study_artifact(_config(), cache_dir=tmp_path)
-        assert list(loaded.blocks) == list(dataset.blocks)
+        assert loaded.table.to_observations() == dataset.table.to_observations()
         assert loaded.content_digest() == dataset.content_digest()
 
     def test_wrong_config_misses(self, tmp_path):

@@ -22,6 +22,7 @@ from repro.core.relay_api import (
     DeliveredPayload,
     RelayDataStore,
 )
+from repro.datasets.columnar import BlockTable
 from repro.serve import QueryService
 from repro.serve.index import Cursor, SlotIndex
 from repro.types import derive_hash, derive_pubkey
@@ -65,7 +66,10 @@ def _service(slots: list[int], kind: str) -> QueryService:
             store.record_delivery(_payload(slot, serial))
         else:
             store.record_submission(_submission(slot, serial))
-    dataset = SimpleNamespace(relays={"r1": SimpleNamespace(data=store)})
+    dataset = SimpleNamespace(
+        relays={"r1": SimpleNamespace(data=store)},
+        table=BlockTable.from_observations([]),
+    )
     return QueryService(dataset)
 
 

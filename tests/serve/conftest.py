@@ -256,7 +256,6 @@ def build_golden_dataset() -> SimpleNamespace:
         ofac_addresses=2,
     )
     return SimpleNamespace(
-        blocks=observations,
         table=BlockTable.from_observations(observations),
         relays=relays,
         compliant_relays=frozenset({"flashbots"}),

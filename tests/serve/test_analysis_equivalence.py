@@ -11,7 +11,6 @@ and for the same dataset rebuilt from its ``BlockObservation`` objects
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 
@@ -25,6 +24,7 @@ from repro.analysis.concentration import daily_hhi_series
 from repro.analysis.relays import daily_relay_shares
 from repro.analysis.rewards import daily_user_payment_shares
 from repro.datasets.collector import collect_study_dataset
+from repro.datasets.columnar import BlockTable
 from repro.serve import QueryService
 from repro.serve.schema import decode_series, encode_series
 from repro.simulation.config import small_test_config
@@ -37,9 +37,12 @@ ANALYSIS_PATHS = ["/analysis/hhi", "/analysis/value_split", "/analysis/censorshi
 def services():
     config = small_test_config(num_days=5, blocks_per_day=8)
     columnar = collect_study_dataset(build_world(config).run())
-    assert len(columnar.blocks) > 0
+    assert len(columnar.table) > 0
     assert columnar.inventory.relay_data_entries > 0
-    object_backed = dataclasses.replace(columnar, blocks=list(columnar.blocks))
+    object_backed = dataclasses.replace(
+        columnar,
+        table=BlockTable.from_observations(columnar.table.to_observations()),
+    )
     return {
         "columnar": (columnar, QueryService(columnar)),
         "object": (object_backed, QueryService(object_backed)),
@@ -109,16 +112,3 @@ def test_repeated_requests_are_stable(services, path):
     _, service = services["columnar"]
     assert service.handle(path, {}).body == service.handle(path, {}).body
 
-
-def test_store_only_dataset_returns_503():
-    from types import SimpleNamespace
-
-    from repro.core.relay_api import RelayDataStore
-
-    dataset = SimpleNamespace(
-        relays={"r1": SimpleNamespace(data=RelayDataStore("r1"))}
-    )
-    service = QueryService(dataset)
-    response = service.handle("/analysis/hhi", {})
-    assert response.status == 503
-    assert json.loads(response.body)["code"] == 503

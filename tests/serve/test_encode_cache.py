@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro.datasets.columnar import BlockTable
 from repro.serve import QueryService
 from repro.serve.index import Cursor
 from repro.serve.service import STATIC_ROUTES
@@ -166,11 +167,14 @@ def run_datasets():
 
     config = small_test_config(num_days=4, blocks_per_day=6)
     columnar = collect_study_dataset(build_world(config).run())
-    assert len(columnar.blocks) > 0
+    assert len(columnar.table) > 0
     assert columnar.inventory.relay_data_entries > 0
+    observations = columnar.table.to_observations()
     return {
         "columnar": columnar,
-        "object": dataclasses.replace(columnar, blocks=list(columnar.blocks)),
+        "object": dataclasses.replace(
+            columnar, table=BlockTable.from_observations(observations)
+        ),
     }
 
 

@@ -86,7 +86,7 @@ class TestFtxSpike:
             value
             for date, value in zip(pbs.dates, pbs.values)
             if abs(
-                (date - dataset.blocks[0].date).days - ftx_day
+                (date - dataset.table.row(0).date).days - ftx_day
             ) <= 2
         ]
         if window:  # medium world must cover day 57

@@ -90,9 +90,9 @@ def test_run_segment_returns_serializable_delta():
     delta = run_segment(config, plan[1])
     assert delta.spec == plan[1]
     assert delta.world_digest
-    assert delta.dataset.blocks
+    assert len(delta.dataset.table)
     assert delta.perf_snapshot["counters"]
-    first_block = min(obs.number for obs in delta.dataset.blocks)
+    first_block = int(delta.dataset.table.col("number").min())
     from repro.constants import MERGE_BLOCK_NUMBER
 
     assert first_block == MERGE_BLOCK_NUMBER + plan[1].slot_start(

@@ -92,7 +92,7 @@ class TestTamperingDetected:
     def test_phantom_delivery_is_a_violation(self, small_world, small_dataset):
         """A delivered payload without an accepted submission is flagged."""
         relay = small_world.relays["Flashbots"]
-        obs = small_dataset.blocks[0]
+        obs = small_dataset.table.row(0)
         phantom = DeliveredPayload(
             relay=relay.name,
             slot=obs.slot,
