@@ -21,6 +21,12 @@ Modes::
     python benchmarks/bench_serve.py --mode full --workers 1,2,4  # 198-day artifact, 1000 clients
     python benchmarks/bench_serve.py --mode smoke --workers 1,2   # small world, 100 clients (CI)
 
+``full`` reads the artifact cache, so it first boots one unmeasured
+server and stops it at ``READY``: on a cold cache that server simulates
+the world and saves the artifact, and every measured point loads it warm.
+Servers inherit this process's environment (``REPRO_ARTIFACT_CACHE``,
+``PYTHONDONTWRITEBYTECODE``) with ``PYTHONPATH`` pointed at ``src``.
+
 ``--baseline BENCH_serve.json`` turns the run into a pass/fail gate on
 every point: any 5xx or connection failure fails, and so does a p99
 above ``max(MAX_P99_RATIO x the committed 1-worker p99, P99_FLOOR_MS)``
@@ -32,6 +38,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
 import pathlib
 import statistics
 import subprocess
@@ -237,7 +244,7 @@ def _launch_server(serve_args: list[str]) -> tuple[subprocess.Popen, str, int]:
     process = subprocess.Popen(
         command,
         cwd=REPO,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
@@ -326,6 +333,14 @@ def main() -> int:
 
     spec = MODES[args.mode]
     host_cpus = host_cpu_count()
+    if "--no-artifact-cache" not in spec["serve_args"]:
+        # On a cold artifact cache the first server would simulate the
+        # world and then serve from that process; boot one unmeasured
+        # server so that every measured point loads the artifact warm.
+        print("[bench_serve] warming the artifact cache...", file=sys.stderr)
+        process, _, _ = _launch_server(spec["serve_args"] + ["--workers", "1"])
+        process.terminate()
+        process.wait(timeout=30)
     points = []
     for workers in (int(w) for w in args.workers.split(",") if w.strip()):
         print(

@@ -31,17 +31,6 @@ def herfindahl_hirschman_index(shares: Mapping[str, float]) -> float:
     return float(np.sum(normalized**2))
 
 
-def gini_coefficient(shares: Mapping[str, float]) -> float:
-    """Gini coefficient of market shares (the measure the paper contrasts
-    with HHI: it ignores the number of players)."""
-    values = np.sort(np.asarray([max(0.0, s) for s in shares.values()], dtype=float))
-    if values.size == 0 or values.sum() == 0:
-        raise AnalysisError("Gini of an empty market")
-    n = values.size
-    index = np.arange(1, n + 1)
-    return float((2 * np.sum(index * values) / (n * values.sum())) - (n + 1) / n)
-
-
 def daily_hhi_series(
     name: str,
     daily_shares: Mapping[datetime.date, Mapping[str, float]],

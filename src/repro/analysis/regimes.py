@@ -105,11 +105,8 @@ def regime_metrics(
     )
 
 
-def compare_regimes(
-    base_config: SimulationConfig,
-    regimes: tuple[str, ...] = REGIMES,
-) -> list[RegimeMetrics]:
-    """Run ``base_config`` under each regime and reduce to comparison rows.
+def compare_regimes(base_config: SimulationConfig) -> list[RegimeMetrics]:
+    """Run ``base_config`` under each of ``REGIMES``; one comparison row each.
 
     Every run goes through the sharded executor (which degrades to the
     single-segment path when the config is unsegmented), so the rows are
@@ -118,7 +115,7 @@ def compare_regimes(
     from ..perf.sharding import run_sharded
 
     rows: list[RegimeMetrics] = []
-    for regime in regimes:
+    for regime in REGIMES:
         config = base_config.with_overrides(regime=regime)
         run = run_sharded(config)
         rows.append(regime_metrics(regime, run.dataset))

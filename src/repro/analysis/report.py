@@ -83,8 +83,6 @@ def render_series(series: DailySeries, width: int = 60) -> str:
     return head + sparkline(values) + stats
 
 
-def render_split_series(
-    pbs: DailySeries, non_pbs: DailySeries, width: int = 60
-) -> str:
+def render_split_series(pbs: DailySeries, non_pbs: DailySeries) -> str:
     """Two-line PBS vs non-PBS comparison."""
-    return "\n".join((render_series(pbs, width), render_series(non_pbs, width)))
+    return "\n".join((render_series(pbs), render_series(non_pbs)))

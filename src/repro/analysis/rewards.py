@@ -42,16 +42,3 @@ def daily_user_payment_shares(
         DailySeries("priority fee share", dates, tuple(priority_values)),
         DailySeries("direct transfer share", dates, tuple(direct_values)),
     )
-
-
-def daily_total_user_payments_eth(dataset: StudyDataset) -> DailySeries:
-    """Total user payments per day, in ETH."""
-    table = dataset.table
-    dates, starts, _ = day_slices(table.date_ordinal)
-    burned_sums = exact_segment_sums(table.col("burned_wei"), starts)
-    value_sums = exact_segment_sums(table.block_value_wei, starts)
-    values = tuple(
-        float((burned + value) / 10**18)
-        for burned, value in zip(burned_sums, value_sums)
-    )
-    return DailySeries("user payments [ETH]", dates, values)

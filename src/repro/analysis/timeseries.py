@@ -34,26 +34,6 @@ class DailySeries:
             raise AnalysisError(f"series {self.name} is empty")
         return float(np.mean(self.values))
 
-    def last(self) -> float:
-        if not self.values:
-            raise AnalysisError(f"series {self.name} is empty")
-        return self.values[-1]
-
-    def window_mean(
-        self, start: datetime.date, end: datetime.date
-    ) -> float:
-        """Mean over dates in [start, end]; raises on empty windows."""
-        selected = [
-            value
-            for date, value in zip(self.dates, self.values)
-            if start <= date <= end
-        ]
-        if not selected:
-            raise AnalysisError(
-                f"series {self.name}: no data in [{start}, {end}]"
-            )
-        return float(np.mean(selected))
-
 
 def percentile(values: Sequence[float], q: float) -> float:
     if not values:

@@ -236,9 +236,6 @@ class BuilderRegistry:
         except KeyError:
             raise BeaconError(f"unknown builder {name!r}") from None
 
-    def records(self) -> list[BuilderRecord]:
-        return [self._records[name] for name in self._order]
-
     # -- deposits and activation ----------------------------------------
 
     def submit_deposit(
@@ -315,9 +312,6 @@ class BuilderRegistry:
     def is_active(self, name: str, day: int) -> bool:
         record = self._records.get(name)
         return record is not None and record.is_active(day)
-
-    def active_builders(self, day: int) -> list[str]:
-        return [name for name in self._order if self.is_active(name, day)]
 
     # -- escrow accounting ----------------------------------------------
 

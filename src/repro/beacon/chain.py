@@ -39,7 +39,6 @@ class BeaconChain:
 
     def __init__(self) -> None:
         self._records: list[BeaconBlockRecord] = []
-        self._by_slot: dict[int, BeaconBlockRecord] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -48,20 +47,11 @@ class BeaconChain:
         return iter(self._records)
 
     def append(self, record: BeaconBlockRecord) -> None:
-        if record.slot in self._by_slot:
-            raise BeaconError(f"slot {record.slot} already recorded")
         if self._records and record.slot <= self._records[-1].slot:
             raise BeaconError(
                 f"slot {record.slot} is not after {self._records[-1].slot}"
             )
         self._records.append(record)
-        self._by_slot[record.slot] = record
-
-    def by_slot(self, slot: int) -> BeaconBlockRecord:
-        try:
-            return self._by_slot[slot]
-        except KeyError:
-            raise BeaconError(f"no record for slot {slot}") from None
 
     def proposed(self) -> list[BeaconBlockRecord]:
         """Records of slots where a block actually landed."""

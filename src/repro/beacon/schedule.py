@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 
-from ..constants import SECONDS_PER_SLOT, SLOTS_PER_EPOCH
+from ..constants import SLOTS_PER_EPOCH
 from ..errors import BeaconError
 from .validator import Validator, ValidatorRegistry
 
@@ -19,11 +19,6 @@ def epoch_of_slot(slot: int) -> int:
     if slot < 0:
         raise BeaconError(f"negative slot {slot}")
     return slot // SLOTS_PER_EPOCH
-
-
-def slot_timestamp(genesis_time: int, slot: int) -> int:
-    """Wall-clock timestamp of a slot's start."""
-    return genesis_time + slot * SECONDS_PER_SLOT
 
 
 class ProposerSchedule:
@@ -47,13 +42,3 @@ class ProposerSchedule:
         payload = f"{self._seed}:{epoch}:{slot}:{count}".encode("utf-8")
         draw = int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
         return self._registry.by_index(draw % count)
-
-    def epoch_assignment(self, epoch: int) -> dict[int, Validator]:
-        """Proposer for every slot of ``epoch`` (the lookahead view)."""
-        if epoch < 0:
-            raise BeaconError(f"negative epoch {epoch}")
-        first = epoch * SLOTS_PER_EPOCH
-        return {
-            slot: self.proposer_for_slot(slot)
-            for slot in range(first, first + SLOTS_PER_EPOCH)
-        }

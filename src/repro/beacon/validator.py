@@ -8,12 +8,10 @@ relay market-share trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import BeaconError
 from ..types import Address, BLSPubkey, derive_address, derive_pubkey
-
-ENTITY_SOLO_PREFIX = "solo"
 
 
 @dataclass
@@ -35,10 +33,6 @@ class Validator:
     # period the paper studies.
     min_bid_wei: int = 0
 
-    @property
-    def is_solo(self) -> bool:
-        return self.entity.startswith(ENTITY_SOLO_PREFIX)
-
     def configure_mev_boost(self, relays: tuple[str, ...]) -> None:
         """Install/replace the MEV-Boost relay list for this validator."""
         self.relays = tuple(relays)
@@ -50,11 +44,10 @@ class Validator:
 
 
 class ValidatorRegistry:
-    """The set of active validators, addressable by index and entity."""
+    """The set of active validators, addressable by index."""
 
     def __init__(self) -> None:
         self._validators: list[Validator] = []
-        self._by_entity: dict[str, list[Validator]] = {}
 
     def __len__(self) -> int:
         return len(self._validators)
@@ -73,12 +66,9 @@ class ValidatorRegistry:
             or derive_address("validator-fee", f"{entity}:{index}"),
         )
         self._validators.append(validator)
-        self._by_entity.setdefault(entity, []).append(validator)
         return validator
 
-    def add_many(
-        self, entity: str, count: int, fee_recipient: Address | None = None
-    ) -> list[Validator]:
+    def add_many(self, entity: str, count: int) -> list[Validator]:
         """Register ``count`` validators for one entity.
 
         Pooled entities share a fee recipient (as staking pools do on
@@ -86,26 +76,10 @@ class ValidatorRegistry:
         """
         if count < 0:
             raise BeaconError(f"cannot add {count} validators")
-        shared = fee_recipient or derive_address("entity-fee", entity)
+        shared = derive_address("entity-fee", entity)
         return [self.add(entity, fee_recipient=shared) for _ in range(count)]
 
     def by_index(self, index: int) -> Validator:
         if index < 0 or index >= len(self._validators):
             raise BeaconError(f"unknown validator index {index}")
         return self._validators[index]
-
-    def by_entity(self, entity: str) -> list[Validator]:
-        return list(self._by_entity.get(entity, []))
-
-    def entities(self) -> list[str]:
-        return sorted(self._by_entity)
-
-    def entity_weights(self) -> dict[str, float]:
-        """Share of total stake per entity (all validators stake equally)."""
-        total = len(self._validators)
-        if total == 0:
-            return {}
-        return {
-            entity: len(members) / total
-            for entity, members in self._by_entity.items()
-        }

@@ -15,7 +15,7 @@ from .execution import (
     TxOutcome,
 )
 from .fee_market import next_base_fee
-from .validation import header_is_valid, validate_header
+from .validation import validate_header
 from .receipts import (
     LIQUIDATION_EVENT_TOPIC,
     SWAP_EVENT_TOPIC,
@@ -28,7 +28,6 @@ from .state import WorldState
 from .traces import CallFrame, TransactionTrace
 from .transaction import (
     TransactionFactory,
-    make_transaction,
     EthTransfer,
     LiquidatePosition,
     SwapExact,
@@ -48,7 +47,6 @@ __all__ = [
     "ExecutionEngine",
     "TxOutcome",
     "next_base_fee",
-    "header_is_valid",
     "validate_header",
     "Log",
     "Receipt",
@@ -66,5 +64,4 @@ __all__ = [
     "LiquidatePosition",
     "TipCoinbase",
     "TransactionFactory",
-    "make_transaction",
 ]

@@ -60,12 +60,6 @@ class Block:
     def fee_recipient(self) -> Address:
         return self.header.fee_recipient
 
-    def transaction_by_hash(self, tx_hash: Hash) -> Transaction | None:
-        for tx in self.transactions:
-            if tx.tx_hash == tx_hash:
-                return tx
-        return None
-
     @property
     def last_transaction(self) -> Transaction | None:
         """The final transaction — where PBS builders pay the proposer."""

@@ -23,13 +23,8 @@ GENESIS_PARENT_HASH: Hash = "0x" + "0" * 64
 class Chain:
     """Append-only canonical chain with per-block execution artefacts."""
 
-    def __init__(
-        self,
-        first_block_number: int = 0,
-        initial_base_fee: Wei = INITIAL_BASE_FEE_WEI,
-    ) -> None:
+    def __init__(self, first_block_number: int = 0) -> None:
         self._first_block_number = first_block_number
-        self._initial_base_fee = initial_base_fee
         self._blocks: list[Block] = []
         self._results: dict[Hash, BlockExecutionResult] = {}
         self._by_hash: dict[Hash, Block] = {}
@@ -54,7 +49,7 @@ class Chain:
         """Base fee the next block must use, per EIP-1559."""
         head = self.head
         if head is None:
-            return self._initial_base_fee
+            return INITIAL_BASE_FEE_WEI
         return next_base_fee(
             head.header.base_fee_per_gas,
             head.header.gas_used,

@@ -182,15 +182,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
 
 class ExecutionCache:
     """Per-slot, cross-builder memo of transaction execution outcomes."""
@@ -237,9 +228,6 @@ class ExecutionCache:
             variant = self._record(engine, tx, ctx, base_fee_per_gas)
         self._variants.setdefault(tx.tx_hash, []).append(variant)
         return self._apply(variant, ctx, fee_recipient)
-
-    def variant_count(self, tx_hash: str) -> int:
-        return len(self._variants.get(tx_hash, ()))
 
     def __len__(self) -> int:
         return len(self._variants)
@@ -404,8 +392,6 @@ class ExecutionCache:
         )
         balances = dict(rec_state._balances)
         coinbase_delta = balances.pop(COINBASE_SENTINEL, 0)
-        extract = getattr(rec_protocols, "extract_writes", None)
-        protocol_writes = tuple(extract()) if extract is not None else ()
         return CachedVariant(
             balance_reads=tuple(log.balances),
             nonce_reads=tuple(log.nonces),
@@ -416,7 +402,7 @@ class ExecutionCache:
             minted_delta=rec_state._minted_wei,
             burned_delta=rec_state._burned_wei,
             coinbase_delta=coinbase_delta,
-            protocol_writes=protocol_writes,
+            protocol_writes=tuple(rec_protocols.extract_writes()),
             outcome=outcome,
             has_sentinel_frames=has_sentinel,
         )

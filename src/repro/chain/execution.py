@@ -68,6 +68,9 @@ class NullProtocols:
         # Pure-ETH workloads have no protocol reads or writes to record.
         return self
 
+    def extract_writes(self) -> tuple[()]:
+        return ()
+
     def execute_action(
         self, action: object, sender: Address, state: WorldState
     ) -> tuple[list[Log], list[CallFrame]]:

@@ -9,7 +9,7 @@ cheap even with large account populations.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..errors import ChainError, InsufficientBalanceError, NonceError
 from ..types import Address, Wei
@@ -143,11 +143,6 @@ class WorldState:
         self._burned_wei = 0
 
     # -- introspection -------------------------------------------------
-
-    def touched_addresses(self) -> Iterator[Address]:
-        """Addresses written in this layer (not parents) — used by tests."""
-        seen = set(self._balances) | set(self._nonces)
-        return iter(seen)
 
     def total_supply(self) -> Wei:
         """Sum of all balances reachable from this state.

@@ -40,16 +40,3 @@ class TransactionTrace:
     def iter_value_transfers(self) -> Iterator[CallFrame]:
         """Frames that actually moved a nonzero amount of ETH."""
         return (frame for frame in self.frames if frame.value_wei > 0)
-
-    def transfers_to(self, recipient: Address) -> Wei:
-        """Total ETH this transaction moved to ``recipient``."""
-        return sum(
-            frame.value_wei for frame in self.frames if frame.recipient == recipient
-        )
-
-    def touches(self, address: Address) -> bool:
-        """Whether any nonzero transfer involves ``address`` as sender/recipient."""
-        return any(
-            address in (frame.sender, frame.recipient)
-            for frame in self.iter_value_transfers()
-        )

@@ -103,8 +103,6 @@ class TipCoinbase:
 
 Action = EthTransfer | TokenTransfer | SwapExact | LiquidatePosition | TipCoinbase
 
-_tx_counter = itertools.count()
-
 
 @dataclass(frozen=True)
 class Transaction:
@@ -159,19 +157,6 @@ class Transaction:
             self.max_fee_per_gas - base_fee_per_gas,
         )
 
-    def effective_gas_price(self, base_fee_per_gas: Wei) -> Wei:
-        """Total per-gas price the sender pays at the given base fee."""
-        return base_fee_per_gas + self.priority_fee_per_gas(base_fee_per_gas)
-
-    def max_spend(self) -> Wei:
-        """Upper bound on ETH leaving the sender (fees + transferred value)."""
-        value = sum(
-            action.value_wei
-            for action in self.actions
-            if isinstance(action, (EthTransfer, TipCoinbase))
-        )
-        return self.gas_limit * self.max_fee_per_gas + value
-
 
 class TransactionFactory:
     """Creates transactions with deterministic, world-local unique hashes.
@@ -181,8 +166,7 @@ class TransactionFactory:
     built earlier in the process.
     """
 
-    def __init__(self, namespace: str = "tx") -> None:
-        self._namespace = namespace
+    def __init__(self) -> None:
         self._counter = itertools.count()
 
     def create(
@@ -198,7 +182,7 @@ class TransactionFactory:
     ) -> Transaction:
         index = next(self._counter)
         return Transaction(
-            tx_hash=derive_hash(self._namespace, f"{sender}:{nonce}:{index}"),
+            tx_hash=derive_hash("tx", f"{sender}:{nonce}:{index}"),
             sender=sender,
             nonce=nonce,
             max_fee_per_gas=max_fee_per_gas,
@@ -208,33 +192,3 @@ class TransactionFactory:
             origin=origin,
             created_slot=created_slot,
         )
-
-
-_default_factory = TransactionFactory()
-
-
-def make_transaction(
-    sender: Address,
-    nonce: int,
-    actions: tuple[Action, ...] | list[Action],
-    max_fee_per_gas: Wei,
-    max_priority_fee_per_gas: Wei,
-    extra_gas: Gas = 0,
-    origin: str = ORIGIN_PUBLIC,
-    created_slot: int = 0,
-) -> Transaction:
-    """Create a transaction via the process-wide default factory.
-
-    Convenience for tests and examples; simulations should use their own
-    :class:`TransactionFactory` for cross-run hash determinism.
-    """
-    return _default_factory.create(
-        sender,
-        nonce,
-        actions,
-        max_fee_per_gas,
-        max_priority_fee_per_gas,
-        extra_gas=extra_gas,
-        origin=origin,
-        created_slot=created_slot,
-    )

@@ -47,19 +47,3 @@ def validate_header(
     if header.gas_limit > MAX_BLOCK_GAS:
         issues.append(ISSUE_GAS_LIMIT)
     return issues
-
-
-def header_is_valid(
-    header: BlockHeader,
-    expected_parent_hash: Hash,
-    expected_number: int,
-    expected_timestamp: int,
-    expected_base_fee: Wei,
-) -> bool:
-    return not validate_header(
-        header,
-        expected_parent_hash,
-        expected_number,
-        expected_timestamp,
-        expected_base_fee,
-    )

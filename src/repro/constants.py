@@ -54,8 +54,3 @@ TRON_TOKEN_SYMBOL = "TRON"
 def day_index(date: datetime.date) -> int:
     """Index of a calendar date within the study window (0 = merge day)."""
     return (date - MERGE_DATE).days
-
-
-def date_of_day(index: int) -> datetime.date:
-    """Calendar date for a study-day index (0 = merge day)."""
-    return MERGE_DATE + datetime.timedelta(days=index)

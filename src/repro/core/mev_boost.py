@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import MissingPayloadError, RelayError
+from ..errors import MissingPayloadError
 from ..types import Hash, Wei
 from .builder import BuilderSubmission
 from .relay import Relay
@@ -32,12 +32,6 @@ class MevBoostClient:
 
     def __init__(self, relays: dict[str, Relay]) -> None:
         self._relays = relays
-
-    def relay(self, name: str) -> Relay:
-        try:
-            return self._relays[name]
-        except KeyError:
-            raise RelayError(f"unknown relay {name}") from None
 
     def get_best_bid(
         self, slot: int, relay_names: tuple[str, ...]

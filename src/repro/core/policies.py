@@ -63,10 +63,6 @@ class RelayPolicy:
     def is_censoring(self) -> bool:
         return self.censorship is CensorshipPolicy.OFAC_COMPLIANT
 
-    @property
-    def filters_mev(self) -> bool:
-        return self.mev_filter is not MevFilterPolicy.NONE
-
     def admits_builder(self, builder_name: str, internal_builders: frozenset[str]) -> bool:
         """Whether a builder may submit under this access policy."""
         if builder_name in internal_builders:

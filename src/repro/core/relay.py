@@ -26,13 +26,13 @@ import datetime
 import numpy as np
 
 from ..chain.transaction import EthTransfer
-from ..errors import MissingPayloadError, RelayError
+from ..errors import MissingPayloadError
 from ..mev.detection import detect_sandwiches
 from ..sanctions.ofac import SanctionsList
 from ..sanctions.screening import tx_statically_involves
 from ..types import Address, Wei
 from .builder import BuilderSubmission
-from .policies import CensorshipPolicy, MevFilterPolicy, RelayPolicy
+from .policies import MevFilterPolicy, RelayPolicy
 from .relay_api import (
     BuilderSubmissionRecord,
     DeliveredPayload,
@@ -241,15 +241,6 @@ class Relay:
     def best_bid(self, slot: int) -> BuilderSubmission | None:
         """The blinded header + claimed value served to proposers."""
         return self._best_by_slot.get(slot)
-
-    def escrowed_submissions(self) -> dict[int, BuilderSubmission]:
-        """Best accepted submission per slot currently held in escrow.
-
-        Escrow is transient — the auction drops each slot's entry once
-        the slot resolves — so this is only populated mid-slot; tests use
-        it to assert what ``deliver_payload`` and ``drop_slot`` act on.
-        """
-        return dict(self._best_by_slot)
 
     def deliver_payload(self, slot: int, block_hash: str) -> BuilderSubmission:
         """Reveal the full block for a signed header; records the delivery."""

@@ -12,7 +12,6 @@ import json
 import pathlib
 from dataclasses import asdict
 
-from ..errors import DataError
 from ..types import to_ether
 from .collector import StudyDataset
 
@@ -106,12 +105,3 @@ def export_study_dataset(dataset: StudyDataset, directory: str | pathlib.Path) -
     )
     written[INVENTORY_JSON] = str(inventory_path)
     return written
-
-
-def load_block_rows(directory: str | pathlib.Path) -> list[dict[str, str]]:
-    """Read back the exported per-block CSV as dict rows."""
-    path = pathlib.Path(directory) / BLOCKS_CSV
-    if not path.exists():
-        raise DataError(f"no exported dataset at {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        return list(csv.DictReader(handle))

@@ -153,13 +153,6 @@ class AmmExchange:
     def pool_ids(self) -> list[str]:
         return sorted(self._specs)
 
-    def pools_with_token(self, token: str) -> list[str]:
-        return [
-            pool_id
-            for pool_id, spec in sorted(self._specs.items())
-            if token in (spec.token0, spec.token1)
-        ]
-
     def token_graph_edges(self) -> list[tuple[str, str, str]]:
         """(token_a, token_b, pool_id) edges for arbitrage cycle search."""
         return [
@@ -180,7 +173,6 @@ class AmmExchange:
         amount_in: int,
         min_amount_out: int,
         tokens: TokenRegistry,
-        recipient: Address | None = None,
     ) -> tuple[int, list[Log]]:
         """Execute a swap; returns (amount_out, emitted logs).
 
@@ -189,7 +181,6 @@ class AmmExchange:
         transaction, exactly like an on-chain slippage failure.
         """
         pool = self.pool(pool_id)
-        recipient = recipient or sender
         token_out = pool.other_token(token_in)
         amount_out = pool.quote_out(token_in, amount_in)
         if amount_out < min_amount_out:
@@ -201,7 +192,7 @@ class AmmExchange:
 
         logs = [tokens.transfer(token_in, sender, pool.spec.address, amount_in)]
         logs.append(
-            tokens.transfer(token_out, pool.spec.address, recipient, amount_out)
+            tokens.transfer(token_out, pool.spec.address, sender, amount_out)
         )
 
         reserve_in, reserve_out = pool.reserves_for(token_in)
@@ -222,7 +213,7 @@ class AmmExchange:
                 token_out,
                 amount_in,
                 amount_out,
-                recipient,
+                sender,
             )
         )
         logs.append(sync_log(pool.spec.address, reserve0, reserve1))

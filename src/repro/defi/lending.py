@@ -42,7 +42,6 @@ class LendingMarket:
         tokens: TokenRegistry,
         liquidation_threshold: float = DEFAULT_LIQUIDATION_THRESHOLD,
         liquidation_bonus: float = DEFAULT_LIQUIDATION_BONUS,
-        parent: "LendingMarket | None" = None,
     ) -> None:
         if not 0 < liquidation_threshold <= 1:
             raise DefiError(f"invalid liquidation threshold {liquidation_threshold}")
@@ -53,11 +52,8 @@ class LendingMarket:
         self.liquidation_threshold = liquidation_threshold
         self.liquidation_bonus = liquidation_bonus
         self._tokens = tokens
-        if parent is None:
-            self._positions: CowDict[Address, Position] = CowDict()
-        else:
-            self._positions = parent._positions.fork()
-        self._parent = parent
+        self._positions: CowDict[Address, Position] = CowDict()
+        self._parent: LendingMarket | None = None
 
     # -- positions -------------------------------------------------------
 

@@ -24,16 +24,12 @@ class PriceOracle:
             if price <= 0:
                 raise DefiError(f"non-positive initial price for {symbol}")
         self._prices = dict(initial_prices_usd)
-        self._history: list[dict[str, float]] = [dict(self._prices)]
 
     def price_usd(self, symbol: str) -> float:
         try:
             return self._prices[symbol]
         except KeyError:
             raise DefiError(f"oracle has no price for {symbol}") from None
-
-    def symbols(self) -> list[str]:
-        return sorted(self._prices)
 
     def price_in_eth(self, symbol: str) -> float:
         """Price of one whole token in ETH."""
@@ -54,9 +50,8 @@ class PriceOracle:
         rng: np.random.Generator,
         volatility: float = 0.03,
         volatility_multipliers: dict[str, float] | None = None,
-        drift: float = 0.0,
     ) -> None:
-        """Advance every price one day along a geometric random walk.
+        """Advance every price one day along a driftless geometric random walk.
 
         ``volatility_multipliers`` lets scenario events make specific assets
         (or all, via the ``"*"`` key) more volatile on crisis days.
@@ -65,14 +60,5 @@ class PriceOracle:
         base_multiplier = multipliers.get("*", 1.0)
         for symbol in list(self._prices):
             sigma = volatility * base_multiplier * multipliers.get(symbol, 1.0)
-            shock = rng.normal(loc=drift - sigma * sigma / 2.0, scale=sigma)
+            shock = rng.normal(loc=-sigma * sigma / 2.0, scale=sigma)
             self._prices[symbol] *= math.exp(shock)
-        self._history.append(dict(self._prices))
-
-    @property
-    def days_elapsed(self) -> int:
-        return len(self._history) - 1
-
-    def history(self, symbol: str) -> list[float]:
-        """Daily price series for one asset (analysis/test support)."""
-        return [snapshot[symbol] for snapshot in self._history if symbol in snapshot]

@@ -24,11 +24,6 @@ class Token:
     address: Address
     decimals: int = 18
 
-    @property
-    def unit(self) -> int:
-        """Base units per whole token."""
-        return 10**self.decimals
-
 
 class TokenRegistry:
     """All deployed tokens and their balance ledgers (forkable)."""
@@ -65,9 +60,6 @@ class TokenRegistry:
             return self._tokens[symbol]
         except KeyError:
             raise DefiError(f"unknown token {symbol}") from None
-
-    def symbols(self) -> list[str]:
-        return sorted(self._tokens)
 
     def address_of(self, symbol: str) -> Address:
         return self.token(symbol).address

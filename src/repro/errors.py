@@ -67,10 +67,6 @@ class RelayError(PBSError):
     """A relay rejected or failed to serve a request."""
 
 
-class BuilderRejectedError(RelayError):
-    """A builder submission was rejected by a relay's access policy."""
-
-
 class MissingPayloadError(RelayError):
     """A signed header had no matching payload held in escrow."""
 

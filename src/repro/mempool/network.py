@@ -15,8 +15,8 @@ from ..errors import NetworkError
 
 DEFAULT_NODE_COUNT = 48
 DEFAULT_DEGREE = 6
-DEFAULT_MIN_EDGE_LATENCY = 0.01  # seconds
-DEFAULT_MAX_EDGE_LATENCY = 0.25
+MIN_EDGE_LATENCY = 0.01  # seconds
+MAX_EDGE_LATENCY = 0.25
 
 
 class P2PNetwork:
@@ -27,8 +27,6 @@ class P2PNetwork:
         rng: np.random.Generator,
         node_count: int = DEFAULT_NODE_COUNT,
         degree: int = DEFAULT_DEGREE,
-        min_edge_latency: float = DEFAULT_MIN_EDGE_LATENCY,
-        max_edge_latency: float = DEFAULT_MAX_EDGE_LATENCY,
     ) -> None:
         if node_count < 2:
             raise NetworkError(f"need at least two nodes, got {node_count}")
@@ -36,8 +34,6 @@ class P2PNetwork:
             raise NetworkError(f"invalid degree {degree} for {node_count} nodes")
         if (node_count * degree) % 2 != 0:
             degree += 1  # random regular graphs need an even degree sum
-        if not 0 < min_edge_latency <= max_edge_latency:
-            raise NetworkError("invalid latency bounds")
 
         self.node_count = node_count
         graph_seed = int(rng.integers(0, 2**31 - 1))
@@ -51,16 +47,11 @@ class P2PNetwork:
 
         for _, _, data in self._graph.edges(data=True):
             data["latency"] = float(
-                rng.uniform(min_edge_latency, max_edge_latency)
+                rng.uniform(MIN_EDGE_LATENCY, MAX_EDGE_LATENCY)
             )
 
         self._delays: dict[int, dict[int, float]] = dict(
             nx.all_pairs_dijkstra_path_length(self._graph, weight="latency")
-        )
-        # The topology is immutable after construction, so the diameter is
-        # computed once instead of rescanning the all-pairs table per call.
-        self._diameter_seconds = max(
-            max(targets.values()) for targets in self._delays.values()
         )
 
     def propagation_delay(self, origin: int, destination: int) -> float:
@@ -77,7 +68,3 @@ class P2PNetwork:
 
     def random_node(self, rng: np.random.Generator) -> int:
         return int(rng.integers(0, self.node_count))
-
-    def diameter_seconds(self) -> float:
-        """Worst-case propagation delay across the overlay (precomputed)."""
-        return self._diameter_seconds

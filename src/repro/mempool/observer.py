@@ -8,7 +8,6 @@ when no monitor ever saw it before inclusion — the paper's methodology.
 
 from __future__ import annotations
 
-from ..chain.transaction import Transaction
 from ..errors import NetworkError
 from ..types import Hash
 from .network import P2PNetwork
@@ -39,10 +38,6 @@ class ObservationStore:
         stride = max(1, len(nodes) // count)
         return cls(network, nodes[::stride][:count])
 
-    @property
-    def observer_nodes(self) -> tuple[int, ...]:
-        return self._observers
-
     def record_broadcast(self, entry: MempoolEntry) -> None:
         """Record the arrival times of a public transaction at every monitor."""
         self._first_seen[entry.tx.tx_hash] = tuple(
@@ -54,9 +49,6 @@ class ObservationStore:
         timestamps = self._first_seen.get(tx_hash)
         return min(timestamps) if timestamps else None
 
-    def arrival_times(self, tx_hash: Hash) -> tuple[float, ...] | None:
-        return self._first_seen.get(tx_hash)
-
     def is_public(self, tx_hash: Hash, before: float | None = None) -> bool:
         """Whether the transaction was publicly observable (optionally by a time)."""
         seen = self.first_seen(tx_hash)
@@ -67,6 +59,3 @@ class ObservationStore:
     def total_arrival_records(self) -> int:
         """Number of (tx, monitor) arrival timestamps — the Table 1 count."""
         return sum(len(times) for times in self._first_seen.values())
-
-    def observed_transactions(self) -> int:
-        return len(self._first_seen)

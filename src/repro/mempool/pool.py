@@ -64,12 +64,6 @@ class SharedMempool:
         self._entries[tx.tx_hash] = entry
         return entry
 
-    def entry(self, tx_hash: Hash) -> MempoolEntry:
-        try:
-            return self._entries[tx_hash]
-        except KeyError:
-            raise NetworkError(f"{tx_hash} not in the mempool") from None
-
     def pending(self) -> Iterator[MempoolEntry]:
         return iter(list(self._entries.values()))
 

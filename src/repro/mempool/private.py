@@ -29,7 +29,6 @@ class PrivateOrderFlow:
 
     def __init__(self) -> None:
         self._deliveries: dict[Hash, PrivateDelivery] = {}
-        self._history: set[Hash] = set()
 
     def __len__(self) -> int:
         return len(self._deliveries)
@@ -57,7 +56,6 @@ class PrivateOrderFlow:
             delivered_time=delivered_time,
         )
         self._deliveries[tx.tx_hash] = delivery
-        self._history.add(tx.tx_hash)
         return delivery
 
     def pending_for(self, recipient: str, now: float) -> list[Transaction]:
@@ -74,11 +72,3 @@ class PrivateOrderFlow:
             if self._deliveries.pop(tx_hash, None) is not None:
                 removed += 1
         return removed
-
-    def was_private(self, tx_hash: Hash) -> bool:
-        """Whether this hash ever moved through a private channel.
-
-        Only for tests; the measurement pipeline must use the observation
-        store, as the paper infers privacy from mempool data.
-        """
-        return tx_hash in self._history

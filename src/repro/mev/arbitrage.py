@@ -35,11 +35,9 @@ class ArbitragePlan:
 
 
 def find_arbitrage_cycles(
-    amm: AmmExchange,
-    start_token: str = "WETH",
-    max_length: int = MAX_CYCLE_LENGTH,
+    amm: AmmExchange, start_token: str = "WETH"
 ) -> list[tuple[str, ...]]:
-    """All pool-id cycles of length <= max_length through ``start_token``.
+    """All pool-id cycles of length <= MAX_CYCLE_LENGTH through ``start_token``.
 
     Cycles are sequences of pool ids; consecutive pools share a token and
     the path starts and ends at ``start_token``.  Deterministic order.
@@ -56,7 +54,7 @@ def find_arbitrage_cycles(
         if len(used_pools) >= 2 and token == start_token:
             cycles.append(used_pools)
             return
-        if len(used_pools) >= max_length:
+        if len(used_pools) >= MAX_CYCLE_LENGTH:
             return
         for _, neighbor, pool_id in sorted(graph.edges(token, keys=True)):
             if pool_id in used_pools:
@@ -106,11 +104,11 @@ def _simulate_path(
 def plan_cycle_arbitrage(
     amm: AmmExchange,
     cycle: tuple[str, ...],
-    start_token: str = "WETH",
     max_input: int = 10**21,
     min_profit: int = 0,
 ) -> ArbitragePlan | None:
-    """Size the input for one cycle; None if it cannot beat ``min_profit``.
+    """Size the WETH input for one WETH-to-WETH cycle; None if it cannot
+    beat ``min_profit``.
 
     Cycles are stored direction-agnostically, but profit depends on the
     traversal direction, so both orientations are evaluated and the better
@@ -118,9 +116,9 @@ def plan_cycle_arbitrage(
     by several searchers is safe; execution-time discrepancies are caught
     by each hop's min-out.
     """
-    forward = _plan_directed_cycle(amm, cycle, start_token, max_input, min_profit)
+    forward = _plan_directed_cycle(amm, cycle, "WETH", max_input, min_profit)
     backward = _plan_directed_cycle(
-        amm, tuple(reversed(cycle)), start_token, max_input, min_profit
+        amm, tuple(reversed(cycle)), "WETH", max_input, min_profit
     )
     if forward is None:
         return backward

@@ -10,7 +10,7 @@ ones per source — so the union logic is exercised for real.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..chain.block import Block
 from ..chain.receipts import Receipt
@@ -65,7 +65,6 @@ class MevDataset:
         self._labels: list[MevLabel] = []
         self._by_key: dict[tuple[Hash, str], MevLabel] = {}
         self._by_block: dict[int, list[MevLabel]] = {}
-        self._by_tx: dict[Hash, list[MevLabel]] = {}
         self._per_source_counts: dict[str, int] = {
             source.name: 0 for source in self._sources
         }
@@ -88,7 +87,6 @@ class MevDataset:
                 self._by_key[key] = label
                 self._labels.append(label)
                 self._by_block.setdefault(block.number, []).append(label)
-                self._by_tx.setdefault(label.tx_hash, []).append(label)
                 added.append(label)
         return added
 
@@ -110,7 +108,6 @@ class MevDataset:
                 continue
             self._by_key[key] = label
             self._labels.append(label)
-            self._by_tx.setdefault(label.tx_hash, []).append(label)
             self._by_block.setdefault(label.block_number, []).append(label)
 
     # -- queries -----------------------------------------------------------
@@ -123,13 +120,6 @@ class MevDataset:
 
     def labels_for_block(self, block_number: int) -> list[MevLabel]:
         return list(self._by_block.get(block_number, []))
-
-    def is_mev_tx(self, tx_hash: Hash) -> bool:
-        return tx_hash in self._by_tx
-
-    def kind_of(self, tx_hash: Hash) -> str | None:
-        labels = self._by_tx.get(tx_hash)
-        return labels[0].kind if labels else None
 
     def count_by_kind(self) -> dict[str, int]:
         counts: dict[str, int] = {}

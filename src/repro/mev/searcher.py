@@ -40,6 +40,12 @@ from .liquidation import plan_liquidations
 from .sandwich import plan_sandwich
 
 _PRIORITY_FEE = gwei(1)
+# Thresholds every searcher of a kind shares, so the slot's shared plans
+# are keyed without them.
+_MIN_VICTIM_AMOUNT = 10**18  # wei of WETH a victim swap must sell
+_MIN_PROFIT_WEI: Wei = 10**15
+_MAX_ARBITRAGE_BUNDLES_PER_SLOT = 3
+_MIN_LIQUIDATION_BONUS_WEI: Wei = 10**15
 
 _Plan = TypeVar("_Plan")
 
@@ -125,37 +131,22 @@ class Searcher:
 class SandwichSearcher(Searcher):
     """Front- and back-runs large victim swaps spotted in the mempool."""
 
-    def __init__(
-        self,
-        name: str,
-        address: Address,
-        min_victim_amount: int = 10**18,
-        min_profit_wei: Wei = 10**15,
-        **kwargs,
-    ) -> None:
-        super().__init__(name, address, **kwargs)
-        self.min_victim_amount = min_victim_amount
-        self.min_profit_wei = min_profit_wei
-
     def find_bundles(self, view: SlotView) -> list[Bundle]:
         bundles: list[Bundle] = []
         victims = view.plan_once(
-            ("sandwich-victims", self.min_victim_amount),
-            _sandwich_victims,
-            view.mempool_txs,
-            self.min_victim_amount,
+            ("sandwich-victims",), _sandwich_victims, view.mempool_txs
         )
         for victim_tx, swap in victims:
             if not self._spots(view):
                 continue
             plan = view.plan_once(
-                ("sandwich", victim_tx.tx_hash, self.min_profit_wei),
+                ("sandwich", victim_tx.tx_hash),
                 plan_sandwich,
                 view.amm.pool(swap.pool_id),
                 swap.amount_in,
                 swap.min_amount_out,
                 swap.token_in,
-                min_profit=self.min_profit_wei,
+                min_profit=_MIN_PROFIT_WEI,
             )
             if plan is None:
                 continue
@@ -210,17 +201,8 @@ class SandwichSearcher(Searcher):
 class ArbitrageSearcher(Searcher):
     """Exploits cross-pool price discrepancies with cyclic swaps."""
 
-    def __init__(
-        self,
-        name: str,
-        address: Address,
-        min_profit_wei: Wei = 10**15,
-        max_bundles_per_slot: int = 3,
-        **kwargs,
-    ) -> None:
+    def __init__(self, name: str, address: Address, **kwargs) -> None:
         super().__init__(name, address, **kwargs)
-        self.min_profit_wei = min_profit_wei
-        self.max_bundles_per_slot = max_bundles_per_slot
         self._cycles: list[tuple[str, ...]] | None = None
 
     def find_bundles(self, view: SlotView) -> list[Bundle]:
@@ -234,19 +216,19 @@ class ArbitrageSearcher(Searcher):
             if not self._spots(view):
                 continue
             plan = view.plan_once(
-                ("arbitrage", cycle, budget, self.min_profit_wei),
+                ("arbitrage", cycle, budget),
                 plan_cycle_arbitrage,
                 view.amm,
                 cycle,
                 max_input=budget,
-                min_profit=self.min_profit_wei,
+                min_profit=_MIN_PROFIT_WEI,
             )
             if plan is not None:
                 plans.append(plan)
         plans.sort(key=lambda plan: plan.profit, reverse=True)
 
         bundles: list[Bundle] = []
-        for plan in plans[: self.max_bundles_per_slot]:
+        for plan in plans[:_MAX_ARBITRAGE_BUNDLES_PER_SLOT]:
             bid = self._bid_for(plan.profit)
             actions = [
                 SwapExact(pool_id, token_in, amount_in, amount_out)
@@ -279,25 +261,15 @@ class ArbitrageSearcher(Searcher):
 class LiquidationSearcher(Searcher):
     """Liquidates undercollateralized lending positions."""
 
-    def __init__(
-        self,
-        name: str,
-        address: Address,
-        min_bonus_wei: Wei = 10**15,
-        **kwargs,
-    ) -> None:
-        super().__init__(name, address, **kwargs)
-        self.min_bonus_wei = min_bonus_wei
-
     def find_bundles(self, view: SlotView) -> list[Bundle]:
         bundles: list[Bundle] = []
         plans = view.plan_once(
-            ("liquidations", self.min_bonus_wei),
+            ("liquidations",),
             plan_liquidations,
             view.markets,
             view.oracle,
             view.tokens,
-            min_bonus_wei=self.min_bonus_wei,
+            min_bonus_wei=_MIN_LIQUIDATION_BONUS_WEI,
         )
         for plan in plans:
             if not self._spots(view):
@@ -331,14 +303,16 @@ class LiquidationSearcher(Searcher):
         return bundles
 
 
-def _sandwich_victims(
-    txs: list[Transaction], min_amount: int
-) -> list[tuple[Transaction, SwapExact]]:
-    """Single-swap transactions selling at least ``min_amount`` WETH, in order."""
+def _sandwich_victims(txs: list[Transaction]) -> list[tuple[Transaction, SwapExact]]:
+    """Single-swap transactions selling at least 1 WETH, in mempool order."""
     victims = []
     for tx in txs:
         swap = _single_swap_action(tx)
-        if swap is None or swap.token_in != "WETH" or swap.amount_in < min_amount:
+        if (
+            swap is None
+            or swap.token_in != "WETH"
+            or swap.amount_in < _MIN_VICTIM_AMOUNT
+        ):
             continue
         victims.append((tx, swap))
     return victims

@@ -34,12 +34,6 @@ class PerfRegistry:
     def add(self, name: str, count: int = 1) -> None:
         self.counters[name] += count
 
-    def seconds(self, name: str) -> float:
-        return self.timers.get(name, 0.0)
-
-    def count(self, name: str) -> int:
-        return self.counters.get(name, 0)
-
     def share(self, part: str, whole: str) -> float:
         """Fraction of ``whole``'s time spent in ``part`` (0 when unknown)."""
         total = self.timers.get(whole, 0.0)
@@ -67,10 +61,3 @@ class PerfRegistry:
             self.timers[name] += float(value)
         for name, value in snapshot.get("counters", {}).items():
             self.counters[name] += int(value)
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "PerfRegistry":
-        """Rebuild a registry from a :meth:`snapshot` payload."""
-        registry = cls()
-        registry.merge_snapshot(snapshot)
-        return registry

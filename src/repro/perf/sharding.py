@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datasets.collector import StudyDataset
     from ..simulation.config import SimulationConfig
     from ..simulation.segments import SegmentDelta, SegmentSpec
-    from ..simulation.world import SlotRecord
 
 
 def _fork_aware_context():
@@ -78,13 +77,6 @@ class ShardedRun:
                 f"seg|{delta.spec.index}|{delta.world_digest}".encode()
             )
         return hasher.hexdigest()
-
-    @property
-    def slot_records(self) -> list["SlotRecord"]:
-        records: list["SlotRecord"] = []
-        for delta in self.deltas:
-            records.extend(delta.slot_records)
-        return records
 
     @property
     def oracle_violations(self) -> int | None:

@@ -39,7 +39,7 @@ class SanctionsList:
 
     def __init__(self) -> None:
         self._entries: list[SanctionedEntry] = []
-        self._by_address: dict[Address, SanctionedEntry] = {}
+        self._listed: set[Address] = set()
         self._sanctioned_tokens: dict[str, datetime.date] = {}
         # Per-date memos: as-of queries run once per screened transaction
         # (and per builder per slot); the list changes a handful of times
@@ -51,11 +51,11 @@ class SanctionsList:
         return len(self._entries)
 
     def add(self, address: Address, listed_date: datetime.date) -> SanctionedEntry:
-        if address in self._by_address:
+        if address in self._listed:
             raise ConfigError(f"{address} is already on the list")
         entry = SanctionedEntry(address=address, listed_date=listed_date)
         self._entries.append(entry)
-        self._by_address[address] = entry
+        self._listed.add(address)
         self._addresses_as_of.clear()
         return entry
 
@@ -93,24 +93,12 @@ class SanctionsList:
             self._tokens_as_of[date] = cached
         return cached
 
-    def is_sanctioned(self, address: Address, date: datetime.date) -> bool:
-        entry = self._by_address.get(address)
-        return entry is not None and entry.effective_date <= date
-
-    def listed_date_of(self, address: Address) -> datetime.date | None:
-        entry = self._by_address.get(address)
-        return entry.listed_date if entry else None
-
     def update_dates(self) -> list[datetime.date]:
         """Distinct publication dates, ascending (the list's update events)."""
         return sorted({entry.listed_date for entry in self._entries})
 
 
-def build_ofac_timeline(
-    initial_batch: int = _INITIAL_BATCH_SIZE,
-    november_batch: int = _NOV_2022_BATCH_SIZE,
-    february_batch: int = _FEB_2023_BATCH_SIZE,
-) -> SanctionsList:
+def build_ofac_timeline() -> SanctionsList:
     """Build the study-window sanctions list with the real update cadence.
 
     One pre-merge batch (already effective at the merge), the 2022-11-08
@@ -118,13 +106,13 @@ def build_ofac_timeline(
     """
     sanctions = SanctionsList()
     pre_merge = MERGE_DATE - datetime.timedelta(days=30)
-    for index in range(initial_batch):
+    for index in range(_INITIAL_BATCH_SIZE):
         sanctions.add(derive_address("sanctioned-initial", index), pre_merge)
-    for index in range(november_batch):
+    for index in range(_NOV_2022_BATCH_SIZE):
         sanctions.add(
             derive_address("sanctioned-nov22", index), OFAC_UPDATE_DATES[0]
         )
-    for index in range(february_batch):
+    for index in range(_FEB_2023_BATCH_SIZE):
         sanctions.add(
             derive_address("sanctioned-feb23", index), OFAC_UPDATE_DATES[1]
         )

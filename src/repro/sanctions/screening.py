@@ -16,6 +16,7 @@ from ..chain.receipts import TRANSFER_EVENT_TOPIC, Receipt
 from ..chain.traces import TransactionTrace
 from ..constants import SCREENED_TOKENS, TRON_TOKEN_SYMBOL
 from ..defi.tokens import TokenRegistry
+from ..errors import DefiError
 from ..types import Address, Hash
 from .ofac import SanctionsList
 
@@ -47,18 +48,13 @@ def tx_statically_involves(
 class SanctionScreener:
     """Flags transactions that do not comply with OFAC sanctions."""
 
-    def __init__(
-        self,
-        sanctions: SanctionsList,
-        tokens: TokenRegistry,
-        screened_tokens: tuple[str, ...] = SCREENED_TOKENS,
-    ) -> None:
+    def __init__(self, sanctions: SanctionsList, tokens: TokenRegistry) -> None:
         self._sanctions = sanctions
         self._screened_token_addresses: dict[Address, str] = {}
-        for symbol in (*screened_tokens, TRON_TOKEN_SYMBOL):
+        for symbol in (*SCREENED_TOKENS, TRON_TOKEN_SYMBOL):
             try:
                 address = tokens.address_of(symbol)
-            except Exception:
+            except DefiError:
                 continue  # token not deployed in this world
             self._screened_token_addresses[address] = symbol
 
@@ -138,12 +134,3 @@ class SanctionScreener:
             ):
                 flagged.append(receipt.tx_hash)
         return flagged
-
-    def block_is_non_compliant(
-        self,
-        block: Block,
-        receipts: list[Receipt],
-        traces: list[TransactionTrace],
-        date: datetime.date,
-    ) -> bool:
-        return bool(self.screen_block(block, receipts, traces, date))

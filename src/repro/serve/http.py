@@ -388,13 +388,6 @@ class RelayHTTPServer:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        try:
-            await self._server.serve_forever()
-        finally:
-            await self.close()
-
     async def close(self) -> None:
         """Stop listening and the deadline sweep; drop every connection."""
         if self._sweeper is not None:

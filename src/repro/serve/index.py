@@ -36,15 +36,6 @@ from ..core.relay_api import (
 ZERO_HASH = "0x" + "0" * 64
 
 
-@dataclass(frozen=True)
-class Page:
-    """One page of rows plus the cursor that resumes after it."""
-
-    rows: tuple
-    next_cursor: str | None
-    total: int
-
-
 class SlotIndex:
     """A slot-descending view over one immutable row sequence.
 
@@ -123,15 +114,6 @@ class SlotIndex:
             skip = end - slot_lo
             next_cursor = f"{next_slot}_{skip}" if skip else str(next_slot)
         return start, end, next_cursor
-
-    def page(self, cursor: "Cursor | None", limit: int) -> Page:
-        """One page from ``cursor`` (or the top), ``limit`` rows long."""
-        start, end, next_cursor = self.page_span(cursor, limit)
-        return Page(
-            rows=self.rows_at(start, end),
-            next_cursor=next_cursor,
-            total=len(self.rows),
-        )
 
 
 def parse_decimal(text: str) -> int:

@@ -20,7 +20,6 @@ report zeros, exactly like a relay that never validated the block.
 
 from __future__ import annotations
 
-import datetime
 import json
 from typing import Callable, Iterable
 
@@ -140,19 +139,6 @@ def encode_series(series) -> dict:
     }
 
 
-def decode_series(payload: dict):
-    """The inverse of :func:`encode_series` (used by tests/clients)."""
-    from ..analysis.timeseries import DailySeries
-
-    return DailySeries(
-        name=payload["name"],
-        dates=tuple(
-            datetime.date.fromisoformat(date) for date in payload["dates"]
-        ),
-        values=tuple(payload["values"]),
-    )
-
-
 def dump_json(payload) -> bytes:
     """Canonical response encoding: compact separators, insertion order."""
     return json.dumps(payload, separators=(",", ":")).encode()
@@ -193,10 +179,6 @@ class WireColumn:
             return b"[]"
         # offsets[hi] - 1 drops the trailing separator of the last row.
         return b"[%s]" % self._blob[self._offsets[lo] : self._offsets[hi] - 1]
-
-    def row_bytes(self, position: int) -> bytes:
-        return self._blob[self._offsets[position] : self._offsets[position + 1] - 1]
-
 
 def wire_column(
     rows: Iterable[object],

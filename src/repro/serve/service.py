@@ -87,10 +87,6 @@ class Response:
     content_type: str = _JSON
     headers: dict[str, str] = field(default_factory=dict)
 
-    def json(self):
-        """Decode the body (test/client convenience)."""
-        return json.loads(self.body)
-
 
 def _error_response(status: int, message: str) -> Response:
     # The relay error shape: {"code": ..., "message": ...}.
@@ -100,8 +96,8 @@ def _error_response(status: int, message: str) -> Response:
     )
 
 
-def _ok(payload, headers: dict[str, str] | None = None) -> Response:
-    return Response(status=200, body=schema.dump_json(payload), headers=headers or {})
+def _ok(payload) -> Response:
+    return Response(status=200, body=schema.dump_json(payload))
 
 
 def _parse_int(params: dict[str, str], name: str) -> int | None:

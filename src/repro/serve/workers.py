@@ -109,7 +109,7 @@ class WorkerPool:
 
     # -- supervisor ----------------------------------------------------
 
-    def serve_forever(self, announce=None, install_signal_handlers: bool = True) -> int:
+    def serve_forever(self, announce=None) -> int:
         """Fork the workers, supervise until stopped; returns exit code.
 
         ``announce(url, workers)`` fires once, after every worker's
@@ -122,12 +122,10 @@ class WorkerPool:
         # closes the last write end and every worker sees EOF and
         # drains.  No orphaned serving processes.
         self._death_r, self._death_w = os.pipe()
-        previous = {}
-        if install_signal_handlers:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                previous[signum] = signal.signal(
-                    signum, lambda *_: self.request_stop()
-                )
+        previous = {
+            signum: signal.signal(signum, lambda *_: self.request_stop())
+            for signum in (signal.SIGTERM, signal.SIGINT)
+        }
         try:
             for slot in range(self.workers):
                 self._spawn(slot)

@@ -133,10 +133,6 @@ class SimulationConfig:
             raise ConfigError("faults must hold FaultSpec entries", field="faults")
 
     @property
-    def total_slots(self) -> int:
-        return self.num_days * self.blocks_per_day
-
-    @property
     def num_segments(self) -> int:
         """Segments in this config's epoch-segment plan (1 = unsegmented)."""
         if self.segment_days <= 0:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from ..constants import (
     FTX_BANKRUPTCY_DATE,
     MANIFOLD_INCIDENT_DATE,
-    MERGE_DATE,
     NOV10_TIMESTAMP_BUG_DATE,
     USDC_DEPEG_DATE,
     day_index,
@@ -82,7 +81,3 @@ class Timeline:
 
 def default_timeline() -> Timeline:
     return Timeline()
-
-
-def date_of(day: int) -> datetime.date:
-    return MERGE_DATE + datetime.timedelta(days=day)

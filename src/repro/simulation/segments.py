@@ -8,7 +8,7 @@ index, never from the worker that happens to execute it).  Running a
 segment produces a :class:`SegmentDelta` — a picklable, explicit state
 delta holding everything downstream consumers need: the segment world's
 digest, its collected :class:`~repro.datasets.collector.StudyDataset`,
-its slot records, its perf snapshot, and its oracle verdict.
+its perf snapshot, and its oracle verdict.
 
 Because a segment is a pure function of ``(config, spec)``, segments can
 execute in any order on any number of processes and the ordered merge
@@ -35,7 +35,6 @@ from ..errors import ConfigError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datasets.collector import StudyDataset
     from .config import SimulationConfig
-    from .world import SlotRecord
 
 #: Salt mixed into per-segment RNG stream derivation so segment streams
 #: can never collide with the root-seed streams used for populations.
@@ -54,10 +53,6 @@ class SegmentSpec:
     @property
     def num_days(self) -> int:
         return self.day_end - self.day_start
-
-    def slot_start(self, blocks_per_day: int) -> int:
-        """Absolute slot-index offset of the segment's first slot."""
-        return self.day_start * blocks_per_day
 
     @property
     def covers_all(self) -> bool:
@@ -106,8 +101,6 @@ class SegmentDelta:
     world_digest: str
     #: The segment's collected study dataset (merged downstream).
     dataset: "StudyDataset"
-    #: Ground-truth slot records (tests and examples only).
-    slot_records: list["SlotRecord"] = field(default_factory=list)
     #: ``PerfRegistry.snapshot()`` of the segment's worker-side registry.
     perf_snapshot: dict = field(default_factory=dict)
     #: Invariant-oracle violation count, or None when oracles were skipped.
@@ -146,7 +139,6 @@ def run_segment(
         spec=spec,
         world_digest=world.digest(),
         dataset=dataset,
-        slot_records=list(world.slot_records),
         perf_snapshot=world.perf.snapshot(),
         oracle_violations=violations,
     )

@@ -23,7 +23,7 @@ from ..beacon.builders import (
 )
 from ..beacon.chain import BeaconBlockRecord, BeaconChain
 from ..beacon.schedule import ProposerSchedule
-from ..beacon.validator import Validator, ValidatorRegistry
+from ..beacon.validator import ValidatorRegistry
 from ..chain.chain import Chain
 from ..chain.exec_cache import ExecutionCache
 from ..chain.execution import ExecutionContext, ExecutionEngine
@@ -49,6 +49,7 @@ from ..core.context import SlotContext
 from ..core.proposer import LocalBlockBuilder
 from ..core.relay import Relay
 from ..defi.registry import DefiProtocols
+from ..errors import ConfigError
 from ..mev.bundles import Bundle
 from ..mev.liquidation import plan_liquidations
 from ..mev.arbitrage import find_arbitrage_cycles, plan_cycle_arbitrage
@@ -141,7 +142,9 @@ class World:
     dynamic randomness from streams derived from ``(seed, segment.index)``
     so segments never consume each other's draws.  Without ``segment``
     (or with the degenerate full-range segment) the world is bit-identical
-    to the legacy unsegmented run.
+    to the legacy unsegmented run.  A config whose plan has more than one
+    segment runs only through :func:`repro.perf.run_sharded`, so one config
+    never yields two digests.
     """
 
     def __init__(
@@ -149,11 +152,17 @@ class World:
         config: SimulationConfig,
         segment: "SegmentSpec | None" = None,
     ):
+        if segment is None and config.num_segments > 1:
+            raise ConfigError(
+                f"segment_days={config.segment_days} splits the "
+                f"{config.num_days}-day window into {config.num_segments} "
+                "segments; run the config with repro.perf.run_sharded",
+                field="segment_days",
+            )
         self.config = config
         self.timeline = default_timeline()
         if segment is not None and segment.covers_all:
             segment = None  # degenerate plan: take the legacy path exactly
-        self.segment = segment
         self._day_start = segment.day_start if segment is not None else 0
         self._day_end = (
             segment.day_end if segment is not None else config.num_days
@@ -784,37 +793,32 @@ class World:
     # ------------------------------------------------------------------
 
     def run(self) -> "World":
-        """Advance the world through its day range (segment or full window)."""
+        """Advance the world through its day range (segment or full window).
+
+        Day, slot and timestamp arithmetic use absolute indices, so a
+        segment world covering ``[40, 80)`` numbers its slots exactly as
+        the same days of a full-window run would.
+        """
         if self._has_run:
             return self
         self._has_run = True
-        with self.perf.timer("slot_loop"):
-            self.advance_days(self._day_start, self._day_end)
-        return self
-
-    def advance_days(self, day_start: int, day_end: int) -> None:
-        """Advance through ``[day_start, day_end)`` with absolute numbering.
-
-        The checkpointable core of :meth:`run`: day, slot and timestamp
-        arithmetic all use absolute indices, so a segment world covering
-        ``[40, 80)`` produces slots numbered exactly as the same days of a
-        full-window run would.
-        """
         config = self.config
         slot_seconds = config.seconds_per_simulated_slot
-        for day in range(day_start, day_end):
-            with self.perf.timer("day_step"):
-                self._advance_day(day)
-            date = MERGE_DATE + datetime.timedelta(days=day)
-            for slot_in_day in range(config.blocks_per_day):
-                global_index = day * config.blocks_per_day + slot_in_day
-                slot = MERGE_SLOT + global_index
-                slot_time = (
-                    _GENESIS_TIME
-                    + day * _SECONDS_PER_DAY
-                    + slot_in_day * slot_seconds
-                )
-                self._run_slot(slot, day, date, slot_time, global_index)
+        with self.perf.timer("slot_loop"):
+            for day in range(self._day_start, self._day_end):
+                with self.perf.timer("day_step"):
+                    self._advance_day(day)
+                date = MERGE_DATE + datetime.timedelta(days=day)
+                for slot_in_day in range(config.blocks_per_day):
+                    global_index = day * config.blocks_per_day + slot_in_day
+                    slot = MERGE_SLOT + global_index
+                    slot_time = (
+                        _GENESIS_TIME
+                        + day * _SECONDS_PER_DAY
+                        + slot_in_day * slot_seconds
+                    )
+                    self._run_slot(slot, day, date, slot_time, global_index)
+        return self
 
     def _run_slot(
         self,

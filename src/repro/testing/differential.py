@@ -26,13 +26,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..datasets.collector import collect_study_dataset
 from ..errors import ConformanceError
 from ..perf.artifacts import load_study_artifact, save_study_artifact
 from ..perf.sharding import run_sharded
 from ..simulation.config import SimulationConfig
-from ..simulation.world import build_world
-from .oracles import run_oracles
 
 GROUP_DEFAULT = "default"
 GROUP_SHARDED = "sharded"
@@ -181,21 +178,12 @@ class ReplayReport:
 def _run_case(case_config: SimulationConfig, check_oracles: bool):
     """Execute one matrix cell; returns (world digest, dataset, violations).
 
-    Segmented configs route through the sharded executor (whatever the
-    worker count — serial segmented execution must match process-pooled
-    execution bit for bit); unsegmented configs use the legacy in-process
-    path unchanged.
+    Every cell runs through the sharded executor.  A one-segment plan
+    passes its world digest and dataset through unchanged, and serial
+    segmented execution must match process-pooled execution bit for bit.
     """
-    if case_config.segment_days > 0 or case_config.shard_workers > 1:
-        run = run_sharded(case_config, check_oracles=check_oracles)
-        violations = run.oracle_violations if check_oracles else 0
-        return run.digest(), run.dataset, violations or 0
-    world = build_world(case_config).run()
-    dataset = collect_study_dataset(world)
-    violations = 0
-    if check_oracles:
-        violations = len(run_oracles(world, dataset).violations)
-    return world.digest(), dataset, violations
+    run = run_sharded(case_config, check_oracles=check_oracles)
+    return run.digest(), run.dataset, run.oracle_violations or 0
 
 
 def run_replay_matrix(

@@ -69,31 +69,3 @@ def derive_hash(namespace: str, index: int | str) -> Hash:
 def derive_pubkey(namespace: str, index: int | str) -> BLSPubkey:
     """Derive a deterministic 48-byte BLS public key (builders, validators)."""
     return "0x" + _digest(f"pubkey:{namespace}:{index}", _PUBKEY_HEX_LEN)
-
-
-def is_address(value: str) -> bool:
-    """Return True if ``value`` looks like a 20-byte hex address."""
-    if not isinstance(value, str) or not value.startswith("0x"):
-        return False
-    body = value[2:]
-    if len(body) != _ADDRESS_HEX_LEN:
-        return False
-    try:
-        int(body, 16)
-    except ValueError:
-        return False
-    return True
-
-
-def is_hash(value: str) -> bool:
-    """Return True if ``value`` looks like a 32-byte hex hash."""
-    if not isinstance(value, str) or not value.startswith("0x"):
-        return False
-    body = value[2:]
-    if len(body) != _HASH_HEX_LEN:
-        return False
-    try:
-        int(body, 16)
-    except ValueError:
-        return False
-    return True

@@ -175,7 +175,6 @@ ANALYSES = {
         relays.relay_trust_table(ds)
     ),
     "daily_user_payment_shares": rewards.daily_user_payment_shares,
-    "daily_total_user_payments_eth": rewards.daily_total_user_payments_eth,
     "connectivity_report": network_structure.connectivity_report,
     "relay_overlap_matrix": network_structure.relay_overlap_matrix,
 }

@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.concentration import (
     concentration_label,
     daily_hhi_series,
-    gini_coefficient,
     herfindahl_hirschman_index,
 )
 from repro.errors import AnalysisError
@@ -45,27 +44,6 @@ class TestHHI:
         shares = {"a": 0.5, "b": 0.3, "c": 0.2}
         hhi = herfindahl_hirschman_index(shares)
         assert 1 / 3 <= hhi <= 1.0
-
-
-class TestGini:
-    def test_perfect_equality(self):
-        assert gini_coefficient({name: 1.0 for name in "abcd"}) == pytest.approx(
-            0.0, abs=1e-9
-        )
-
-    def test_inequality_positive(self):
-        assert gini_coefficient({"a": 100, "b": 1, "c": 1}) > 0.5
-
-    def test_gini_blind_to_player_count_hhi_not(self):
-        # The property the paper cites for preferring HHI.
-        two_even = {"a": 1, "b": 1}
-        eight_even = {name: 1 for name in "abcdefgh"}
-        assert gini_coefficient(two_even) == pytest.approx(
-            gini_coefficient(eight_even), abs=1e-9
-        )
-        assert herfindahl_hirschman_index(two_even) != pytest.approx(
-            herfindahl_hirschman_index(eight_even)
-        )
 
 
 class TestDailySeries:

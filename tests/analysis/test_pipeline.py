@@ -19,7 +19,6 @@ from repro.analysis.relays import (
     pbs_totals_row,
     relay_trust_table,
 )
-from repro.analysis.rewards import daily_total_user_payments_eth
 
 
 class TestAdoption:
@@ -43,10 +42,6 @@ class TestRewards:
         base, priority, direct = an.daily_user_payment_shares(small_dataset)
         assert base.mean() > priority.mean() > 0
         assert direct.mean() >= 0
-
-    def test_total_payments_positive(self, small_dataset):
-        totals = daily_total_user_payments_eth(small_dataset)
-        assert all(value > 0 for value in totals.values)
 
 
 class TestRelayAnalyses:

@@ -23,16 +23,6 @@ class TestDailySeries:
         series = DailySeries("x", (D1, D2, D3), (1.0, 2.0, 3.0))
         assert len(series) == 3
         assert series.mean() == 2.0
-        assert series.last() == 3.0
-
-    def test_window_mean(self):
-        series = DailySeries("x", (D1, D2, D3), (1.0, 2.0, 9.0))
-        assert series.window_mean(D1, D2) == 1.5
-
-    def test_window_mean_empty_raises(self):
-        series = DailySeries("x", (D1,), (1.0,))
-        with pytest.raises(AnalysisError):
-            series.window_mean(D2, D3)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(AnalysisError):

@@ -57,13 +57,6 @@ class TestAccessors:
     def test_last_transaction_empty_block(self):
         assert _sealed().last_transaction is None
 
-    def test_transaction_by_hash(self):
-        factory = TransactionFactory()
-        txs = [_tx(factory, nonce=i) for i in range(2)]
-        block = _sealed(txs)
-        assert block.transaction_by_hash(txs[1].tx_hash) is txs[1]
-        assert block.transaction_by_hash(derive_hash("none", 1)) is None
-
     def test_number_and_fee_recipient(self):
         block = _sealed(number=42)
         assert block.number == 42

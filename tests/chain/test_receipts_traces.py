@@ -17,7 +17,6 @@ from repro.chain.receipts import (
     transfer_log,
 )
 from repro.chain.traces import (
-    FRAME_COINBASE_TIP,
     FRAME_INTERNAL,
     FRAME_TOP_LEVEL,
     CallFrame,
@@ -88,24 +87,3 @@ class TestTraces:
             ]
         )
         assert [frame.value_wei for frame in trace.iter_value_transfers()] == [5]
-
-    def test_transfers_to_sums(self):
-        trace = self._trace(
-            [
-                CallFrame(1, A, B, 5, FRAME_INTERNAL),
-                CallFrame(1, A, B, 7, FRAME_COINBASE_TIP),
-                CallFrame(1, B, A, 100, FRAME_INTERNAL),
-            ]
-        )
-        assert trace.transfers_to(B) == 12
-        assert trace.transfers_to(A) == 100
-
-    def test_touches(self):
-        trace = self._trace([CallFrame(1, A, B, 5, FRAME_INTERNAL)])
-        assert trace.touches(A)
-        assert trace.touches(B)
-        assert not trace.touches(TOKEN)
-
-    def test_touches_ignores_zero_value(self):
-        trace = self._trace([CallFrame(1, A, B, 0, FRAME_INTERNAL)])
-        assert not trace.touches(A)

@@ -12,13 +12,13 @@ from repro.chain.transaction import (
     TipCoinbase,
     TokenTransfer,
     TransactionFactory,
-    make_transaction,
 )
 from repro.errors import ConfigError
 from repro.types import derive_address, gwei
 
 SENDER = derive_address("test", "sender")
 OTHER = derive_address("test", "other")
+FACTORY = TransactionFactory()
 
 
 def _tx(**kwargs):
@@ -30,7 +30,7 @@ def _tx(**kwargs):
         max_priority_fee_per_gas=gwei(2),
     )
     defaults.update(kwargs)
-    return make_transaction(**defaults)
+    return FACTORY.create(**defaults)
 
 
 class TestConstruction:
@@ -101,11 +101,3 @@ class TestFees:
     def test_priority_full_when_headroom_allows(self):
         tx = _tx(max_fee_per_gas=gwei(10), max_priority_fee_per_gas=gwei(4))
         assert tx.priority_fee_per_gas(gwei(3)) == gwei(4)
-
-    def test_effective_gas_price(self):
-        tx = _tx(max_fee_per_gas=gwei(10), max_priority_fee_per_gas=gwei(4))
-        assert tx.effective_gas_price(gwei(3)) == gwei(7)
-
-    def test_max_spend_covers_fees_and_value(self):
-        tx = _tx(actions=[EthTransfer(OTHER, 777), TipCoinbase(23)])
-        assert tx.max_spend() == tx.gas_limit * tx.max_fee_per_gas + 800

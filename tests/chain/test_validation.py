@@ -9,7 +9,6 @@ from repro.chain.validation import (
     ISSUE_BAD_PARENT,
     ISSUE_BAD_TIMESTAMP,
     ISSUE_GAS_OVERFLOW,
-    header_is_valid,
     validate_header,
 )
 from repro.types import derive_address, derive_hash, gwei
@@ -38,7 +37,6 @@ EXPECT = dict(
 class TestValidation:
     def test_valid_header(self):
         assert validate_header(_header(), **EXPECT) == []
-        assert header_is_valid(_header(), **EXPECT)
 
     def test_bad_timestamp(self):
         issues = validate_header(_header(timestamp=232), **EXPECT)

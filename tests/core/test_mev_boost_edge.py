@@ -19,11 +19,6 @@ def _relay(name):
 
 
 class TestMevBoostEdges:
-    def test_unknown_relay_lookup_raises(self):
-        client = MevBoostClient({})
-        with pytest.raises(RelayError):
-            client.relay("nope")
-
     def test_unknown_relays_in_menu_skipped(self):
         world = MiniWorld()
         world.add_public_tx()

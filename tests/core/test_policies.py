@@ -3,7 +3,6 @@
 from repro.core.policies import (
     BuilderAccess,
     CensorshipPolicy,
-    MevFilterPolicy,
     RelayPolicy,
 )
 
@@ -51,13 +50,3 @@ class TestRelayPolicy:
         neutral = RelayPolicy(builder_access=BuilderAccess.PERMISSIONLESS)
         assert censoring.is_censoring
         assert not neutral.is_censoring
-
-    def test_mev_filter_flag(self):
-        filtering = RelayPolicy(
-            builder_access=BuilderAccess.INTERNAL_EXTERNAL,
-            mev_filter=MevFilterPolicy.FRONTRUNNING,
-        )
-        assert filtering.filters_mev
-        assert not RelayPolicy(
-            builder_access=BuilderAccess.PERMISSIONLESS
-        ).filters_mev

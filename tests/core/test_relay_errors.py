@@ -65,7 +65,7 @@ class TestDeliverPayload:
         world.relay.drop_payload_slots = frozenset({SLOT})
         with pytest.raises(MissingPayloadError, match="dropped payload"):
             world.relay.deliver_payload(SLOT, submission.block.block_hash)
-        assert SLOT not in world.relay.escrowed_submissions()
+        assert world.relay.best_bid(SLOT) is None
 
 
 class TestDropSlot:
@@ -79,9 +79,9 @@ class TestDropSlot:
     def test_drop_clears_escrow(self):
         world = MiniWorld()
         _escrow_submission(world)
-        assert SLOT in world.relay.escrowed_submissions()
+        assert world.relay.best_bid(SLOT) is not None
         world.relay.drop_slot(SLOT, missing_ok=False)
-        assert world.relay.escrowed_submissions() == {}
+        assert world.relay.best_bid(SLOT) is None
 
 
 class TestMevBoostAccept:

@@ -1,6 +1,7 @@
 """Tests for dataset collection over the small session world."""
 
 from repro.datasets import collect_study_dataset
+from repro.mempool.observer import DEFAULT_OBSERVER_COUNT
 
 
 class TestBlockObservations:
@@ -82,7 +83,7 @@ class TestInventory:
     def test_arrival_records_multiple_of_observers(
         self, small_world, small_dataset
     ):
-        observers = len(small_world.observations.observer_nodes)
+        observers = min(DEFAULT_OBSERVER_COUNT, small_world.network.node_count)
         assert small_dataset.inventory.mempool_arrival_times % observers == 0
 
     def test_relay_entries_positive(self, small_dataset):

@@ -1,5 +1,6 @@
 """Tests for CSV/JSON dataset export."""
 
+import csv
 import json
 import pathlib
 
@@ -11,9 +12,7 @@ from repro.datasets.storage import (
     INVENTORY_JSON,
     MEV_CSV,
     export_study_dataset,
-    load_block_rows,
 )
-from repro.errors import DataError
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +33,8 @@ class TestExport:
 
     def test_block_rows_round_trip(self, exported, small_dataset):
         directory, _ = exported
-        rows = load_block_rows(directory)
+        with (directory / BLOCKS_CSV).open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
         table = small_dataset.table
         assert len(rows) == len(table)
         first = rows[0]
@@ -63,7 +63,3 @@ class TestExport:
         directory, _ = exported
         lines = (directory / MEV_CSV).read_text().strip().splitlines()
         assert len(lines) - 1 == len(small_dataset.mev)
-
-    def test_missing_directory_raises(self, tmp_path):
-        with pytest.raises(DataError):
-            load_block_rows(tmp_path / "nope")

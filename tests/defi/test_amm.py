@@ -51,11 +51,6 @@ class TestRegistration:
         pool = amm.pool("WETH-USDC-30")
         assert tokens.balance_of("WETH", pool.spec.address) == WETH_RESERVE
 
-    def test_pools_with_token(self, setup):
-        _, amm = setup
-        assert amm.pools_with_token("WETH") == ["WETH-USDC-30"]
-        assert amm.pools_with_token("DAI") == []
-
 
 class TestQuoting:
     def test_small_swap_near_spot(self, setup):

@@ -49,13 +49,6 @@ class TestRandomWalk:
         assert oracle.price_usd("ETH") != before
         assert oracle.price_usd("ETH") > 0
 
-    def test_history_grows(self, oracle):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            oracle.advance_day(rng)
-        assert oracle.days_elapsed == 5
-        assert len(oracle.history("ETH")) == 6
-
     def test_deterministic_given_seed(self):
         a = PriceOracle({"ETH": 1500.0})
         b = PriceOracle({"ETH": 1500.0})

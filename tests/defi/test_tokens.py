@@ -24,7 +24,6 @@ class TestDeployment:
     def test_token_metadata(self, tokens):
         usdc = tokens.token("USDC")
         assert usdc.decimals == 6
-        assert usdc.unit == 10**6
 
     def test_duplicate_symbol_rejected(self, tokens):
         with pytest.raises(DefiError):
@@ -36,9 +35,6 @@ class TestDeployment:
 
     def test_addresses_unique(self, tokens):
         assert tokens.address_of("WETH") != tokens.address_of("USDC")
-
-    def test_symbols_sorted(self, tokens):
-        assert tokens.symbols() == ["USDC", "WETH"]
 
 
 class TestTransfers:

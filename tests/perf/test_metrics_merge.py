@@ -20,9 +20,9 @@ def test_merge_snapshot_sums_timers_and_counters():
     parent = _registry({"slot_loop": 2.0, "builder_phase": 1.0}, {"blocks": 5})
     worker = _registry({"slot_loop": 4.0, "builder_phase": 3.0}, {"blocks": 7})
     parent.merge_snapshot(worker.snapshot())
-    assert parent.seconds("slot_loop") == pytest.approx(6.0)
-    assert parent.seconds("builder_phase") == pytest.approx(4.0)
-    assert parent.count("blocks") == 12
+    assert parent.timers["slot_loop"] == pytest.approx(6.0)
+    assert parent.timers["builder_phase"] == pytest.approx(4.0)
+    assert parent.counters["blocks"] == 12
 
 
 def test_builder_phase_share_stays_accurate_across_workers():
@@ -43,12 +43,13 @@ def test_builder_phase_share_stays_accurate_across_workers():
 
 def test_from_snapshot_round_trips():
     original = _registry({"collection": 1.5}, {"txs": 42})
-    rebuilt = PerfRegistry.from_snapshot(original.snapshot())
+    rebuilt = PerfRegistry()
+    rebuilt.merge_snapshot(original.snapshot())
     assert rebuilt.snapshot() == original.snapshot()
 
 
 def test_merge_snapshot_tolerates_empty_payload():
     registry = _registry({"slot_loop": 1.0}, {"blocks": 1})
     registry.merge_snapshot({})
-    assert registry.seconds("slot_loop") == pytest.approx(1.0)
-    assert registry.count("blocks") == 1
+    assert registry.timers["slot_loop"] == pytest.approx(1.0)
+    assert registry.counters["blocks"] == 1

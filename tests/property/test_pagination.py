@@ -11,6 +11,7 @@ plain filter.
 
 from __future__ import annotations
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -83,7 +84,7 @@ def _walk(service: QueryService, path: str, limit: int, cursor: str | None = Non
     while True:
         response = service.handle(path, dict(params))
         assert response.status == 200
-        page = response.json()
+        page = json.loads(response.body)
         assert len(page) <= limit
         rows.extend(page)
         pages += 1
@@ -101,7 +102,7 @@ def _unpaginated(service: QueryService, path: str) -> list[dict]:
     response = service.handle(path, {"limit": "500"})
     assert response.status == 200
     assert response.headers.get("x-next-cursor") is None
-    return response.json()
+    return json.loads(response.body)
 
 
 @given(slots=slots_strategy, limit=limit_strategy)
@@ -166,7 +167,7 @@ def test_exact_slot_query_equals_filter(slots, wanted):
     )
     assert response.status == 200
     full = _unpaginated(service, PAYLOADS_PATH)
-    assert response.json() == [
+    assert json.loads(response.body) == [
         row for row in full if int(row["slot"]) == wanted
     ]
 
@@ -189,16 +190,16 @@ def test_slot_index_seek_matches_linear_scan(slots):
             len(slots),
         )
         assert index.seek(cursor_slot) == expected
-    page = index.page(None, limit=max(len(slots), 1))
-    assert list(page.rows) == ordered
-    assert page.next_cursor is None
+    start, end, next_cursor = index.page_span(None, max(len(slots), 1))
+    assert list(index.rows_at(start, end)) == ordered
+    assert next_cursor is None
 
 
 def test_empty_store_pages_cleanly():
     service = _service([], "payloads")
     response = service.handle(PAYLOADS_PATH, {"limit": "5"})
     assert response.status == 200
-    assert response.json() == []
+    assert json.loads(response.body) == []
     assert response.headers.get("x-next-cursor") is None
 
 
@@ -215,5 +216,5 @@ def test_cursor_parse_rejects_garbage():
 def test_np_int_slots_accepted():
     """Index construction accepts numpy integer slot keys."""
     index = SlotIndex(["a", "b"], np.asarray([3, 9]))
-    page = index.page(None, 10)
-    assert list(page.rows) == ["b", "a"]
+    start, end, _ = index.page_span(None, 10)
+    assert list(index.rows_at(start, end)) == ["b", "a"]

@@ -82,8 +82,9 @@ class TestStateProperties:
             except Exception:
                 continue  # overdrafts are rejected atomically
         assert state.total_supply() == state.minted_wei - state.burned_wei
-        for address in state.touched_addresses():
-            assert state.balance_of(address) >= 0
+        for _, a, b, _ in operations:
+            assert state.balance_of(a) >= 0
+            assert state.balance_of(b) >= 0
 
     @given(
         base_ops=st.lists(

@@ -33,8 +33,8 @@ def sanctions():
 
 class TestSanctionsList:
     def test_next_day_rule(self, sanctions):
-        assert not sanctions.is_sanctioned(BAD, LISTED)
-        assert sanctions.is_sanctioned(BAD, LISTED + datetime.timedelta(days=1))
+        assert BAD not in sanctions.addresses_as_of(LISTED)
+        assert BAD in sanctions.addresses_as_of(LISTED + datetime.timedelta(days=1))
 
     def test_addresses_as_of(self, sanctions):
         assert sanctions.addresses_as_of(LISTED) == frozenset()
@@ -58,8 +58,9 @@ class TestSanctionsList:
         assert sanctions.update_dates() == [LISTED, datetime.date(2023, 2, 1)]
 
     def test_listed_date_lookup(self, sanctions):
-        assert sanctions.listed_date_of(BAD) == LISTED
-        assert sanctions.listed_date_of(USER) is None
+        listed = {entry.address: entry.listed_date for entry in sanctions.entries()}
+        assert listed[BAD] == LISTED
+        assert USER not in listed
 
 
 class TestDefaultTimeline:
@@ -126,6 +127,26 @@ class TestScreener:
             tx_hash=tx_hash or derive_hash("sanc", "tx"), frames=tuple(frames)
         )
 
+    def test_undeployed_screened_tokens_are_skipped(self, sanctions):
+        # Of the screened tokens only USDC is deployed; USDT and the rest
+        # are skipped, and USDC transfers are still screened.
+        tokens = TokenRegistry()
+        tokens.deploy("USDC", 6)
+        screener = SanctionScreener(sanctions, tokens)
+        log = transfer_log(tokens.address_of("USDC"), BAD, USER, 5)
+        after = LISTED + datetime.timedelta(days=2)
+        assert screener.is_non_compliant(
+            self._trace(), self._receipt([log]), after
+        )
+
+    def test_token_lookup_error_propagates(self, sanctions):
+        class BrokenRegistry(TokenRegistry):
+            def address_of(self, symbol):
+                raise TypeError("not a registry lookup failure")
+
+        with pytest.raises(TypeError, match="not a registry lookup failure"):
+            SanctionScreener(sanctions, BrokenRegistry())
+
     def test_eth_trace_flagged(self, screener):
         trace = self._trace(
             [CallFrame(1, BAD, USER, 100, FRAME_INTERNAL)]
@@ -183,4 +204,3 @@ class TestScreener:
         assert screener.screen_block(block, [receipt], [trace], after) == [
             tx.tx_hash
         ]
-        assert screener.block_is_non_compliant(block, [receipt], [trace], after)

@@ -105,17 +105,17 @@ def _assert_pages_are_live_encodings(dataset, limits) -> None:
                 params = {**base, "limit": str(limit)}
                 cursor = None
                 while True:
-                    page = slot_index.page(cursor, limit)
+                    start, end, next_cursor = slot_index.page_span(cursor, limit)
                     response = service.handle(path, dict(params))
                     assert response.status == 200
                     assert response.body == dump_json(
-                        [encode(row) for row in page.rows]
+                        [encode(row) for row in slot_index.rows_at(start, end)]
                     )
-                    assert response.headers.get("x-next-cursor") == page.next_cursor
-                    if page.next_cursor is None:
+                    assert response.headers.get("x-next-cursor") == next_cursor
+                    if next_cursor is None:
                         break
-                    cursor = Cursor.parse(page.next_cursor)
-                    params["cursor"] = page.next_cursor
+                    cursor = Cursor.parse(next_cursor)
+                    params["cursor"] = next_cursor
             for slot in {slot_index.slot_at(i) for i in range(len(slot_index))}:
                 lo, hi = slot_index.slot_span(slot)
                 response = service.handle(
@@ -138,8 +138,6 @@ def test_wire_column_matches_dump_json():
     for lo in range(8):
         for hi in range(lo, 8):
             assert column.page_bytes(lo, hi) == dump_json(rows[lo:hi])
-    for i, row in enumerate(rows):
-        assert column.row_bytes(i) == dump_json(row)
 
 
 def test_empty_wire_column():

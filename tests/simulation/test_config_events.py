@@ -4,10 +4,10 @@ import datetime
 
 import pytest
 
-from repro.constants import MERGE_DATE, STUDY_NUM_DAYS, day_index
+from repro.constants import STUDY_NUM_DAYS, day_index
 from repro.errors import ConfigError
 from repro.simulation.config import SimulationConfig, small_test_config
-from repro.simulation.events import Timeline, date_of, default_timeline
+from repro.simulation.events import Timeline, default_timeline
 from repro.simulation import calibration
 
 
@@ -15,12 +15,11 @@ class TestConfig:
     def test_defaults_valid(self):
         config = SimulationConfig()
         assert config.num_days == STUDY_NUM_DAYS
-        assert config.total_slots == config.num_days * config.blocks_per_day
 
     def test_small_config_fast(self):
         config = small_test_config()
         assert config.num_days <= 20
-        assert config.total_slots <= 200
+        assert config.num_days * config.blocks_per_day <= 200
 
     def test_small_config_overrides(self):
         config = small_test_config(seed=99, num_days=5)
@@ -116,10 +115,6 @@ class TestTimeline:
         assert timeline.timestamp_bug_day == day_index(
             datetime.date(2022, 11, 10)
         )
-
-    def test_date_of_round_trips(self):
-        assert date_of(0) == MERGE_DATE
-        assert day_index(date_of(57)) == 57
 
     def test_mev_intensity_spikes(self):
         timeline = default_timeline()

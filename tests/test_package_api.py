@@ -15,7 +15,7 @@ class TestPackageApi:
         assert callable(repro.build_world)
         assert callable(repro.collect_study_dataset)
         config = repro.SimulationConfig(num_days=1, blocks_per_day=1)
-        assert config.total_slots == 1
+        assert (config.num_days, config.blocks_per_day) == (1, 1)
 
     def test_unit_helpers(self):
         assert repro.to_ether(repro.ether(2)) == 2.0

@@ -10,8 +10,6 @@ from repro.types import (
     derive_pubkey,
     ether,
     gwei,
-    is_address,
-    is_hash,
     to_ether,
 )
 
@@ -37,13 +35,15 @@ class TestUnits:
 class TestDerivation:
     def test_address_shape(self):
         address = derive_address("user", 1)
-        assert is_address(address)
+        assert address.startswith("0x")
         assert len(address) == 42
+        int(address, 16)
 
     def test_hash_shape(self):
         value = derive_hash("tx", "payload")
-        assert is_hash(value)
+        assert value.startswith("0x")
         assert len(value) == 66
+        int(value, 16)
 
     def test_pubkey_shape(self):
         pubkey = derive_pubkey("builder", 0)
@@ -59,24 +59,3 @@ class TestDerivation:
 
     def test_indices_disjoint(self):
         assert derive_address("user", 1) != derive_address("user", 2)
-
-
-class TestValidators:
-    def test_is_address_rejects_bad_prefix(self):
-        assert not is_address("ff" * 21)
-
-    def test_is_address_rejects_bad_length(self):
-        assert not is_address("0x1234")
-
-    def test_is_address_rejects_non_hex(self):
-        assert not is_address("0x" + "zz" * 20)
-
-    def test_is_hash_rejects_address(self):
-        assert not is_hash(derive_address("a", 1))
-
-    def test_is_address_rejects_hash(self):
-        assert not is_address(derive_hash("a", 1))
-
-    def test_non_string_inputs(self):
-        assert not is_address(12345)
-        assert not is_hash(None)
