@@ -28,7 +28,6 @@ class ConnectivityReport:
     mean_relays_per_builder: float
     mean_builders_per_relay: float
     single_relay_builders: int
-    max_relay_degree: int
     # Fraction of builder->proposer flow that would be lost if the
     # highest-degree relay disappeared (a relay-centralization measure).
     largest_relay_dependency: float
@@ -81,7 +80,6 @@ def connectivity_report(dataset: StudyDataset) -> ConnectivityReport:
         mean_relays_per_builder=sum(builder_degrees) / len(builders),
         mean_builders_per_relay=sum(relay_degrees) / len(relays),
         single_relay_builders=single,
-        max_relay_degree=max(relay_degrees),
         largest_relay_dependency=biggest / total_weight,
     )
 

@@ -24,7 +24,6 @@ class BeaconBlockRecord:
     proposer_entity: str
     # None for missed slots (no block landed this slot).
     execution_block_hash: Hash | None
-    used_mev_boost: bool = False
     # ePBS regime: the winning builder withheld the committed payload, so
     # the slot has a consensus record but no execution block.
     payload_withheld: bool = False

@@ -58,7 +58,7 @@ COINBASE_SENTINEL: Address = derive_address("exec-cache", "coinbase-sentinel")
 
 # Read/write domains.  State domains are handled by the cache directly;
 # protocol domains are delegated to the registry's read_effective /
-# apply_writes hooks (see repro.defi.recording).
+# apply_writes hooks (see repro.defi.registry).
 DOMAIN_BALANCE = "b"
 DOMAIN_NONCE = "n"
 

@@ -24,13 +24,6 @@ SWAP_GAS: Gas = 120_000
 LIQUIDATION_GAS: Gas = 250_000
 COINBASE_TIP_GAS: Gas = 9_000
 
-# Where a transaction entered the system.  Consensus data never exposes
-# this; analyses must infer public/private from mempool observations.
-ORIGIN_PUBLIC = "public"
-ORIGIN_PRIVATE = "private"
-ORIGIN_BUNDLE = "bundle"
-_VALID_ORIGINS = frozenset({ORIGIN_PUBLIC, ORIGIN_PRIVATE, ORIGIN_BUNDLE})
-
 
 @dataclass(frozen=True)
 class EthTransfer:
@@ -117,12 +110,8 @@ class Transaction:
     # Extra gas emulating heavier contract interaction beyond the typed
     # actions; lets blocks reach mainnet-like gas totals at simulator scale.
     extra_gas: Gas = 0
-    origin: str = ORIGIN_PUBLIC
-    created_slot: int = 0
 
     def __post_init__(self) -> None:
-        if self.origin not in _VALID_ORIGINS:
-            raise ConfigError(f"unknown transaction origin: {self.origin!r}")
         if self.max_priority_fee_per_gas > self.max_fee_per_gas:
             raise ConfigError(
                 "max_priority_fee_per_gas exceeds max_fee_per_gas for "
@@ -177,8 +166,6 @@ class TransactionFactory:
         max_fee_per_gas: Wei,
         max_priority_fee_per_gas: Wei,
         extra_gas: Gas = 0,
-        origin: str = ORIGIN_PUBLIC,
-        created_slot: int = 0,
     ) -> Transaction:
         index = next(self._counter)
         return Transaction(
@@ -189,6 +176,4 @@ class TransactionFactory:
             max_priority_fee_per_gas=max_priority_fee_per_gas,
             actions=tuple(actions),
             extra_gas=extra_gas,
-            origin=origin,
-            created_slot=created_slot,
         )

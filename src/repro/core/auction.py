@@ -50,10 +50,6 @@ class SlotOutcome:
     settled_shortfall_wei: int = 0
     payload_withheld: bool = False
 
-    @property
-    def used_pbs(self) -> bool:
-        return self.mode == MODE_PBS
-
 
 class SlotAuction:
     """Runs the PBS auction (and local fallback) for one slot at a time."""

@@ -26,7 +26,6 @@ from ..chain.execution import BlockExecutionResult, ExecutionContext
 from ..chain.transaction import (
     EthTransfer,
     INTRINSIC_GAS,
-    ORIGIN_PRIVATE,
     Transaction,
 )
 from ..errors import ExecutionError, InsufficientBalanceError, PBSError
@@ -357,8 +356,6 @@ class BlockBuilder:
                 [EthTransfer(proposer.fee_recipient, payment)],
                 max_fee_per_gas=ctx.base_fee,
                 max_priority_fee_per_gas=0,
-                origin=ORIGIN_PRIVATE,
-                created_slot=ctx.slot,
             )
             try:
                 outcome = ctx.engine.execute_transaction(

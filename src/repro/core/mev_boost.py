@@ -23,7 +23,6 @@ class BidSelection:
 
     block_hash: Hash
     claimed_value_wei: Wei
-    submission: BuilderSubmission
     relays: tuple[str, ...]
 
 
@@ -61,7 +60,6 @@ class MevBoostClient:
         return BidSelection(
             block_hash=best.block.block_hash,
             claimed_value_wei=best.claimed_for(best_relay),
-            submission=best,
             relays=serving,
         )
 

@@ -136,7 +136,6 @@ class Relay:
             ValidatorRegistration(
                 relay=self.name,
                 validator_pubkey=validator.pubkey,
-                validator_index=validator.index,
                 fee_recipient=validator.fee_recipient,
                 registered_slot=slot,
             )

@@ -19,7 +19,6 @@ class ValidatorRegistration:
 
     relay: str
     validator_pubkey: BLSPubkey
-    validator_index: int
     fee_recipient: Address
     registered_slot: int
 

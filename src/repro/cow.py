@@ -4,16 +4,23 @@ Builders fork the whole protocol state once per candidate transaction and
 per candidate block; a full copy would dominate simulation time.  ``CowDict``
 keeps writes in a local layer and falls back to the parent for reads, with
 O(touched keys) forks and commits.
+
+``RecordingCowDict`` is the layer the execution cache records through: it
+logs every read that escapes it, with the value seen below it.
 """
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, Optional, TypeVar
+from typing import TYPE_CHECKING, Generic, Iterator, Optional, TypeVar
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .chain.exec_cache import ReadLog
 
 K = TypeVar("K")
 V = TypeVar("V")
 
 _TOMBSTONE = object()
+_MISSING = object()
 
 
 class CowDict(Generic[K, V]):
@@ -81,9 +88,17 @@ class CowDict(Generic[K, V]):
 
     # -- forking -----------------------------------------------------------
 
-    def fork(self) -> "CowDict[K, V]":
-        """Create a child layer; reads fall through, writes stay local."""
-        return CowDict(parent=self)
+    def fork(
+        self, log: "ReadLog | None" = None, domain: str = ""
+    ) -> "CowDict[K, V]":
+        """Create a child layer; reads fall through, writes stay local.
+
+        Given a read log, the child is a :class:`RecordingCowDict` that logs
+        the reads escaping it under ``domain``.
+        """
+        if log is None:
+            return CowDict(parent=self)
+        return RecordingCowDict(self, log, domain)
 
     def commit(self) -> None:
         """Merge this layer's writes (including deletions) into the parent."""
@@ -91,3 +106,41 @@ class CowDict(Generic[K, V]):
             raise ValueError("cannot commit a root CowDict")
         self._parent._local.update(self._local)
         self._local.clear()
+
+
+class RecordingCowDict(CowDict[K, V]):
+    """A COW layer that logs reads escaping the recording boundary.
+
+    Reads satisfied inside the recording chain (this layer and any forks
+    taken above it during action execution) are internal; only the value
+    observed from the non-recording parent below enters the log, as
+    ``(domain, key, value)`` with ``None`` for a missing key (no stored
+    value is ever ``None``).
+    """
+
+    def __init__(self, parent: CowDict[K, V], log: "ReadLog", domain: str) -> None:
+        super().__init__(parent=parent)
+        self._log = log
+        self._domain = domain
+
+    def get(self, key: K, default: V | None = None) -> V | None:
+        node: Optional[CowDict[K, V]] = self
+        while isinstance(node, RecordingCowDict):
+            if key in node._local:
+                value = node._local[key]
+                return default if value is _TOMBSTONE else value  # type: ignore[return-value]
+            node = node._parent
+        value = node.get(key, _MISSING) if node is not None else _MISSING  # type: ignore[arg-type]
+        self._log.record(self._domain, key, None if value is _MISSING else value)
+        return default if value is _MISSING else value  # type: ignore[return-value]
+
+    def fork(
+        self, log: "ReadLog | None" = None, domain: str = ""
+    ) -> "RecordingCowDict[K, V]":
+        """A child that records into this layer's log, under its domain."""
+        return RecordingCowDict(self, self._log, self._domain)
+
+    def writes(self) -> Iterator[tuple[str, K, V | None]]:
+        """This layer's writes as ``(domain, key, value)``; a deletion is ``None``."""
+        for key, value in self._local.items():
+            yield self._domain, key, None if value is _TOMBSTONE else value  # type: ignore[misc]

@@ -10,6 +10,7 @@ execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..cow import CowDict
 from ..chain.receipts import Log, swap_log, sync_log
@@ -17,7 +18,12 @@ from ..errors import DefiError, SwapError
 from ..types import Address, derive_address
 from .tokens import TokenRegistry
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..chain.exec_cache import ReadLog
+
 DEFAULT_FEE_BPS = 30  # Uniswap V2's 0.3%
+#: The execution cache's read/write domain for reserves, keyed by pool id.
+RESERVE_DOMAIN = "r"
 _BPS = 10_000
 
 # Last LiquidityPool snapshot built per pool id, shared across exchanges
@@ -86,14 +92,19 @@ class LiquidityPool:
 class AmmExchange:
     """All pools plus their (forkable) reserves."""
 
-    def __init__(self, tokens: TokenRegistry, parent: "AmmExchange | None" = None):
+    def __init__(
+        self,
+        tokens: TokenRegistry,
+        parent: "AmmExchange | None" = None,
+        log: "ReadLog | None" = None,
+    ):
         self._tokens = tokens
         if parent is None:
             self._specs: dict[str, PoolSpec] = {}
             self._reserves: CowDict[str, tuple[int, int]] = CowDict()
         else:
             self._specs = parent._specs
-            self._reserves = parent._reserves.fork()
+            self._reserves = parent._reserves.fork(log, RESERVE_DOMAIN)
         self._parent = parent
 
     # -- pool management -------------------------------------------------
@@ -221,10 +232,14 @@ class AmmExchange:
 
     # -- forking -----------------------------------------------------------
 
-    def fork(self, tokens: TokenRegistry) -> "AmmExchange":
-        """Fork reserves; ``tokens`` must be the matching forked registry."""
-        child = AmmExchange(tokens, parent=self)
-        return child
+    def fork(
+        self, tokens: TokenRegistry, log: "ReadLog | None" = None
+    ) -> "AmmExchange":
+        """Fork reserves; ``tokens`` must be the matching forked registry.
+
+        Given a read log, the fork records its reads.
+        """
+        return AmmExchange(tokens, parent=self, log=log)
 
     def commit(self) -> None:
         if self._parent is None:

@@ -10,6 +10,7 @@ liquidation detector reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..cow import CowDict
 from ..chain.receipts import Log, liquidation_log
@@ -18,8 +19,14 @@ from ..types import Address, derive_address
 from .oracle import PriceOracle
 from .tokens import TokenRegistry
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..chain.exec_cache import ReadLog
+
 DEFAULT_LIQUIDATION_THRESHOLD = 0.85
 DEFAULT_LIQUIDATION_BONUS = 0.10
+#: Prefix of the execution cache's read/write domain for one market's
+#: positions (``"p:<market_id>"``), keyed by borrower.
+POSITION_DOMAIN_PREFIX = "p:"
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,10 @@ class LendingMarket:
 
     # -- forking -----------------------------------------------------------
 
-    def fork(self, tokens: TokenRegistry) -> "LendingMarket":
+    def fork(
+        self, tokens: TokenRegistry, log: "ReadLog | None" = None
+    ) -> "LendingMarket":
+        """Fork positions; given a read log, the fork records its reads."""
         # Bypass __init__: the market address is already derived and the
         # thresholds already validated, and forks happen once per builder
         # per slot, which made re-deriving the address a measured hotspot.
@@ -193,7 +203,9 @@ class LendingMarket:
         child.liquidation_threshold = self.liquidation_threshold
         child.liquidation_bonus = self.liquidation_bonus
         child._tokens = tokens
-        child._positions = self._positions.fork()
+        child._positions = self._positions.fork(
+            log, POSITION_DOMAIN_PREFIX + self.market_id
+        )
         child._parent = self
         return child
 

@@ -13,117 +13,117 @@ DeFi substrate at all.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..chain.receipts import Log
 from ..chain.state import WorldState
 from ..chain.traces import CallFrame
 from ..chain.transaction import LiquidatePosition, SwapExact, TokenTransfer
-from ..cow import CowDict
-from ..cow import _TOMBSTONE as _COW_TOMBSTONE
+from ..cow import _TOMBSTONE, CowDict
 from ..errors import DefiError
 from ..types import Address
-from .amm import AmmExchange
-from .lending import LendingMarket
+from .amm import RESERVE_DOMAIN, AmmExchange
+from .lending import POSITION_DOMAIN_PREFIX, LendingMarket
 from .oracle import PriceOracle
-from .tokens import TokenRegistry
+from .tokens import BALANCE_DOMAIN, TokenRegistry
 
-_MISSING = object()
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..chain.exec_cache import ReadLog
 
 
-def _execute_action(
-    registry: "DefiProtocols | LazyDefiFork",
-    action: object,
-    sender: Address,
-) -> tuple[list[Log], list[CallFrame]]:
-    """Shared action dispatch for every registry flavour.
+class _Registry:
+    """What the root registry and its lazy forks share.
 
-    Token movements do not move ETH, so no trace frames are produced —
-    matching mainnet, where sanctioned ERC-20 activity is visible only
-    in logs (which is why the paper scans both logs and traces).
+    Action dispatch, forking, and the execution cache's hooks: a cached
+    read or write names its layer by domain (``BALANCE_DOMAIN``,
+    ``RESERVE_DOMAIN`` or ``POSITION_DOMAIN_PREFIX`` plus a market id),
+    and :meth:`_layer` resolves a domain to this registry's layer.
+    Subclasses provide ``tokens``, ``amm``, ``oracle`` and ``market()``.
     """
-    if isinstance(action, TokenTransfer):
-        log = registry.tokens.transfer(
-            action.token, sender, action.recipient, action.amount
-        )
-        return [log], []
-    if isinstance(action, SwapExact):
-        _, logs = registry.amm.swap(
-            action.pool_id,
-            sender,
-            action.token_in,
-            action.amount_in,
-            action.min_amount_out,
-            registry.tokens,
-        )
-        return logs, []
-    if isinstance(action, LiquidatePosition):
-        market = registry.market(action.market_id)
-        if market is None:
-            raise DefiError(f"unknown lending market {action.market_id}")
-        _, logs = market.liquidate(
-            sender, action.borrower, registry.oracle, registry.tokens
-        )
-        return logs, []
-    raise DefiError(f"no protocol can execute {type(action).__name__}")
+
+    __slots__ = ()
+
+    tokens: TokenRegistry
+    amm: AmmExchange
+    oracle: PriceOracle
+
+    def execute_action(
+        self,
+        action: object,
+        sender: Address,
+        state: WorldState,
+    ) -> tuple[list[Log], list[CallFrame]]:
+        """Apply one protocol action; returns (logs, trace frames).
+
+        Token movements do not move ETH, so no trace frames are produced —
+        matching mainnet, where sanctioned ERC-20 activity is visible only
+        in logs (which is why the paper scans both logs and traces).
+        """
+        if isinstance(action, TokenTransfer):
+            log = self.tokens.transfer(
+                action.token, sender, action.recipient, action.amount
+            )
+            return [log], []
+        if isinstance(action, SwapExact):
+            _, logs = self.amm.swap(
+                action.pool_id,
+                sender,
+                action.token_in,
+                action.amount_in,
+                action.min_amount_out,
+                self.tokens,
+            )
+            return logs, []
+        if isinstance(action, LiquidatePosition):
+            market = self.market(action.market_id)
+            if market is None:
+                raise DefiError(f"unknown lending market {action.market_id}")
+            _, logs = market.liquidate(
+                sender, action.borrower, self.oracle, self.tokens
+            )
+            return logs, []
+        raise DefiError(f"no protocol can execute {type(action).__name__}")
+
+    # -- forking -----------------------------------------------------------
+
+    def fork(self) -> "LazyDefiFork":
+        return LazyDefiFork(self)
+
+    def recording_fork(self, log: "ReadLog") -> "LazyDefiFork":
+        """A fork whose components log every read that escapes them."""
+        return LazyDefiFork(self, log)
+
+    # -- execution-cache hooks (see repro.chain.exec_cache) ----------------
+
+    def _layer(self, domain: str) -> CowDict:
+        if domain == BALANCE_DOMAIN:
+            return self.tokens._balances
+        if domain == RESERVE_DOMAIN:
+            return self.amm._reserves
+        # Domains come from recorded reads and markets are never removed.
+        return self.market(domain[len(POSITION_DOMAIN_PREFIX):])._positions  # type: ignore[union-attr]
+
+    def read_effective(self, domain: str, key: object) -> object:
+        """Current value for a cached read-set entry (None when absent)."""
+        return self._layer(domain).get(key)
+
+    def apply_writes(self, writes) -> None:
+        """Write a cached variant's effects into this registry's layers.
+
+        ``value is None`` encodes a deletion; the tombstone lands in the same
+        layer a committed speculative fork would have left it in, keeping
+        replayed state bit-identical to direct execution.  Writes arrive
+        grouped by domain, so each layer is resolved once per call.
+        """
+        domain = layer = None
+        for write_domain, key, value in writes:
+            if write_domain != domain:
+                domain = write_domain
+                layer = self._layer(domain)
+            layer._local[key] = _TOMBSTONE if value is None else value
 
 
-def _read_effective(registry, domain: str, key: object) -> object:
-    """Current value for a cached read-set entry (None when absent).
-
-    Domains mirror :mod:`repro.chain.exec_cache`: ``"t"`` token balances
-    keyed by ``(symbol, holder)``, ``"r"`` AMM reserves keyed by pool id,
-    ``"p:<market>"`` lending positions keyed by borrower.
-    """
-    if domain == "t":
-        view: CowDict = registry.balances_view()
-    elif domain == "r":
-        view = registry.reserves_view()
-    elif domain.startswith("p:"):
-        positions = registry.positions_view(domain[2:])
-        if positions is None:
-            return None
-        view = positions
-    else:
-        raise DefiError(f"unknown read domain {domain!r}")
-    value = view.get(key, _MISSING)
-    return None if value is _MISSING else value
-
-
-def _apply_writes(registry, writes) -> None:
-    """Write a cached variant's effects into this registry's local layers.
-
-    ``value is None`` encodes a deletion; the tombstone lands in the same
-    layer a committed speculative fork would have left it in, keeping
-    replayed state bit-identical to direct execution.  Replaying a variant
-    applies every write of a transaction in one call, so the target
-    CowDict is resolved once per domain, not once per entry.
-    """
-    token_cow: CowDict | None = None
-    reserve_cow: CowDict | None = None
-    market_cows: dict[str, CowDict] | None = None
-    for domain, key, value in writes:
-        if domain == "t":
-            cow = token_cow
-            if cow is None:
-                cow = token_cow = registry.tokens._balances
-        elif domain == "r":
-            cow = reserve_cow
-            if cow is None:
-                cow = reserve_cow = registry.amm._reserves
-        elif domain.startswith("p:"):
-            if market_cows is None:
-                market_cows = {}
-            cow = market_cows.get(domain)
-            if cow is None:
-                market = registry.market(domain[2:])
-                if market is None:
-                    raise DefiError(f"unknown lending market {domain[2:]}")
-                cow = market_cows[domain] = market._positions
-        else:
-            raise DefiError(f"unknown write domain {domain!r}")
-        cow._local[key] = _COW_TOMBSTONE if value is None else value
-
-
-class DefiProtocols:
+class DefiProtocols(_Registry):
     """Token registry + AMM + lending markets behind one engine-facing API.
 
     Always the root of a fork tree: speculative children are
@@ -157,71 +157,30 @@ class DefiProtocols:
     def market(self, market_id: str) -> LendingMarket | None:
         return self.markets.get(market_id)
 
-    # -- engine interface --------------------------------------------------
-
-    def execute_action(
-        self,
-        action: object,
-        sender: Address,
-        state: WorldState,
-    ) -> tuple[list[Log], list[CallFrame]]:
-        """Apply one protocol action; returns (logs, trace frames)."""
-        return _execute_action(self, action, sender)
-
-    # -- forking -----------------------------------------------------------
-
-    def fork(self) -> "LazyDefiFork":
-        return LazyDefiFork(parent=self)
-
     def commit(self) -> None:
         raise DefiError("cannot commit a root DefiProtocols")
 
-    # -- execution-cache hooks (see repro.chain.exec_cache) ----------------
 
-    def balances_view(self) -> CowDict:
-        return self.tokens._balances
-
-    def reserves_view(self) -> CowDict:
-        return self.amm._reserves
-
-    def positions_view(self, market_id: str) -> CowDict | None:
-        market = self.markets.get(market_id)
-        return None if market is None else market._positions
-
-    def token_specs(self) -> dict:
-        return self.tokens._tokens
-
-    def pool_specs(self) -> dict:
-        return self.amm._specs
-
-    def market_meta(self, market_id: str) -> LendingMarket | None:
-        return self.markets.get(market_id)
-
-    def read_effective(self, domain: str, key: object) -> object:
-        return _read_effective(self, domain, key)
-
-    def apply_writes(self, writes) -> None:
-        _apply_writes(self, writes)
-
-    def recording_fork(self, log):
-        from .recording import RecordingDefiProtocols
-
-        return RecordingDefiProtocols(parent=self, log=log)
-
-
-class LazyDefiFork:
+class LazyDefiFork(_Registry):
     """A copy-on-write fork of the DeFi substrate, materialized on demand.
 
     Satisfies the same :class:`~repro.chain.execution.ProtocolRegistry`
     interface as :class:`DefiProtocols`.  Components fork from the parent
     on first touch; :meth:`commit` merges back only what materialized, so
     a speculative block that never swaps a token costs nothing here.
+
+    Given the execution cache's read log, the fork is the cache's
+    recording overlay: each component forks as a
+    :class:`~repro.cow.RecordingCowDict` layer that logs the reads
+    escaping it, and the fork is never committed — the cache takes its
+    layers' local entries as the write set (:meth:`extract_writes`).
     """
 
-    __slots__ = ("_parent", "oracle", "_tokens", "_amm", "_markets")
+    __slots__ = ("_parent", "_log", "oracle", "_tokens", "_amm", "_markets")
 
-    def __init__(self, parent) -> None:
+    def __init__(self, parent: _Registry, log: "ReadLog | None" = None) -> None:
         self._parent = parent
+        self._log = log
         self.oracle = parent.oracle
         self._tokens: TokenRegistry | None = None
         self._amm: AmmExchange | None = None
@@ -232,13 +191,13 @@ class LazyDefiFork:
     @property
     def tokens(self) -> TokenRegistry:
         if self._tokens is None:
-            self._tokens = self._parent.tokens.fork()
+            self._tokens = self._parent.tokens.fork(self._log)
         return self._tokens
 
     @property
     def amm(self) -> AmmExchange:
         if self._amm is None:
-            self._amm = self._parent.amm.fork(self.tokens)
+            self._amm = self._parent.amm.fork(self.tokens, self._log)
         return self._amm
 
     def market(self, market_id: str) -> LendingMarket | None:
@@ -247,24 +206,13 @@ class LazyDefiFork:
             base = self._parent.market(market_id)
             if base is None:
                 return None
-            market = base.fork(self.tokens)
+            market = base.fork(self.tokens, self._log)
             self._markets[market_id] = market
         return market
 
-    # -- engine interface --------------------------------------------------
-
-    def execute_action(
-        self,
-        action: object,
-        sender: Address,
-        state: WorldState,
-    ) -> tuple[list[Log], list[CallFrame]]:
-        return _execute_action(self, action, sender)
-
-    def fork(self) -> "LazyDefiFork":
-        return LazyDefiFork(parent=self)
-
     def commit(self) -> None:
+        if self._log is not None:
+            raise DefiError("a recording fork is never committed")
         if self._tokens is not None:
             self._tokens.commit()
         if self._amm is not None:
@@ -272,43 +220,16 @@ class LazyDefiFork:
         for market in self._markets.values():
             market.commit()
 
-    # -- execution-cache hooks ---------------------------------------------
+    def extract_writes(self) -> list[tuple[str, object, object]]:
+        """A recording fork's writes as (domain, key, value-or-None).
 
-    def balances_view(self) -> CowDict:
+        In token → reserve → market order, each layer's entries in the
+        order they were first written.
+        """
+        layers = []
         if self._tokens is not None:
-            return self._tokens._balances
-        return self._parent.balances_view()
-
-    def reserves_view(self) -> CowDict:
+            layers.append(self._tokens._balances)
         if self._amm is not None:
-            return self._amm._reserves
-        return self._parent.reserves_view()
-
-    def positions_view(self, market_id: str) -> CowDict | None:
-        market = self._markets.get(market_id)
-        if market is not None:
-            return market._positions
-        return self._parent.positions_view(market_id)
-
-    def token_specs(self) -> dict:
-        return self._parent.token_specs()
-
-    def pool_specs(self) -> dict:
-        return self._parent.pool_specs()
-
-    def market_meta(self, market_id: str) -> LendingMarket | None:
-        market = self._markets.get(market_id)
-        if market is not None:
-            return market
-        return self._parent.market_meta(market_id)
-
-    def read_effective(self, domain: str, key: object) -> object:
-        return _read_effective(self, domain, key)
-
-    def apply_writes(self, writes) -> None:
-        _apply_writes(self, writes)
-
-    def recording_fork(self, log):
-        from .recording import RecordingDefiProtocols
-
-        return RecordingDefiProtocols(parent=self, log=log)
+            layers.append(self._amm._reserves)
+        layers.extend(market._positions for market in self._markets.values())
+        return [write for layer in layers for write in layer.writes()]

@@ -9,11 +9,19 @@ tokens and TRON.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..cow import CowDict
 from ..errors import DefiError, InsufficientBalanceError
 from ..chain.receipts import Log, transfer_log
 from ..types import Address, derive_address
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..chain.exec_cache import ReadLog
+
+#: The execution cache's read/write domain for balances, keyed by
+#: ``(symbol, holder)``.
+BALANCE_DOMAIN = "t"
 
 
 @dataclass(frozen=True)
@@ -31,6 +39,7 @@ class TokenRegistry:
     def __init__(
         self,
         parent: "TokenRegistry | None" = None,
+        log: "ReadLog | None" = None,
     ) -> None:
         if parent is None:
             self._tokens: dict[str, Token] = {}
@@ -38,7 +47,7 @@ class TokenRegistry:
         else:
             # Token deployments are immutable; share the dict, fork balances.
             self._tokens = parent._tokens
-            self._balances = parent._balances.fork()
+            self._balances = parent._balances.fork(log, BALANCE_DOMAIN)
         self._parent = parent
 
     # -- deployment --------------------------------------------------------
@@ -98,8 +107,9 @@ class TokenRegistry:
 
     # -- forking -----------------------------------------------------------
 
-    def fork(self) -> "TokenRegistry":
-        return TokenRegistry(parent=self)
+    def fork(self, log: "ReadLog | None" = None) -> "TokenRegistry":
+        """Fork balances; given a read log, the fork records its reads."""
+        return TokenRegistry(parent=self, log=log)
 
     def commit(self) -> None:
         if self._parent is None:

@@ -23,7 +23,6 @@ _GOLDEN = 0.6180339887498949
 class ArbitragePlan:
     """A sized arbitrage: pool hops with planned per-hop amounts."""
 
-    start_token: str
     hops: tuple[tuple[str, str, int, int], ...]  # (pool_id, token_in, in, out)
     amount_in: int
     amount_out: int
@@ -194,7 +193,6 @@ def _plan_directed_cycle(
     if hops is None:
         return None
     plan = ArbitragePlan(
-        start_token=start_token,
         hops=tuple(hops),
         amount_in=amount_in,
         amount_out=hops[-1][3],

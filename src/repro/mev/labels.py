@@ -2,9 +2,11 @@
 
 The paper maximizes coverage by taking the union of three independently
 built, imperfect label sources (EigenPhi, ZeroMev, modified Weintraub et
-al. scripts).  Each :class:`LabelSource` here wraps the detectors with a
-deterministic per-source recall — some true positives are missed, different
-ones per source — so the union logic is exercised for real.
+al. scripts).  Each :class:`LabelSource` here keeps the detectors' labels
+with a deterministic per-source recall — some true positives are missed,
+different ones per source — so the union logic is exercised for real.  The
+detectors are pure, so a block is detected once and every source takes
+its share of that one result.
 """
 
 from __future__ import annotations
@@ -37,13 +39,11 @@ class LabelSource:
         draw = int.from_bytes(digest[:4], "big") / 2**32
         return draw < self.recall
 
-    def label_block(
-        self, block: Block, receipts: list[Receipt], oracle: PriceOracle | None = None
-    ) -> list[MevLabel]:
-        """This source's labels for one block (full detection x recall)."""
+    def recalled(self, detected: list[MevLabel]) -> list[MevLabel]:
+        """The labels of one block's full detection this source catches."""
         return [
             replace(label, source=self.name)
-            for label in detect_block_mev(block, receipts, oracle)
+            for label in detected
             if self._keeps(label.attack_id)
         ]
 
@@ -76,10 +76,11 @@ class MevDataset:
     def ingest_block(
         self, block: Block, receipts: list[Receipt], oracle: PriceOracle | None = None
     ) -> list[MevLabel]:
-        """Run every source over a block and merge new labels (union)."""
+        """Detect a block's MEV once, then merge each source's share (union)."""
+        detected = detect_block_mev(block, receipts, oracle)
         added: list[MevLabel] = []
         for source in self._sources:
-            for label in source.label_block(block, receipts, oracle):
+            for label in source.recalled(detected):
                 self._per_source_counts[source.name] += 1
                 key = (label.tx_hash, label.kind)
                 if key in self._by_key:

@@ -21,7 +21,6 @@ from ..chain.transaction import (
     TipCoinbase,
     Transaction,
     TransactionFactory,
-    ORIGIN_BUNDLE,
 )
 from ..defi.amm import AmmExchange
 from ..defi.lending import LendingMarket
@@ -164,8 +163,6 @@ class SandwichSearcher(Searcher):
                 ],
                 view.max_fee(),
                 _PRIORITY_FEE,
-                origin=ORIGIN_BUNDLE,
-                created_slot=view.slot,
             )
             back = view.tx_factory.create(
                 self.address,
@@ -182,8 +179,6 @@ class SandwichSearcher(Searcher):
                 ],
                 view.max_fee(),
                 _PRIORITY_FEE,
-                origin=ORIGIN_BUNDLE,
-                created_slot=view.slot,
             )
             bundles.append(
                 make_bundle(
@@ -241,8 +236,6 @@ class ArbitrageSearcher(Searcher):
                 actions,
                 view.max_fee(),
                 _PRIORITY_FEE,
-                origin=ORIGIN_BUNDLE,
-                created_slot=view.slot,
             )
             cycle_key = "->".join(hop[0] for hop in plan.hops)
             bundles.append(
@@ -287,8 +280,6 @@ class LiquidationSearcher(Searcher):
                 ],
                 view.max_fee(),
                 _PRIORITY_FEE,
-                origin=ORIGIN_BUNDLE,
-                created_slot=view.slot,
             )
             bundles.append(
                 make_bundle(

@@ -53,9 +53,10 @@ from numpy.lib import format as npy_format
 from ..errors import DataError
 
 #: Bump when simulation semantics or the artifact layout change; old
-#: artifacts become unreadable.  4 = columnar .npz + pickle of the
-#: dataset's other fields carrying the .npz's column stamp.
-ARTIFACT_FORMAT = 4
+#: artifacts become unreadable.  5 = columnar .npz + pickle of the
+#: dataset's other fields carrying the .npz's column stamp; the pickled
+#: validator registrations carry no validator index.
+ARTIFACT_FORMAT = 5
 
 _CACHE_DIR_ENV = "REPRO_ARTIFACT_CACHE"
 

@@ -30,8 +30,6 @@ from ..chain.execution import ExecutionContext, ExecutionEngine
 from ..chain.state import WorldState
 from ..chain.transaction import (
     EthTransfer,
-    ORIGIN_PRIVATE,
-    ORIGIN_PUBLIC,
     SwapExact,
     TokenTransfer,
     Transaction,
@@ -566,7 +564,7 @@ class World:
         return int(min(value, 2_500_000))
 
     def _generate_user_tx(
-        self, slot: int, day: int, base_fee: int, sophistication: float
+        self, day: int, base_fee: int, sophistication: float
     ) -> tuple[Transaction, bool] | None:
         """One user transaction, or None if the sender is priced out."""
         rng = self._rng_txgen
@@ -581,7 +579,7 @@ class World:
 
         if roll < _SWAP_TX_SHARE:
             tx = self._make_swap_tx(
-                sender, slot, max_fee, priority, sophistication, rng
+                sender, max_fee, priority, sophistication, rng
             )
         elif roll < _SWAP_TX_SHARE + _TOKEN_TX_SHARE:
             token = _TRANSFER_TOKENS[int(rng.integers(0, len(_TRANSFER_TOKENS)))]
@@ -595,8 +593,6 @@ class World:
                 max_fee,
                 priority,
                 extra_gas=self._extra_gas(rng),
-                origin=ORIGIN_PRIVATE if wants_private else ORIGIN_PUBLIC,
-                created_slot=slot,
             )
         else:
             recipient = self.users[int(rng.integers(0, len(self.users)))]
@@ -608,15 +604,12 @@ class World:
                 max_fee,
                 priority,
                 extra_gas=self._extra_gas(rng),
-                origin=ORIGIN_PRIVATE if wants_private else ORIGIN_PUBLIC,
-                created_slot=slot,
             )
         return tx, wants_private
 
     def _make_swap_tx(
         self,
         sender: Address,
-        slot: int,
         max_fee: int,
         priority: int,
         sophistication: float,
@@ -665,11 +658,9 @@ class World:
             max_fee,
             priority,
             extra_gas=self._extra_gas(rng),
-            origin=ORIGIN_PUBLIC,
-            created_slot=slot,
         )
 
-    def _generate_sanctioned_tx(self, slot: int, base_fee: int) -> Transaction:
+    def _generate_sanctioned_tx(self, base_fee: int) -> Transaction:
         rng = self._rng_txgen
         priority = self._priority_fee(rng)
         max_fee = self._max_fee(base_fee, rng, priority)
@@ -710,11 +701,9 @@ class World:
             max_fee,
             priority,
             extra_gas=self._extra_gas(rng),
-            origin=ORIGIN_PUBLIC,
-            created_slot=slot,
         )
 
-    def _generate_public_bot_txs(self, slot: int, base_fee: int) -> list[Transaction]:
+    def _generate_public_bot_txs(self, base_fee: int) -> list[Transaction]:
         """Naive mempool bots: public-PGA-style arbitrage and liquidations."""
         rng = self._rng_txgen
         txs: list[Transaction] = []
@@ -740,8 +729,6 @@ class World:
                             [LiquidatePosition(plan.market_id, plan.borrower)],
                             base_fee * 2 + bid_per_gas,
                             bid_per_gas,
-                            origin=ORIGIN_PUBLIC,
-                            created_slot=slot,
                         )
                     )
         if rng.random() < _PUBLIC_SEARCHER_SKILL * 0.8:
@@ -772,8 +759,6 @@ class World:
                         actions,
                         base_fee * 2 + bid_per_gas,
                         bid_per_gas,
-                        origin=ORIGIN_PUBLIC,
-                        created_slot=slot,
                     )
                 )
         return txs
@@ -923,7 +908,7 @@ class World:
         # the MEV supply behind Figure 10's profit spikes.
         victim_boost = sophistication * intensity**0.6
         for _ in range(count):
-            generated = self._generate_user_tx(slot, day, base_fee, victim_boost)
+            generated = self._generate_user_tx(day, base_fee, victim_boost)
             if generated is None:
                 continue
             tx, wants_private = generated
@@ -938,14 +923,14 @@ class World:
             self.observations.record_broadcast(entry)
 
         if rng.random() < config.sanctioned_tx_rate:
-            tx = self._generate_sanctioned_tx(slot, base_fee)
+            tx = self._generate_sanctioned_tx(base_fee)
             origin_node = self.network.random_node(rng)
             entry = self.mempool.broadcast(
                 tx, origin_node, slot_time - float(rng.uniform(0.0, window))
             )
             self.observations.record_broadcast(entry)
 
-        for tx in self._generate_public_bot_txs(slot, base_fee):
+        for tx in self._generate_public_bot_txs(base_fee):
             origin_node = self.network.random_node(rng)
             # Public bots raced the previous block: their transactions are
             # old enough for even slow local proposers to have seen them.
@@ -963,8 +948,6 @@ class World:
                     [EthTransfer(self._ankr_deposit, ether(float(rng.uniform(5, 60))))],
                     self._max_fee(base_fee, rng, priority),
                     priority,
-                    origin=ORIGIN_PRIVATE,
-                    created_slot=slot,
                 )
                 self.private_flow.deliver(tx, ("AnkrPool",), slot_time - 1.0)
 
@@ -1091,7 +1074,6 @@ class World:
                 proposer_index=outcome.proposer.index,
                 proposer_entity=outcome.proposer.entity,
                 execution_block_hash=outcome.block.block_hash,
-                used_mev_boost=outcome.used_pbs,
             )
         )
         included = [tx.tx_hash for tx in outcome.block.transactions]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chain.exec_cache import ExecutionCache
+from repro.chain.exec_cache import ExecutionCache, ReadLog
 from repro.chain.execution import ExecutionContext, ExecutionEngine, NullProtocols
 from repro.chain.state import WorldState
 from repro.chain.transaction import (
@@ -21,7 +21,7 @@ from repro.chain.transaction import (
 )
 from repro.defi.oracle import PriceOracle
 from repro.defi.registry import DefiProtocols
-from repro.errors import ExecutionError
+from repro.errors import DefiError, ExecutionError
 from repro.types import derive_address, ether, gwei
 
 ALICE = derive_address("cache", "alice")
@@ -254,14 +254,36 @@ class TestProtocolWrites:
         )
         assert cache.stats.hits == 1
         assert hit_outcome == direct_outcome
-        assert (
-            replayed.protocols.reserves_view().get("pool")
-            == direct.protocols.reserves_view().get("pool")
+        assert replayed.protocols.amm.pool("pool") == direct.protocols.amm.pool(
+            "pool"
         )
-        assert replayed.protocols.balances_view().get(
-            ("USDC", ALICE)
-        ) == direct.protocols.balances_view().get(("USDC", ALICE))
+        assert replayed.protocols.tokens.balance_of(
+            "USDC", ALICE
+        ) == direct.protocols.tokens.balance_of("USDC", ALICE)
         _assert_same_effects(replayed, direct)
+
+    def test_recording_fork_logs_reads_and_is_never_committed(
+        self, defi_canonical
+    ):
+        builder = defi_canonical.protocols.fork()
+        log = ReadLog()
+        recording = builder.recording_fork(log)
+        recording.tokens.transfer("WETH", ALICE, BOB, ether(1))
+        recording.amm.pool("pool")
+        assert log.protocols == [
+            ("t", ("WETH", ALICE), ether(5)),
+            ("t", ("WETH", BOB), None),
+            ("r", "pool", (ether(100), 200_000 * 10**6)),
+        ]
+        assert recording.extract_writes() == [
+            ("t", ("WETH", ALICE), ether(4)),
+            ("t", ("WETH", BOB), ether(1)),
+        ]
+        with pytest.raises(DefiError):
+            recording.commit()
+        # The caller's fork saw none of the recording's writes.
+        assert builder.tokens.balance_of("WETH", ALICE) == ether(5)
+        assert builder.tokens.balance_of("WETH", BOB) == 0
 
     def test_reserve_change_invalidates_variant(
         self, cache, engine, defi_canonical, factory

@@ -221,11 +221,9 @@ class TestSpeculation:
         assert protocols.tokens.balance_of("WETH", ALICE) == ether(5)
         assert protocols.tokens.balance_of("WETH", BOB) == 0
         assert protocols.tokens.balance_of("USDC", ALICE) == 0
-        # No action touched the lending market, so the fork still reads
-        # the parent's positions rather than a materialised copy.
-        assert fork.protocols.positions_view("aave") is protocols.positions_view(
-            "aave"
-        )
+        # No action touched the lending market, so the fork never
+        # materialised a copy of its positions.
+        assert "aave" not in fork.protocols._markets
 
         fork.commit()
         assert protocols.amm.pool("pool") == pool_on_fork

@@ -5,8 +5,6 @@ import pytest
 from repro.chain.transaction import (
     EthTransfer,
     INTRINSIC_GAS,
-    ORIGIN_BUNDLE,
-    ORIGIN_PUBLIC,
     SWAP_GAS,
     SwapExact,
     TipCoinbase,
@@ -46,10 +44,6 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             _tx(max_fee_per_gas=gwei(1), max_priority_fee_per_gas=gwei(2))
 
-    def test_bad_origin_rejected(self):
-        with pytest.raises(ConfigError):
-            _tx(origin="weird")
-
     def test_negative_extra_gas_rejected(self):
         with pytest.raises(ConfigError):
             _tx(extra_gas=-1)
@@ -65,10 +59,6 @@ class TestConstruction:
         # the execution cache does not replay.
         with pytest.raises(ConfigError, match="negative"):
             make()
-
-    def test_origins(self):
-        assert _tx().origin == ORIGIN_PUBLIC
-        assert _tx(origin=ORIGIN_BUNDLE).origin == ORIGIN_BUNDLE
 
 
 class TestGas:

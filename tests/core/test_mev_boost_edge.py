@@ -66,7 +66,6 @@ class TestMevBoostEdges:
         bogus = BidSelection(
             block_hash="0x" + "00" * 32,
             claimed_value_wei=1,
-            submission=None,
             relays=(),
         )
         with pytest.raises(RelayError):

@@ -397,7 +397,7 @@ class TestMevBoost:
         client = MevBoostClient({"test-relay": world.relay, "relay-b": relay_b})
         selection = client.get_best_bid(1000, ("test-relay", "relay-b"))
         assert selection.relays == ("relay-b",)
-        assert selection.submission is richer
+        assert selection.block_hash == richer.block.block_hash
 
     def test_multi_relay_same_block(self):
         world = MiniWorld()

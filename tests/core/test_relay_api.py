@@ -13,7 +13,6 @@ def _registration(index=0):
     return ValidatorRegistration(
         relay="r",
         validator_pubkey=derive_pubkey("api", index),
-        validator_index=index,
         fee_recipient=derive_address("api", index),
         registered_slot=10,
     )

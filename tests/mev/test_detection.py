@@ -192,8 +192,14 @@ class TestLabelSources:
     def test_full_recall_keeps_everything(self, world):
         ctx, defi, oracle = world
         block, result = _execute_and_seal(ctx, _sandwich_txs(defi))
+        detected = detect_block_mev(block, result.receipts, oracle)
         full = LabelSource(name="perfect", recall=1.0)
-        assert len(full.label_block(block, result.receipts, oracle)) == 2
+        recalled = full.recalled(detected)
+        assert len(recalled) == 2
+        assert [label.tx_hash for label in recalled] == [
+            label.tx_hash for label in detected
+        ]
+        assert {label.source for label in recalled} == {"perfect"}
 
     def test_sources_miss_different_attacks(self, world):
         ctx, defi, oracle = world

@@ -128,7 +128,6 @@ def golden_stores() -> dict[str, RelayDataStore]:
         ValidatorRegistration(
             relay="flashbots",
             validator_pubkey=PROPOSER_1,
-            validator_index=1,
             fee_recipient=FEE_1,
             registered_slot=7990,
         )
@@ -137,7 +136,6 @@ def golden_stores() -> dict[str, RelayDataStore]:
         ValidatorRegistration(
             relay="flashbots",
             validator_pubkey=PROPOSER_2,
-            validator_index=2,
             fee_recipient=FEE_2,
             registered_slot=7991,
         )
@@ -206,7 +204,6 @@ def golden_stores() -> dict[str, RelayDataStore]:
         ValidatorRegistration(
             relay="aestus",
             validator_pubkey=PROPOSER_2,
-            validator_index=2,
             fee_recipient=FEE_2,
             registered_slot=7995,
         )

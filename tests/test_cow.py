@@ -1,8 +1,8 @@
-"""Unit tests for the copy-on-write dict."""
+"""Unit tests for the copy-on-write dict and its recording layer."""
 
 import pytest
 
-from repro.cow import CowDict
+from repro.cow import CowDict, RecordingCowDict
 
 
 class TestBasics:
@@ -121,3 +121,48 @@ class TestForking:
         del child["a"]
         child["a"] = 9
         assert child["a"] == 9
+
+
+class _ListLog:
+    """A read log that keeps every record, duplicates included."""
+
+    def __init__(self):
+        self.reads = []
+
+    def record(self, domain, key, value):
+        self.reads.append((domain, key, value))
+
+
+class TestRecording:
+    def test_logs_only_reads_that_escape_the_layer(self):
+        root = CowDict()
+        root["a"] = 1
+        log = _ListLog()
+        layer = root.fork(log, "d")
+        assert isinstance(layer, RecordingCowDict)
+        assert layer.get("a") == 1
+        assert layer.get("missing", 7) == 7
+        layer["a"] = 2
+        assert layer["a"] == 2  # satisfied inside the layer: not logged
+        assert log.reads == [("d", "a", 1), ("d", "missing", None)]
+
+    def test_fork_records_into_the_same_log(self):
+        root = CowDict()
+        root["a"] = 1
+        log = _ListLog()
+        layer = root.fork(log, "d")
+        layer["b"] = 2
+        child = layer.fork()
+        assert isinstance(child, RecordingCowDict)
+        assert child["b"] == 2
+        assert child["a"] == 1
+        assert log.reads == [("d", "a", 1)]
+
+    def test_writes_extract_a_deletion_as_none(self):
+        root = CowDict()
+        root["a"] = 1
+        layer = root.fork(_ListLog(), "d")
+        layer["b"] = 2
+        del layer["a"]
+        assert list(layer.writes()) == [("d", "b", 2), ("d", "a", None)]
+        assert root["a"] == 1

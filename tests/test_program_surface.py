@@ -1,4 +1,4 @@
-"""Every definition in ``src/repro`` has a caller in program code.
+"""Every definition in ``src/repro`` has a caller, and every field a reader.
 
 A function, class or method that only tests reach is surface that must
 be kept working for no user.  This guard parses every module under
@@ -9,14 +9,23 @@ itself (a package ``__init__`` re-export is an import or an ``__all__``
 string, so it does not count), ``benchmarks/``, ``examples/`` and
 ``perfbench/``.
 
-Names are matched without their class, so a definition that shares its
-name with a used one (``entry``, ``last``) passes unseen.
+A field that every run writes and nothing reads is the same waste in
+data.  The second guard fails for each dataclass field, and each
+``self.<name>`` an ``__init__`` assigns, of a class in the same modules
+whose name is never loaded as an ``ast.Attribute`` and never spelled as
+a string literal (``getattr``, CSV column lists) in program code or in
+``tests/``.
+
+Names are matched without their class, so a definition or field that
+shares its name with a used one (``entry``, ``last``, ``mode``) passes
+unseen.
 """
 
 from __future__ import annotations
 
 import ast
 import asyncio
+import functools
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -36,30 +45,50 @@ ALLOWLIST = {
     ),
 }
 
+# (module under src/repro, Class.field) -> why it stays though unread.
+FIELD_ALLOWLIST = {
+    ("chain/transaction.py", "Transaction.nonce"): (
+        "the factory folds it into tx_hash, and the engine never checks it"
+    ),
+}
+
 _PROTOCOL_CALLBACKS = frozenset(
     name for name in dir(asyncio.Protocol) if not name.startswith("_")
 )
 
 
+@functools.cache
+def _tree(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _nodes(directories):
+    for directory in directories:
+        for path in directory.rglob("*.py"):
+            yield from ast.walk(_tree(path))
+
+
 def _program_names() -> set[str]:
     names: set[str] = set()
-    for directory in PROGRAM_DIRS:
-        for path in directory.rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
+    for node in _nodes(PROGRAM_DIRS):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
     return names
+
+
+def _checked_modules():
+    """(module under src/repro, parsed tree) outside ``repro/testing``."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        if not module.startswith("testing/"):
+            yield module, _tree(path)
 
 
 def _definitions():
     """(module, qualified name, allowlist key) for every checked definition."""
-    for path in sorted(PACKAGE.rglob("*.py")):
-        module = path.relative_to(PACKAGE).as_posix()
-        if module.startswith("testing/"):
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for module, tree in _checked_modules():
         for node in tree.body:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -101,7 +130,79 @@ def test_every_definition_has_a_program_caller():
     )
 
 
+def _read_names() -> set[str]:
+    """Attribute loads and string literals in program code and tests."""
+    names: set[str] = set()
+    for node in _nodes((*PROGRAM_DIRS, ROOT / "tests")):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if getattr(decorator, "id", getattr(decorator, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _self_targets(target):
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _self_targets(element)
+    elif (
+        isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+    ):
+        yield target.attr
+
+
+def _fields(node: ast.ClassDef):
+    """Names of a class's dataclass fields and ``__init__`` assignments."""
+    if _is_dataclass(node):
+        for member in node.body:
+            if isinstance(member, ast.AnnAssign) and isinstance(
+                member.target, ast.Name
+            ):
+                yield member.target.id
+    for member in node.body:
+        if isinstance(member, ast.FunctionDef) and member.name == "__init__":
+            for statement in ast.walk(member):
+                if isinstance(statement, ast.Assign):
+                    for target in statement.targets:
+                        yield from _self_targets(target)
+                elif isinstance(statement, ast.AnnAssign):
+                    yield from _self_targets(statement.target)
+
+
+def _unread_fields():
+    names = _read_names()
+    unread = set()
+    for module, tree in _checked_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for field in _fields(node):
+                    if field not in names:
+                        unread.add((module, f"{node.name}.{field}"))
+    return unread
+
+
+def test_every_field_has_a_reader():
+    unread = sorted(key for key in _unread_fields() if key not in FIELD_ALLOWLIST)
+    assert unread == [], (
+        "written in src/repro but read by no program code or test "
+        "(delete it, or allowlist it with a reason):\n"
+        + "\n".join(f"src/repro/{module}: {field}" for module, field in unread)
+    )
+
+
 def test_every_allowlist_entry_is_still_needed():
     used = {key for _, _, key in _unreferenced()}
     stale = sorted(key for key in ALLOWLIST if key not in used)
-    assert stale == [], f"allowlist entries with a program caller or gone: {stale}"
+    stale += sorted(key for key in FIELD_ALLOWLIST if key not in _unread_fields())
+    assert stale == [], f"allowlist entries with a reader or gone: {stale}"
