@@ -33,15 +33,13 @@ class ConnectivityReport:
     largest_relay_dependency: float
 
 
-def builder_relay_graph(
-    dataset: StudyDataset, accepted_only: bool = True
-) -> nx.Graph:
-    """Bipartite graph of builder pubkeys and relays, weighted by
+def builder_relay_graph(dataset: StudyDataset) -> nx.Graph:
+    """Bipartite graph of builder pubkeys and relays, weighted by accepted
     submissions, rebuilt from the relay data APIs."""
     graph = nx.Graph()
     for name, relay in dataset.relays.items():
         for record in relay.data.get_builder_blocks_received():
-            if accepted_only and not record.accepted:
+            if not record.accepted:
                 continue
             builder_node = ("builder", record.builder_pubkey)
             relay_node = ("relay", name)

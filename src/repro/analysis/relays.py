@@ -26,15 +26,11 @@ def _relay_name(value) -> str:
     return value.decode("ascii") if isinstance(value, bytes) else str(value)
 
 
-def daily_relay_shares(
-    dataset: StudyDataset,
-    include_non_pbs: bool = False,
-) -> dict[datetime.date, dict[str, float]]:
-    """Per-day share of blocks attributed to each relay.
+def daily_relay_shares(dataset: StudyDataset) -> dict[datetime.date, dict[str, float]]:
+    """Per-day share of PBS blocks attributed to each relay.
 
     A block delivered by several relays is attributed to each equally, as
-    in the paper.  With ``include_non_pbs`` the denominator covers all
-    blocks and unclaimed blocks are attributed to ``"(none)"``.
+    in the paper; a day without a relay-claimed block has no entry.
     """
     table = dataset.table
     offsets = table.col("claim_offsets")
@@ -57,7 +53,6 @@ def daily_relay_shares(
     sums = np.bincount(
         keys, weights=claim_weights, minlength=num_days * num_relays
     )
-    blocks_per_day = np.bincount(day_inverse, minlength=num_days)
     claimed_per_day = np.bincount(day_inverse[counts > 0], minlength=num_days)
 
     # First claiming block per (day, relay) key orders each day's share
@@ -74,20 +69,15 @@ def daily_relay_shares(
 
     shares: dict[datetime.date, dict[str, float]] = {}
     for day in range(num_days):
-        claimed_blocks = int(claimed_per_day[day])
-        unclaimed_blocks = int(blocks_per_day[day]) - claimed_blocks
-        denominator = claimed_blocks + (unclaimed_blocks if include_non_pbs else 0)
+        denominator = int(claimed_per_day[day])
         if not denominator:
             continue
         lo, hi = day_bounds[day], day_bounds[day + 1]
         order = np.argsort(key_block[lo:hi], kind="stable")
-        day_shares = {
+        shares[datetime.date.fromordinal(int(day_ordinals[day]))] = {
             names[key % num_relays]: float(sums[key] / denominator)
             for key in key_uniques[lo:hi][order]
         }
-        if include_non_pbs and unclaimed_blocks:
-            day_shares["(none)"] = unclaimed_blocks / denominator
-        shares[datetime.date.fromordinal(int(day_ordinals[day]))] = day_shares
     return shares
 
 

@@ -9,8 +9,10 @@ outcomes so that work is done once per slot instead of once per builder.
 Correctness rests on *verified read/write-set replay*:
 
 * On a cache **miss** the transaction is executed once on a *recording*
-  overlay of the caller's context.  Every read that falls through to the
-  caller's state is logged with the value observed; every write is
+  overlay of the caller's context, ``ctx.fork(log)``: every copy-on-write
+  layer it stacks, ETH and DeFi alike, is a
+  :class:`~repro.cow.RecordingCowDict`.  Every read that falls through to
+  the caller's state is logged with the value observed; every write is
   captured as an absolute value.
 * On a cache **hit** the recorded read set is re-validated against the
   new caller's context.  Only if every read matches is the write set
@@ -44,7 +46,7 @@ from ..errors import DefiError, ExecutionError, InsufficientBalanceError
 from ..types import Address, Wei, derive_address
 from .execution import ExecutionContext, ExecutionEngine, TxOutcome
 from .receipts import STATUS_FAILURE, STATUS_SUCCESS, Receipt
-from .state import WorldState
+from .state import BALANCE_DOMAIN, NONCE_DOMAIN
 from .traces import (
     FRAME_COINBASE_TIP,
     FRAME_TOP_LEVEL,
@@ -55,12 +57,6 @@ from .transaction import EthTransfer, TipCoinbase, Transaction
 
 #: The placeholder coinbase used while recording, never a real account.
 COINBASE_SENTINEL: Address = derive_address("exec-cache", "coinbase-sentinel")
-
-# Read/write domains.  State domains are handled by the cache directly;
-# protocol domains are delegated to the registry's read_effective /
-# apply_writes hooks (see repro.defi.registry).
-DOMAIN_BALANCE = "b"
-DOMAIN_NONCE = "n"
 
 # A transaction whose read set keeps diverging across builders (e.g. a swap
 # on a heavily-traded pool, where every builder sees different reserves at
@@ -73,9 +69,13 @@ _MAX_VARIANTS = 4
 class ReadLog:
     """Deduplicated log of reads that escaped the recording overlay.
 
-    Reads are kept pre-split by domain — balances, nonces and protocol
-    state — so a variant's match loops never re-dispatch on the domain
-    string (matching runs once per builder per variant, recording once).
+    Reads are kept pre-split by domain — ETH balances
+    (``state.BALANCE_DOMAIN``), nonces (``state.NONCE_DOMAIN``) and
+    protocol state — so a variant's match loops never re-dispatch on the
+    domain string (matching runs once per builder per variant, recording
+    once).  The ETH state reads its own layers in those loops; protocol
+    domains are delegated to the registry's ``read_effective`` /
+    ``apply_writes`` hooks (see :mod:`repro.defi.registry`).
     """
 
     __slots__ = ("balances", "nonces", "protocols", "_seen")
@@ -86,65 +86,25 @@ class ReadLog:
         self.protocols: list[tuple[str, object, object]] = []
         self._seen: set[tuple[str, object]] = set()
 
-    def record_balance(self, key: object, value: object) -> None:
-        if key == COINBASE_SENTINEL:
-            return  # the sentinel is virtual; its balance is never real
-        mark = (DOMAIN_BALANCE, key)
-        if mark in self._seen:
-            return
-        self._seen.add(mark)
-        self.balances.append((key, value))
-
-    def record_nonce(self, key: object, value: object) -> None:
-        mark = (DOMAIN_NONCE, key)
-        if mark in self._seen:
-            return
-        self._seen.add(mark)
-        self.nonces.append((key, value))
-
     def record(self, domain: str, key: object, value: object) -> None:
-        """Log a read from a protocol domain (tokens, reserves, positions)."""
+        """Log the value a read saw below the recording boundary.
+
+        ``None`` is a missing key.  A missing ETH balance or nonce is
+        logged as 0, which is what ``balance_of`` and ``nonce_of`` read
+        back when the variant is matched.
+        """
         mark = (domain, key)
         if mark in self._seen:
             return
+        if domain == BALANCE_DOMAIN:
+            if key == COINBASE_SENTINEL:
+                return  # the sentinel is virtual; its balance is never real
+            self.balances.append((key, 0 if value is None else value))
+        elif domain == NONCE_DOMAIN:
+            self.nonces.append((key, 0 if value is None else value))
+        else:
+            self.protocols.append((domain, key, value))
         self._seen.add(mark)
-        self.protocols.append((domain, key, value))
-
-
-class RecordingWorldState(WorldState):
-    """A fork whose reads of the *external* parent are logged.
-
-    Reads satisfied inside the recording overlay chain (this fork and its
-    own children) are internal and not logged; only values observed from
-    the caller's context below the recording boundary enter the read set.
-    """
-
-    def __init__(self, parent: WorldState, log: ReadLog) -> None:
-        super().__init__(parent=parent)
-        self._log = log
-
-    def balance_of(self, address: Address) -> Wei:
-        state: WorldState | None = self
-        while isinstance(state, RecordingWorldState):
-            if address in state._balances:
-                return state._balances[address]  # type: ignore[return-value]
-            state = state._parent
-        value = state.balance_of(address) if state is not None else 0
-        self._log.record_balance(address, value)
-        return value
-
-    def nonce_of(self, address: Address) -> int:
-        state: WorldState | None = self
-        while isinstance(state, RecordingWorldState):
-            if address in state._nonces:
-                return state._nonces[address]  # type: ignore[return-value]
-            state = state._parent
-        value = state.nonce_of(address) if state is not None else 0
-        self._log.record_nonce(address, value)
-        return value
-
-    def fork(self) -> "RecordingWorldState":
-        return RecordingWorldState(parent=self, log=self._log)
 
 
 @dataclass(frozen=True)
@@ -301,8 +261,8 @@ class ExecutionCache:
             )
 
         log = ReadLog()
-        rec_state = RecordingWorldState(parent=ctx.state, log=log)
-        rec_protocols = ctx.protocols.recording_fork(log)
+        rec_ctx = ctx.fork(log)
+        rec_state = rec_ctx.state
 
         gas_used = tx.gas_limit
         priority_per_gas = tx.priority_fee_per_gas(base_fee_per_gas)
@@ -324,11 +284,12 @@ class ExecutionCache:
         rec_state.record_burn(burned)
         rec_state.bump_nonce(sender)
         # Post-fee snapshot, in case the actions fail below.
-        sender_after_fee = rec_state._balances[sender]
-        coinbase_after_fee = rec_state._balances[COINBASE_SENTINEL]
-        nonce_after = rec_state._nonces[sender]
+        written_balances = rec_state._balances._local
+        written_nonces = rec_state._nonces._local
+        sender_after_fee = written_balances[sender]
+        coinbase_after_fee = written_balances[COINBASE_SENTINEL]
+        nonce_after = written_nonces[sender]
 
-        rec_ctx = ExecutionContext(state=rec_state, protocols=rec_protocols)
         apply_action = engine._apply_action
         frames: list = []
         logs: list = []
@@ -390,7 +351,7 @@ class ExecutionCache:
             priority_fee_wei=priority,
             direct_tip_wei=direct_tip,
         )
-        balances = dict(rec_state._balances)
+        balances = dict(written_balances)
         coinbase_delta = balances.pop(COINBASE_SENTINEL, 0)
         return CachedVariant(
             balance_reads=tuple(log.balances),
@@ -398,11 +359,11 @@ class ExecutionCache:
             protocol_reads=tuple(log.protocols),
             error=None,
             balance_writes=tuple(balances.items()),
-            nonce_writes=tuple(rec_state._nonces.items()),
+            nonce_writes=tuple(written_nonces.items()),
             minted_delta=rec_state._minted_wei,
             burned_delta=rec_state._burned_wei,
             coinbase_delta=coinbase_delta,
-            protocol_writes=tuple(rec_protocols.extract_writes()),
+            protocol_writes=tuple(rec_ctx.protocols.extract_writes()),
             outcome=outcome,
             has_sentinel_frames=has_sentinel,
         )
@@ -541,10 +502,10 @@ class ExecutionCache:
             error_cls, message = variant.error
             raise error_cls(message)
         state = ctx.state
-        balances = state._balances
+        balances = state._balances._local
         for address, value in variant.balance_writes:
             balances[address] = value
-        nonces = state._nonces
+        nonces = state._nonces._local
         for address, value in variant.nonce_writes:
             nonces[address] = value
         state._minted_wei += variant.minted_delta

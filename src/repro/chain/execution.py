@@ -15,7 +15,7 @@ sticks, mirroring EVM semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from ..errors import DefiError, ExecutionError, InsufficientBalanceError
 from ..types import Address, Gas, Hash, Wei
@@ -29,12 +29,19 @@ from .traces import (
 )
 from .transaction import EthTransfer, TipCoinbase, Transaction
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .exec_cache import ReadLog
+
 
 class ProtocolRegistry(Protocol):
     """Interface the DeFi substrate exposes to the execution engine."""
 
-    def fork(self) -> "ProtocolRegistry":
-        """Copy-on-write fork for speculative execution."""
+    def fork(self, log: "ReadLog | None" = None) -> "ProtocolRegistry":
+        """Copy-on-write fork for speculative execution.
+
+        Given the execution cache's read log, the fork records the reads
+        escaping it and is never committed.
+        """
 
     def commit(self) -> None:
         """Merge a fork's writes back into its parent."""
@@ -58,15 +65,12 @@ class NullProtocols:
     Useful for tests and examples exercising pure-ETH workloads.
     """
 
-    def fork(self) -> "NullProtocols":
+    def fork(self, log: "ReadLog | None" = None) -> "NullProtocols":
+        # Pure-ETH workloads have no protocol reads or writes to record.
         return self
 
     def commit(self) -> None:  # pragma: no cover - nothing to merge
         return None
-
-    def recording_fork(self, log) -> "NullProtocols":
-        # Pure-ETH workloads have no protocol reads or writes to record.
-        return self
 
     def extract_writes(self) -> tuple[()]:
         return ()
@@ -84,8 +88,11 @@ class ExecutionContext:
     state: WorldState
     protocols: ProtocolRegistry
 
-    def fork(self) -> "ExecutionContext":
-        return ExecutionContext(state=self.state.fork(), protocols=self.protocols.fork())
+    def fork(self, log: "ReadLog | None" = None) -> "ExecutionContext":
+        """Fork both halves; given a read log, both record into it."""
+        return ExecutionContext(
+            state=self.state.fork(log), protocols=self.protocols.fork(log)
+        )
 
     def commit(self) -> None:
         self.state.commit()

@@ -3,27 +3,44 @@
 Block builders speculatively execute candidate blocks without mutating the
 canonical state; :meth:`WorldState.fork` creates an overlay whose reads fall
 through to the parent and whose writes stay local until :meth:`commit`.
-Forks are O(touched accounts), which keeps per-slot builder competition
-cheap even with large account populations.
+Balances and nonces are two :class:`~repro.cow.CowDict` layers, so forks
+are O(touched accounts), which keeps per-slot builder competition cheap
+even with large account populations.  Given the execution cache's read
+log, a fork's two layers are :class:`~repro.cow.RecordingCowDict` layers
+that log every read escaping them, as the DeFi components' layers do.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..errors import ChainError, InsufficientBalanceError, NonceError
+from ..cow import CowDict
+from ..errors import ChainError, InsufficientBalanceError
 from ..types import Address, Wei
 
-_MISSING = object()
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .exec_cache import ReadLog
+
+#: The execution cache's read/write domains, both keyed by address.
+BALANCE_DOMAIN = "b"
+NONCE_DOMAIN = "n"
 
 
 class WorldState:
     """ETH balances and account nonces, forkable copy-on-write style."""
 
-    def __init__(self, parent: Optional["WorldState"] = None) -> None:
+    def __init__(
+        self,
+        parent: Optional["WorldState"] = None,
+        log: "ReadLog | None" = None,
+    ) -> None:
         self._parent = parent
-        self._balances: dict[Address, Wei] = {}
-        self._nonces: dict[Address, int] = {}
+        if parent is None:
+            self._balances: CowDict[Address, Wei] = CowDict()
+            self._nonces: CowDict[Address, int] = CowDict()
+        else:
+            self._balances = parent._balances.fork(log, BALANCE_DOMAIN)
+            self._nonces = parent._nonces.fork(log, NONCE_DOMAIN)
         # Monotonic counters; on overlays they hold only the delta.
         self._minted_wei: Wei = 0
         self._burned_wei: Wei = 0
@@ -31,22 +48,10 @@ class WorldState:
     # -- lookups -------------------------------------------------------
 
     def balance_of(self, address: Address) -> Wei:
-        state: Optional[WorldState] = self
-        while state is not None:
-            balance = state._balances.get(address, _MISSING)
-            if balance is not _MISSING:
-                return balance  # type: ignore[return-value]
-            state = state._parent
-        return 0
+        return self._balances.get(address, 0)  # type: ignore[return-value]
 
     def nonce_of(self, address: Address) -> int:
-        state: Optional[WorldState] = self
-        while state is not None:
-            nonce = state._nonces.get(address, _MISSING)
-            if nonce is not _MISSING:
-                return nonce  # type: ignore[return-value]
-            state = state._parent
-        return 0
+        return self._nonces.get(address, 0)  # type: ignore[return-value]
 
     @property
     def minted_wei(self) -> Wei:
@@ -113,32 +118,31 @@ class WorldState:
             raise ChainError(f"cannot burn negative amount {amount_wei}")
         self._burned_wei += amount_wei
 
-    def bump_nonce(self, address: Address, expected: int | None = None) -> int:
-        """Advance an account nonce, optionally checking the expected value."""
+    def bump_nonce(self, address: Address) -> int:
+        """Advance an account nonce; returns the nonce before the bump."""
         nonce = self.nonce_of(address)
-        if expected is not None and nonce != expected:
-            raise NonceError(
-                f"{address} nonce is {nonce}, transaction expected {expected}"
-            )
         self._nonces[address] = nonce + 1
         return nonce
 
     # -- forking -----------------------------------------------------------
 
-    def fork(self) -> "WorldState":
-        """Create a copy-on-write child overlay of this state."""
-        return WorldState(parent=self)
+    def fork(self, log: "ReadLog | None" = None) -> "WorldState":
+        """Create a copy-on-write child overlay of this state.
+
+        Given a read log, the child records the reads escaping it; a fork
+        of a recording state records into the same log.
+        """
+        return WorldState(parent=self, log=log)
 
     def commit(self) -> None:
         """Merge this overlay's writes into its parent."""
-        if self._parent is None:
+        parent = self._parent
+        if parent is None:
             raise ChainError("cannot commit a root state")
-        self._parent._balances.update(self._balances)
-        self._parent._nonces.update(self._nonces)
-        self._parent._minted_wei += self._minted_wei
-        self._parent._burned_wei += self._burned_wei
-        self._balances.clear()
-        self._nonces.clear()
+        self._balances.commit()
+        self._nonces.commit()
+        parent._minted_wei += self._minted_wei
+        parent._burned_wei += self._burned_wei
         self._minted_wei = 0
         self._burned_wei = 0
 
@@ -150,13 +154,4 @@ class WorldState:
         O(accounts); intended for invariant checks in tests, where
         ``minted - burned == total_supply`` must always hold.
         """
-        balances: dict[Address, Wei] = {}
-        layers: list[WorldState] = []
-        state: Optional[WorldState] = self
-        while state is not None:
-            layers.append(state)
-            state = state._parent
-        # Apply from the root down so child overlays win.
-        for layer in reversed(layers):
-            balances.update(layer._balances)
-        return sum(balances.values())
+        return sum(balance for _, balance in self._balances.items())

@@ -269,15 +269,6 @@ class Relay:
         )
         return submission
 
-    def drop_slot(self, slot: int, missing_ok: bool = True) -> None:
-        """Release escrowed submissions for a finished slot.
-
-        With ``missing_ok=False``, raises :class:`MissingPayloadError` when
-        nothing is escrowed for ``slot`` — callers that expect an escrow to
-        exist (fault injectors, tests) get a typed failure instead of a
-        silent no-op.  The auction's end-of-slot cleanup keeps the default.
-        """
-        if self._best_by_slot.pop(slot, None) is None and not missing_ok:
-            raise MissingPayloadError(
-                f"{self.name} holds no payload to drop for slot {slot}"
-            )
+    def drop_slot(self, slot: int) -> None:
+        """Release escrowed submissions for a finished slot, if any."""
+        self._best_by_slot.pop(slot, None)

@@ -112,23 +112,11 @@ class RelayDataStore:
     def get_validator_registrations(self) -> tuple[ValidatorRegistration, ...]:
         return tuple(self._registrations)
 
-    def get_builder_blocks_received(
-        self, slot: int | None = None
-    ) -> tuple[BuilderSubmissionRecord, ...]:
-        if slot is None:
-            return tuple(self._submissions)
-        return tuple(
-            record for record in self._submissions if record.slot == slot
-        )
+    def get_builder_blocks_received(self) -> tuple[BuilderSubmissionRecord, ...]:
+        return tuple(self._submissions)
 
-    def get_payloads_delivered(
-        self, slot: int | None = None
-    ) -> tuple[DeliveredPayload, ...]:
-        if slot is None:
-            return tuple(self._payloads)
-        return tuple(
-            payload for payload in self._payloads if payload.slot == slot
-        )
+    def get_payloads_delivered(self) -> tuple[DeliveredPayload, ...]:
+        return tuple(self._payloads)
 
     def total_entries(self) -> int:
         """All API rows — the relay-data entry count of Table 1."""

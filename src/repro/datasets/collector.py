@@ -269,9 +269,7 @@ def _collect_study_dataset(world, perf) -> StudyDataset:
         mev.ingest_block(block, result.receipts, world.oracle)
         with perf.timer("screening"):
             sanctioned = tuple(
-                screener.screen_block(
-                    block, result.receipts, result.traces, record.date
-                )
+                screener.screen_block(result.receipts, result.traces, record.date)
             )
 
         block_time = float(block.header.timestamp)

@@ -86,11 +86,8 @@ class _Registry:
 
     # -- forking -----------------------------------------------------------
 
-    def fork(self) -> "LazyDefiFork":
-        return LazyDefiFork(self)
-
-    def recording_fork(self, log: "ReadLog") -> "LazyDefiFork":
-        """A fork whose components log every read that escapes them."""
+    def fork(self, log: "ReadLog | None" = None) -> "LazyDefiFork":
+        """A lazy fork; given a read log, its components log escaping reads."""
         return LazyDefiFork(self, log)
 
     # -- execution-cache hooks (see repro.chain.exec_cache) ----------------

@@ -35,10 +35,6 @@ class InsufficientBalanceError(ExecutionError):
     """An account tried to spend more ETH or tokens than it holds."""
 
 
-class NonceError(ExecutionError):
-    """A transaction's nonce does not match the sender's account nonce."""
-
-
 class BeaconError(ReproError):
     """Consensus-layer failures (bad slots, unknown validators)."""
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime
 
-from ..chain.block import Block
 from ..chain.receipts import TRANSFER_EVENT_TOPIC, Receipt
 from ..chain.traces import TransactionTrace
 from ..constants import SCREENED_TOKENS, TRON_TOKEN_SYMBOL
@@ -110,7 +109,6 @@ class SanctionScreener:
 
     def screen_block(
         self,
-        block: Block,
         receipts: list[Receipt],
         traces: list[TransactionTrace],
         date: datetime.date,

@@ -154,7 +154,7 @@ class WorkerPool:
             # Child: never return into the supervisor's stack.
             status = 1
             try:
-                status = self._worker_main(slot)
+                status = self._worker_main()
             except BaseException as error:  # noqa: BLE001
                 print(
                     f"[worker {os.getpid()}] crashed: {error!r}",
@@ -249,7 +249,7 @@ class WorkerPool:
 
     # -- worker --------------------------------------------------------
 
-    def _worker_main(self, slot: int) -> int:
+    def _worker_main(self) -> int:
         # The supervisor handles Ctrl-C for the whole foreground group;
         # workers only ever act on SIGTERM (from it, or an operator).
         signal.signal(signal.SIGINT, signal.SIG_IGN)

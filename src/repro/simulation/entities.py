@@ -318,7 +318,7 @@ def build_validators(
 # Searchers
 # ---------------------------------------------------------------------------
 
-def build_searchers(rng: np.random.Generator) -> list[Searcher]:
+def build_searchers() -> list[Searcher]:
     """The private searcher ecosystem (bundles to builders)."""
     searchers: list[Searcher] = [
         SandwichSearcher("sw-subway", derive_address("searcher", "sw-subway"),
@@ -374,7 +374,7 @@ POOL_SPECS: tuple[tuple[str, str, float, int], ...] = (
 )
 
 
-def build_defi(config: SimulationConfig) -> DefiProtocols:
+def build_defi() -> DefiProtocols:
     """Deploy tokens, pools (seeded consistently with the oracle), markets."""
     prices = {"ETH": 1500.0}
     for symbol, _, price in TOKEN_SPECS:

@@ -205,7 +205,7 @@ class World:
         self.observations = ObservationStore.with_default_observers(self.network)
         self.private_flow = PrivateOrderFlow()
 
-        self.defi: DefiProtocols = build_defi(config)
+        self.defi: DefiProtocols = build_defi()
         self.oracle = self.defi.oracle
         self.state = WorldState()
         self.engine = ExecutionEngine()
@@ -233,7 +233,7 @@ class World:
         self.builders: dict[str, BlockBuilder] = build_builders(
             config, self.timeline, rng_entities, config.network_nodes
         )
-        self.searchers: list[Searcher] = build_searchers(rng_entities)
+        self.searchers: list[Searcher] = build_searchers()
         self.local_builder = LocalBlockBuilder(
             mempool_node=int(rng_entities.integers(0, config.network_nodes)),
             # Hobbyist nodes snapshot the mempool early and miss the most
@@ -802,16 +802,11 @@ class World:
                         + day * _SECONDS_PER_DAY
                         + slot_in_day * slot_seconds
                     )
-                    self._run_slot(slot, day, date, slot_time, global_index)
+                    self._run_slot(slot, day, date, slot_time)
         return self
 
     def _run_slot(
-        self,
-        slot: int,
-        day: int,
-        date: datetime.date,
-        slot_time: float,
-        global_index: int,
+        self, slot: int, day: int, date: datetime.date, slot_time: float
     ) -> None:
         config = self.config
         rng = self._rng_auction
@@ -822,7 +817,7 @@ class World:
 
         with self.perf.timer("workload"):
             self._inject_workload(
-                slot, day, slot_time, base_fee, sophistication, intensity
+                day, slot_time, base_fee, sophistication, intensity
             )
 
         if rng.random() < config.missed_slot_rate:
@@ -849,7 +844,7 @@ class World:
                         self._registered_relays.add(key)
 
         with self.perf.timer("bundle_search"):
-            bundles_by_builder = self._collect_bundles(slot, base_fee, slot_time, day)
+            bundles_by_builder = self._collect_bundles(slot, base_fee, slot_time)
         active_builders = self._pick_active_builders(day)
 
         # One shared execution cache per slot: canonical state and base fee
@@ -888,7 +883,6 @@ class World:
 
     def _inject_workload(
         self,
-        slot: int,
         day: int,
         slot_time: float,
         base_fee: int,
@@ -952,7 +946,7 @@ class World:
                 self.private_flow.deliver(tx, ("AnkrPool",), slot_time - 1.0)
 
     def _collect_bundles(
-        self, slot: int, base_fee: int, slot_time: float, day: int
+        self, slot: int, base_fee: int, slot_time: float
     ) -> dict[str, list[Bundle]]:
         rng = self._rng_searchers
         pending = [
@@ -1133,10 +1127,11 @@ class World:
         hasher = hashlib.sha256()
         hasher.update(self.chain.digest().encode())
         state = self.state
-        for address in sorted(state._balances):
-            hasher.update(f"b|{address}|{state._balances[address]}".encode())
-        for address in sorted(state._nonces):
-            hasher.update(f"n|{address}|{state._nonces[address]}".encode())
+        balances, nonces = state._balances._local, state._nonces._local
+        for address in sorted(balances):
+            hasher.update(f"b|{address}|{balances[address]}".encode())
+        for address in sorted(nonces):
+            hasher.update(f"n|{address}|{nonces[address]}".encode())
         hasher.update(f"m|{state._minted_wei}|{state._burned_wei}".encode())
         token_balances = self.defi.tokens._balances._local
         for key in sorted(token_balances):

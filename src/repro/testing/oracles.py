@@ -482,7 +482,7 @@ def check_sanctions_soundness(world, dataset: StudyDataset) -> list[OracleFindin
         block = world.chain.block_by_number(obs.number)
         result = world.chain.execution_result(block.block_hash)
         recomputed = tuple(
-            screener.screen_block(block, result.receipts, result.traces, obs.date)
+            screener.screen_block(result.receipts, result.traces, obs.date)
         )
         if recomputed != obs.sanctioned_tx_hashes:
             findings.append(

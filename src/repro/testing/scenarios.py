@@ -172,7 +172,7 @@ def _gross_overpromises(world, dataset: StudyDataset) -> list[DetectedAnomaly]:
     ]
 
 
-def _filter_misses(world, dataset: StudyDataset) -> list[DetectedAnomaly]:
+def _filter_misses(world) -> list[DetectedAnomaly]:
     """Sandwich-carrying blocks a filter-announcing relay accepted.
 
     Reads the relay's own filter-miss trace
@@ -358,7 +358,7 @@ def detect_anomalies(
         report = run_oracles(world, dataset)
     detected: list[DetectedAnomaly] = []
     detected.extend(_gross_overpromises(world, dataset))
-    detected.extend(_filter_misses(world, dataset))
+    detected.extend(_filter_misses(world))
     detected.extend(_dropped_payloads(world))
     detected.extend(_builder_crashes(world))
     detected.extend(_oracle_attributions(report))

@@ -90,7 +90,7 @@ def reference_observations(world) -> list[BlockObservation]:
                 private_tx_hashes=private_hashes,
                 sanctioned_tx_hashes=tuple(
                     screener.screen_block(
-                        block, result.receipts, result.traces, record.date
+                        result.receipts, result.traces, record.date
                     )
                 ),
             )
@@ -165,9 +165,6 @@ ANALYSES = {
     "bloxroute_ethical_sandwiches": mev.bloxroute_ethical_sandwiches,
     "mev_totals_by_kind": mev.mev_totals_by_kind,
     "daily_relay_shares": relays.daily_relay_shares,
-    "daily_relay_shares_with_none": (
-        lambda ds: relays.daily_relay_shares(ds, include_non_pbs=True)
-    ),
     "multi_relay_share": relays.multi_relay_share,
     "builders_per_relay_daily": relays.builders_per_relay_daily,
     "relay_trust_table": relays.relay_trust_table,

@@ -22,14 +22,17 @@ class TestGraph:
         for _, _, data in graph.edges(data=True):
             assert data["weight"] >= 1
 
-    def test_accepted_only_filter(self, small_dataset):
-        all_edges = builder_relay_graph(small_dataset, accepted_only=False)
-        accepted = builder_relay_graph(small_dataset, accepted_only=True)
-        total_all = sum(d["weight"] for _, _, d in all_edges.edges(data=True))
-        total_accepted = sum(
-            d["weight"] for _, _, d in accepted.edges(data=True)
-        )
-        assert total_all >= total_accepted
+    def test_total_weight_counts_accepted_submissions(self, small_dataset):
+        graph = builder_relay_graph(small_dataset)
+        total = sum(d["weight"] for _, _, d in graph.edges(data=True))
+        records = [
+            record
+            for relay in small_dataset.relays.values()
+            for record in relay.data.get_builder_blocks_received()
+        ]
+        accepted = sum(1 for record in records if record.accepted)
+        assert total == accepted
+        assert 0 < accepted < len(records)
 
 
 class TestReport:

@@ -83,7 +83,7 @@ def legacy_daily_user_payment_shares(dataset):
     )
 
 
-def legacy_daily_relay_shares(dataset, include_non_pbs=False):
+def legacy_daily_relay_shares(dataset):
     shares = {}
     blocks = dataset.table.to_observations()
     for date, day_blocks in group_by_date(blocks).items():
@@ -92,9 +92,6 @@ def legacy_daily_relay_shares(dataset, include_non_pbs=False):
         for obs in day_blocks:
             relays = sorted(obs.claimed_by_relay)
             if not relays:
-                if include_non_pbs:
-                    weights["(none)"] = weights.get("(none)", 0.0) + 1.0
-                    denominator += 1
                 continue
             denominator += 1
             for relay in relays:

@@ -114,6 +114,33 @@ class TestHitMissSemantics:
         assert fork.state.balance_of(BUILDER_B) == outcome.priority_fee_wei
         assert fork.state.balance_of(BUILDER_A) == 0
 
+    def test_read_of_a_never_funded_account_replays(
+        self, cache, engine, canonical, factory
+    ):
+        """The recorder logs a missing balance or nonce as 0, the value a
+        replay reads back.  Two actions take the recorder; a lone transfer
+        would take the closed-form path instead."""
+        payee = derive_address("cache", "never-funded")
+        tx = factory.create(
+            ALICE,
+            0,
+            [EthTransfer(payee, ether(1)), EthTransfer(payee, ether(1))],
+            gwei(20),
+            gwei(2),
+        )
+        cache.execute(engine, tx, canonical.fork(), BASE_FEE, BUILDER_A)
+
+        replayed = canonical.fork()
+        direct = canonical.fork()
+        hit_outcome = cache.execute(engine, tx, replayed, BASE_FEE, BUILDER_A)
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+        direct_outcome = engine.execute_transaction(
+            tx, direct, BASE_FEE, BUILDER_A
+        )
+        assert hit_outcome == direct_outcome
+        _assert_same_effects(replayed, direct, (ALICE, payee, BUILDER_A))
+        assert replayed.state.balance_of(payee) == ether(2)
+
     def test_tx_index_rebinding(self, cache, engine, canonical, factory):
         """A replay at a later block position shares the recorded outcome."""
         carol = derive_address("cache", "carol")
@@ -262,12 +289,12 @@ class TestProtocolWrites:
         ) == direct.protocols.tokens.balance_of("USDC", ALICE)
         _assert_same_effects(replayed, direct)
 
-    def test_recording_fork_logs_reads_and_is_never_committed(
+    def test_fork_with_log_records_reads_and_refuses_commit(
         self, defi_canonical
     ):
         builder = defi_canonical.protocols.fork()
         log = ReadLog()
-        recording = builder.recording_fork(log)
+        recording = builder.fork(log)
         recording.tokens.transfer("WETH", ALICE, BOB, ether(1))
         recording.amm.pool("pool")
         assert log.protocols == [

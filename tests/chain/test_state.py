@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.chain.exec_cache import COINBASE_SENTINEL, ReadLog
 from repro.chain.state import WorldState
-from repro.errors import ChainError, InsufficientBalanceError, NonceError
+from repro.errors import ChainError, InsufficientBalanceError
 from repro.types import derive_address, ether
 
 ALICE = derive_address("test", "alice")
@@ -72,11 +73,6 @@ class TestNonces:
         assert state.bump_nonce(ALICE) == 0
         assert state.nonce_of(ALICE) == 1
 
-    def test_bump_with_expected(self, state):
-        state.bump_nonce(ALICE, expected=0)
-        with pytest.raises(NonceError):
-            state.bump_nonce(ALICE, expected=0)
-
 
 class TestForking:
     def test_fork_reads_parent(self, state):
@@ -122,3 +118,63 @@ class TestForking:
         fork.burn(ALICE, ether(3))
         fork.commit()
         assert state.total_supply() == state.minted_wei - state.burned_wei
+
+
+class TestRecordingFork:
+    """``state.fork(log)``: the execution cache's recording overlay."""
+
+    @pytest.fixture
+    def caller(self, state):
+        """A builder's fork holding a write the recording must read."""
+        fork = state.fork()
+        fork.mint(BOB, 3)
+        return fork
+
+    def test_logs_only_escaping_reads_with_the_value_below(self, caller):
+        log = ReadLog()
+        recording = caller.fork(log)
+        recording.transfer(ALICE, BOB, ether(1))
+        recording.bump_nonce(ALICE)
+        # Served by the recording's own writes: not logged again.
+        assert recording.balance_of(ALICE) == ether(9)
+        assert recording.nonce_of(ALICE) == 1
+        assert log.balances == [(ALICE, ether(10)), (BOB, 3)]
+        assert log.nonces == [(ALICE, 0)]
+        assert log.protocols == []
+
+    def test_missing_balance_and_nonce_are_logged_as_zero(self, caller):
+        log = ReadLog()
+        recording = caller.fork(log)
+        carol = derive_address("test", "carol")
+        assert recording.balance_of(carol) == 0
+        assert recording.nonce_of(carol) == 0
+        assert log.balances == [(carol, 0)]
+        assert log.nonces == [(carol, 0)]
+
+    def test_coinbase_sentinel_is_never_logged(self, caller):
+        log = ReadLog()
+        recording = caller.fork(log)
+        recording.credit(COINBASE_SENTINEL, 5)
+        assert recording.balance_of(COINBASE_SENTINEL) == 5
+        assert log.balances == []
+
+    def test_fork_of_a_recording_records_into_the_same_log(self, caller):
+        log = ReadLog()
+        recording = caller.fork(log)
+        child = recording.fork()
+        child.transfer(ALICE, BOB, ether(2))
+        assert log.balances == [(ALICE, ether(10)), (BOB, 3)]
+        child.commit()
+        assert recording.balance_of(BOB) == 3 + ether(2)
+        assert log.balances == [(ALICE, ether(10)), (BOB, 3)]
+
+    def test_caller_is_untouched(self, state, caller):
+        recording = caller.fork(ReadLog())
+        recording.transfer(ALICE, BOB, ether(1))
+        recording.burn(ALICE, ether(1))
+        recording.bump_nonce(ALICE)
+        assert caller.balance_of(ALICE) == ether(10)
+        assert caller.balance_of(BOB) == 3
+        assert caller.nonce_of(ALICE) == 0
+        assert caller.burned_wei == 0
+        assert state.balance_of(BOB) == 0

@@ -72,15 +72,11 @@ class TestDropSlot:
     def test_missing_slot_is_a_no_op_by_default(self):
         _relay("r").drop_slot(SLOT)
 
-    def test_missing_slot_raises_when_required(self):
-        with pytest.raises(MissingPayloadError, match="no payload to drop"):
-            _relay("r").drop_slot(SLOT, missing_ok=False)
-
     def test_drop_clears_escrow(self):
         world = MiniWorld()
         _escrow_submission(world)
         assert world.relay.best_bid(SLOT) is not None
-        world.relay.drop_slot(SLOT, missing_ok=False)
+        world.relay.drop_slot(SLOT)
         assert world.relay.best_bid(SLOT) is None
 
 

@@ -122,6 +122,28 @@ def test_exec_cache_counters_repeat_across_runs():
     assert first[0] > 0 and first[1] > 0
 
 
+# Hits and misses at CONFIG per (regime, segment_days; 0 = unsegmented).
+# A cache that silently stops hitting leaves every digest as it was; these
+# counts move.
+EXEC_CACHE_COUNTS = {
+    ("mev_boost", 0): (3_709, 1_821),
+    ("epbs", 0): (3_060, 1_259),
+    ("local", 0): (0, 0),
+    ("mev_boost", 2): (3_894, 1_609),
+    ("epbs", 2): (3_185, 1_247),
+}
+
+
+@pytest.mark.parametrize("regime, segment_days", sorted(EXEC_CACHE_COUNTS))
+def test_exec_cache_counters_are_pinned(regime, segment_days):
+    config = CONFIG.with_overrides(regime=regime)
+    if segment_days:
+        perf = run_sharded(config.with_overrides(segment_days=segment_days)).perf
+    else:
+        perf = build_world(config).run().perf
+    assert _exec_cache_counts(perf) == EXEC_CACHE_COUNTS[regime, segment_days]
+
+
 def test_exec_cache_counters_invariant_to_shard_workers():
     counts = [
         _exec_cache_counts(

@@ -4,7 +4,6 @@ import datetime
 
 import pytest
 
-from repro.chain.block import seal_block
 from repro.chain.receipts import Receipt, transfer_log
 from repro.chain.traces import CallFrame, TransactionTrace, FRAME_INTERNAL
 from repro.chain.transaction import EthTransfer, TokenTransfer, TransactionFactory
@@ -191,16 +190,11 @@ class TestScreener:
     def test_screen_block_collects_hashes(self, screener):
         factory = TransactionFactory()
         tx = factory.create(BAD, 0, [EthTransfer(USER, 1)], gwei(20), gwei(1))
-        block = seal_block(
-            number=1, slot=1, timestamp=0, parent_hash=derive_hash("sanc", "p"),
-            fee_recipient=USER, gas_limit=30_000_000, gas_used=21_000,
-            base_fee_per_gas=gwei(10), transactions=(tx,),
-        )
         receipt = self._receipt(tx_hash=tx.tx_hash)
         trace = self._trace(
             [CallFrame(0, BAD, USER, 1, FRAME_INTERNAL)], tx_hash=tx.tx_hash
         )
         after = LISTED + datetime.timedelta(days=2)
-        assert screener.screen_block(block, [receipt], [trace], after) == [
+        assert screener.screen_block([receipt], [trace], after) == [
             tx.tx_hash
         ]

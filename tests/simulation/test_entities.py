@@ -167,15 +167,15 @@ class TestValidators:
 
 class TestSearchersAndDefi:
     def test_searcher_roster(self):
-        searchers = build_searchers(np.random.default_rng(2))
+        searchers = build_searchers()
         kinds = {type(s).__name__ for s in searchers}
         assert kinds == {
             "SandwichSearcher", "ArbitrageSearcher", "LiquidationSearcher",
         }
         assert len({s.address for s in searchers}) == len(searchers)
 
-    def test_defi_universe(self, config):
-        defi = build_defi(config)
+    def test_defi_universe(self):
+        defi = build_defi()
         assert set(defi.markets) == {"aave", "compound"}
         assert defi.tokens.token("WETH").symbol == "WETH"
         assert defi.tokens.token("TRON").symbol == "TRON"

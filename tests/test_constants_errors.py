@@ -56,7 +56,6 @@ class TestErrorHierarchy:
         [
             (errors.ExecutionError, errors.ChainError),
             (errors.InsufficientBalanceError, errors.ExecutionError),
-            (errors.NonceError, errors.ExecutionError),
             (errors.SwapError, errors.DefiError),
             (errors.LiquidationError, errors.DefiError),
             (errors.RelayError, errors.PBSError),

@@ -1,4 +1,5 @@
-"""Every definition in ``src/repro`` has a caller, and every field a reader.
+"""Every definition in ``src/repro`` has a caller, every field a reader,
+and every parameter a use.
 
 A function, class or method that only tests reach is surface that must
 be kept working for no user.  This guard parses every module under
@@ -16,6 +17,15 @@ whose name is never loaded as an ``ast.Attribute`` and never spelled as
 a string literal (``getattr``, CSV column lists) in program code or in
 ``tests/``.
 
+A parameter its function never reads is an argument every caller must
+still pass.  The third guard fails for each parameter of a function or
+method in the same modules that no ``ast.Name`` in the function's body
+loads.  It skips ``self`` and ``cls``; bodies that hold only a
+docstring, ``pass`` or ``raise``; asyncio protocol callbacks; and
+methods whose name more than one class in ``src/repro`` defines, which
+implement an interface (``fork``, ``execute_action``, ``payment_for``)
+whose every implementation takes the same arguments.
+
 Names are matched without their class, so a definition or field that
 shares its name with a used one (``entry``, ``last``, ``mode``) passes
 unseen.
@@ -25,6 +35,7 @@ from __future__ import annotations
 
 import ast
 import asyncio
+import collections
 import functools
 import pathlib
 
@@ -50,6 +61,21 @@ FIELD_ALLOWLIST = {
     ("chain/transaction.py", "Transaction.nonce"): (
         "the factory folds it into tx_hash, and the engine never checks it"
     ),
+}
+
+# (module under src/repro, Class.method(parameter)) -> why it stays unread.
+PARAMETER_ALLOWLIST = {
+    ("serve/service.py", f"QueryService.{handler}(params)"): (
+        "the route table calls every handler with the request's query"
+    )
+    for handler in (
+        "_analysis_hhi",
+        "_analysis_value_split",
+        "_analysis_censorship",
+        "_healthz",
+        "_relays",
+        "_inventory",
+    )
 }
 
 _PROTOCOL_CALLBACKS = frozenset(
@@ -201,8 +227,84 @@ def test_every_field_has_a_reader():
     )
 
 
+def _methods(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, member
+
+
+def _is_stub(function) -> bool:
+    """A body of only a docstring, ``pass`` or ``raise``."""
+    return all(
+        isinstance(statement, (ast.Pass, ast.Raise))
+        or (
+            isinstance(statement, ast.Expr)
+            and isinstance(statement.value, ast.Constant)
+        )
+        for statement in function.body
+    )
+
+
+def _unused_parameters():
+    implementations = collections.Counter(
+        member.name
+        for path in PACKAGE.rglob("*.py")
+        for _, member in _methods(_tree(path))
+    )
+    unused = set()
+    for module, tree in _checked_modules():
+        functions = [
+            (node.name, node)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        functions += [
+            (f"{cls}.{member.name}", member)
+            for cls, member in _methods(tree)
+            if member.name not in _PROTOCOL_CALLBACKS
+            and implementations[member.name] == 1
+        ]
+        for qualified, function in functions:
+            if _is_stub(function):
+                continue
+            loaded = {
+                node.id
+                for node in ast.walk(function)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            arguments = function.args
+            for parameter in (
+                *arguments.posonlyargs,
+                *arguments.args,
+                *arguments.kwonlyargs,
+                arguments.vararg,
+                arguments.kwarg,
+            ):
+                if parameter is None or parameter.arg in ("self", "cls"):
+                    continue
+                if parameter.arg not in loaded:
+                    unused.add((module, f"{qualified}({parameter.arg})"))
+    return unused
+
+
+def test_every_parameter_is_read():
+    unused = sorted(
+        key for key in _unused_parameters() if key not in PARAMETER_ALLOWLIST
+    )
+    assert unused == [], (
+        "a parameter its function never reads (delete it from the "
+        "signature and every call, or allowlist it with a reason):\n"
+        + "\n".join(f"src/repro/{module}: {name}" for module, name in unused)
+    )
+
+
 def test_every_allowlist_entry_is_still_needed():
     used = {key for _, _, key in _unreferenced()}
     stale = sorted(key for key in ALLOWLIST if key not in used)
     stale += sorted(key for key in FIELD_ALLOWLIST if key not in _unread_fields())
+    stale += sorted(
+        key for key in PARAMETER_ALLOWLIST if key not in _unused_parameters()
+    )
     assert stale == [], f"allowlist entries with a reader or gone: {stale}"
