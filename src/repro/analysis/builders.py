@@ -7,8 +7,8 @@ Blocks whose builder set the proposer as fee recipient cluster by pubkey
 only (the paper's "Builder 3"/"Builder 6" cases with no on-chain trace).
 
 Clustering runs over the columnar table: rows group by fee-recipient /
-pubkey via ``np.unique`` and groups sharing a pubkey are merged through
-a sparse connected-components pass — no ``BlockObservation`` is built.
+pubkey via ``np.unique`` and groups sharing a pubkey are merged by a
+union-find over the groups — no ``BlockObservation`` is built.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import datetime
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from ..datasets.collector import StudyDataset
 from ..datasets.columnar import exact_segment_sums
@@ -106,13 +104,23 @@ def cluster_builders(dataset: StudyDataset) -> list[BuilderCluster]:
     same_key = run_keys[1:] == run_keys[:-1]
     edges_a = run_groups[:-1][same_key]
     edges_b = run_groups[1:][same_key]
-    graph = sparse.coo_matrix(
-        (np.ones(edges_a.shape[0]), (edges_a, edges_b)),
-        shape=(num_groups, num_groups),
-    )
-    num_components, labels = csgraph.connected_components(
-        graph, directed=False
-    )
+    parent = list(range(num_groups))
+
+    def root(group: int) -> int:
+        while parent[group] != group:
+            parent[group] = parent[parent[group]]  # path halving
+            group = parent[group]
+        return group
+
+    for a, b in zip(edges_a.tolist(), edges_b.tolist()):
+        parent[root(a)] = root(b)
+    # Component labels run over 0..num_components-1 with every value
+    # used, which the searchsorted/reduceat bounds below rely on; which
+    # label a component gets never matters, because clusters are ordered
+    # by their first row.
+    roots = [root(group) for group in range(num_groups)]
+    labels = np.unique(roots, return_inverse=True)[1]
+    num_components = int(labels.max()) + 1
 
     # First-seen row per group orders the final clusters like the legacy
     # insertion-order dict (ties under the block-count sort stay stable).

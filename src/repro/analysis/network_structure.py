@@ -11,11 +11,13 @@ structural measures behind those observations: degrees, redundancy
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..datasets.collector import StudyDataset
 from ..errors import AnalysisError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,10 @@ class ConnectivityReport:
 def builder_relay_graph(dataset: StudyDataset) -> nx.Graph:
     """Bipartite graph of builder pubkeys and relays, weighted by accepted
     submissions, rebuilt from the relay data APIs."""
+    # networkx loads on first use: a server imports this module through
+    # the package inits but never builds a graph.
+    import networkx as nx
+
     graph = nx.Graph()
     for name, relay in dataset.relays.items():
         for record in relay.data.get_builder_blocks_received():

@@ -8,7 +8,6 @@ dictionary lookups.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from ..errors import NetworkError
@@ -34,6 +33,10 @@ class P2PNetwork:
             raise NetworkError(f"invalid degree {degree} for {node_count} nodes")
         if (node_count * degree) % 2 != 0:
             degree += 1  # random regular graphs need an even degree sum
+
+        # networkx loads on first use: a server imports this module through
+        # the package inits but never builds a graph.
+        import networkx as nx
 
         self.node_count = node_count
         graph_seed = int(rng.integers(0, 2**31 - 1))

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..defi.amm import AmmExchange, LiquidityPool
 from ..errors import SwapError
 
@@ -41,6 +39,10 @@ def find_arbitrage_cycles(
     Cycles are sequences of pool ids; consecutive pools share a token and
     the path starts and ends at ``start_token``.  Deterministic order.
     """
+    # networkx loads on first use: a server imports this module through
+    # the package inits but never builds a graph.
+    import networkx as nx
+
     graph = nx.MultiGraph()
     for token_a, token_b, pool_id in amm.token_graph_edges():
         graph.add_edge(token_a, token_b, key=pool_id)

@@ -30,8 +30,12 @@ Deadlines: a request whose header block is still incomplete
 ``_REQUEST_TIMEOUT_SECONDS`` after its first byte gets ``408`` and the
 connection closes; a keep-alive connection with nothing buffered and
 nothing being written closes silently after ``_IDLE_TIMEOUT_SECONDS``.
-One timer per server sweeps the connections, every half of the shorter
-deadline; requests set no timer.
+A connection with a response still being written is aborted once it
+has made no progress (no bytes received, no ``resume_writing``) for
+``_IDLE_TIMEOUT_SECONDS``, so a client that pipelines requests and
+stops reading cannot hold its connection; ``close()`` would wait for
+the buffered responses to flush.  One timer per server sweeps the
+connections, every half of the shorter deadline; requests set no timer.
 
 Graceful draining (:meth:`RelayHTTPServer.drain`): stop accepting, let
 requests already begun finish (their responses say ``connection:
@@ -71,8 +75,9 @@ _MAX_LINE = 8192
 _MAX_HEADERS = 64
 
 #: A request whose header block is incomplete this long after its first
-#: byte gets 408; a connection idle this long between requests closes.
-#: Both sit far above a load generator's millisecond gaps.
+#: byte gets 408; a connection idle this long between requests closes,
+#: and one whose response has not moved this long is aborted.  Both sit
+#: far above a load generator's millisecond gaps.
 _REQUEST_TIMEOUT_SECONDS = 10.0
 _IDLE_TIMEOUT_SECONDS = 60.0
 
@@ -208,6 +213,7 @@ class _Connection(asyncio.Protocol):
         self.transport.pause_reading()
 
     def resume_writing(self) -> None:
+        self.last_active = time.monotonic()
         self.writing_paused = False
         if not self.eof:
             self.transport.resume_reading()
@@ -337,12 +343,14 @@ class _Connection(asyncio.Protocol):
         )
 
     def sweep(self, now: float) -> None:
-        """Apply the request and idle deadlines at time ``now``."""
+        """Apply the request, idle and write deadlines at time ``now``."""
         transport = self.transport
         if transport.is_closing():
             return
         if self.writing_paused or transport.get_write_buffer_size():
-            self.last_active = now  # the client is still reading a response
+            # A response is still being written: only progress counts.
+            if now - self.last_active >= _IDLE_TIMEOUT_SECONDS:
+                transport.abort()
         elif self.buffer:
             if now - self.request_started >= _REQUEST_TIMEOUT_SECONDS:
                 self._reject(408, "request timeout")

@@ -25,14 +25,16 @@ Response bytes are identical at any worker count: workers run the same
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 import signal
 import socket
-import sys
 import time
 
 from .http import DRAIN_SECONDS, RelayHTTPServer
 from .service import QueryService
+
+_log = logging.getLogger(__name__)
 
 #: A worker that lived at least this long gets its restart backoff reset.
 STABLE_SECONDS = 5.0
@@ -155,12 +157,8 @@ class WorkerPool:
             status = 1
             try:
                 status = self._worker_main()
-            except BaseException as error:  # noqa: BLE001
-                print(
-                    f"[worker {os.getpid()}] crashed: {error!r}",
-                    file=sys.stderr,
-                    flush=True,
-                )
+            except BaseException:  # noqa: BLE001
+                _log.exception("worker %d crashed", os.getpid())
             finally:
                 os._exit(status)
         self._children[pid] = slot
@@ -201,11 +199,9 @@ class WorkerPool:
             delay = self._backoff.get(slot, BACKOFF_BASE_SECONDS)
             self._backoff[slot] = min(delay * 2, BACKOFF_CAP_SECONDS)
             self._restart_at[slot] = time.monotonic() + delay
-            print(
-                f"[pool] worker {pid} (slot {slot}) died after {lived:.1f}s; "
-                f"restarting in {delay:.1f}s",
-                file=sys.stderr,
-                flush=True,
+            _log.warning(
+                "worker %d (slot %d) died after %.1fs; restarting in %.1fs",
+                pid, slot, lived, delay,
             )
 
     def _restart_due(self) -> None:

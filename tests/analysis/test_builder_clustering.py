@@ -1,6 +1,7 @@
 """Unit tests for builder clustering over synthetic observations."""
 
 import datetime
+import itertools
 
 import pytest
 
@@ -73,14 +74,35 @@ class TestClustering:
         # (the paper's Flashbots row in Table 5).
         addr_a = derive_address("bc", "addr-a")
         addr_b = derive_address("bc", "addr-b")
+        addr_c = derive_address("bc", "addr-c")
         key = derive_pubkey("bc", "shared")
-        dataset = _dataset([
+        k1, k2 = derive_pubkey("bc", 1), derive_pubkey("bc", 2)
+        pair = [
             _obs(1, addr_a, pubkey=key),
             _obs(2, addr_b, pubkey=key),
-        ])
-        clusters = cluster_builders(dataset)
-        assert len(clusters) == 1
-        assert clusters[0].addresses == {addr_a, addr_b}
+        ]
+        # Merging is transitive: the group seen last (b) bridges the
+        # clusters of a (k1) and c (k2), under every assignment of the
+        # three addresses, so the bridge is not always the group whose
+        # address sorts first.  The per-object legacy_cluster_builders in
+        # test_per_object_reference.py merges greedily and would split
+        # this case, so it is no oracle here.
+        bridges = [
+            [
+                _obs(1, a, pubkey=k1),
+                _obs(2, c, pubkey=k2),
+                _obs(3, b, pubkey=k1),
+                _obs(4, b, pubkey=k2),
+            ]
+            for a, b, c in itertools.permutations([addr_a, addr_b, addr_c])
+        ]
+        for observations, addresses in [(pair, {addr_a, addr_b})] + [
+            (bridge, {addr_a, addr_b, addr_c}) for bridge in bridges
+        ]:
+            clusters = cluster_builders(_dataset(observations))
+            assert len(clusters) == 1
+            assert clusters[0].addresses == addresses
+            assert clusters[0].indices == list(range(len(observations)))
 
     def test_distinct_builders_stay_apart(self):
         dataset = _dataset([

@@ -417,11 +417,39 @@ def _page(number: int) -> Response:
     return Response(status=200, body=b"%d" % number + b"." * (PAGE_BYTES - 8))
 
 
-def test_client_that_reads_nothing_stops_the_server_reading(short_deadlines):
+async def _pipeline_pages(server, client: socket.socket):
+    """Pipeline ``PAGES`` page requests from ``client``, whose receive
+    buffer is tiny, and return its connection once the server pauses."""
+    loop = asyncio.get_running_loop()
+    client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    client.setblocking(False)
+    await loop.sock_connect(client, ("127.0.0.1", server.port))
+    await loop.sock_sendall(
+        client,
+        b"".join(
+            b"GET /page?n=%d HTTP/1.1\r\nhost: t\r\n\r\n" % n
+            for n in range(PAGES)
+        ),
+    )
+    for _ in range(500):
+        if any(c.writing_paused for c in server._connections):
+            break
+        await asyncio.sleep(0.01)
+    (connection,) = server._connections
+    assert connection.writing_paused
+    assert not connection.transport.is_reading()
+    return connection
+
+
+def test_client_that_reads_nothing_stops_the_server_reading(
+    short_deadlines, monkeypatch
+):
     """Pipelined pages past the high-water mark pause the connection:
     no more requests are answered, so server memory stays bounded, and
-    the stall outlasting both deadlines sweeps nothing.  Once the client
+    a stall longer than the request deadline but shorter than the idle
+    deadline (raised to 1 s here) sweeps nothing.  Once the client
     reads, every page arrives, in order."""
+    monkeypatch.setattr(http, "_IDLE_TIMEOUT_SECONDS", 1.0)
     answered = []
 
     def handle(path, params):
@@ -431,31 +459,15 @@ def test_client_that_reads_nothing_stops_the_server_reading(short_deadlines):
     async def scenario(server):
         loop = asyncio.get_running_loop()
         client = socket.socket()
-        client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-        client.setblocking(False)
         try:
-            await loop.sock_connect(client, ("127.0.0.1", server.port))
-            await loop.sock_sendall(
-                client,
-                b"".join(
-                    b"GET /page?n=%d HTTP/1.1\r\nhost: t\r\n\r\n" % n
-                    for n in range(PAGES)
-                ),
-            )
-            for _ in range(500):
-                if any(c.writing_paused for c in server._connections):
-                    break
-                await asyncio.sleep(0.01)
-            (connection,) = server._connections
-            assert connection.writing_paused
-            assert not connection.transport.is_reading()
+            connection = await _pipeline_pages(server, client)
             stalled = len(answered)
             assert stalled < PAGES
             _, high = connection.transport.get_write_buffer_limits()
             response_bytes = len(http._render(_page(0), True))
             assert connection.transport.get_write_buffer_size() <= high + response_bytes
 
-            await asyncio.sleep(1.0)
+            await asyncio.sleep(0.5)
             assert len(answered) == stalled
             assert not connection.transport.is_closing()
 
@@ -471,6 +483,34 @@ def test_client_that_reads_nothing_stops_the_server_reading(short_deadlines):
             client.close()
 
     _with_server(scenario, SimpleNamespace(handle=handle))
+
+
+def test_client_that_never_reads_is_aborted_after_the_idle_deadline(
+    short_deadlines,
+):
+    """The write deadline: a connection whose pending response has not
+    moved for the idle deadline is aborted, buffered responses and all,
+    instead of holding its place until a drain."""
+
+    async def scenario(server):
+        client = socket.socket()
+        try:
+            connection = await _pipeline_pages(server, client)
+            last_progress = connection.last_active
+            for _ in range(500):
+                if not server._connections:
+                    break
+                await asyncio.sleep(0.01)
+            assert not server._connections
+            assert connection.transport.is_closing()
+            assert time.monotonic() - last_progress >= http._IDLE_TIMEOUT_SECONDS
+        finally:
+            client.close()
+
+    _with_server(
+        scenario,
+        SimpleNamespace(handle=lambda path, params: _page(int(params["n"]))),
+    )
 
 
 # -- read deadlines --------------------------------------------------------

@@ -138,6 +138,16 @@ def test_all_workers_serve_and_crash_restarts(pool):
         pytest.fail(f"pool never recovered: victim={victim} pids={survivors}")
     assert proc.poll() is None  # supervisor itself stayed up
 
+    # With logging unconfigured, Python's last-resort handler writes the
+    # supervisor's restart warning to stderr: one line, naming the victim.
+    proc.send_signal(signal.SIGTERM)
+    assert proc.wait(timeout=15) == 0
+    restarts = [
+        line for line in proc.stderr.read().splitlines() if "restarting" in line
+    ]
+    assert len(restarts) == 1, restarts
+    assert f"worker {victim} " in restarts[0]
+
 
 def test_sigterm_drains_inflight_request(pool):
     proc, port = pool
