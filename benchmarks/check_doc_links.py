@@ -9,13 +9,17 @@ links `[text](target)` and verifies:
 * intra-document anchors (`#heading` or `file.md#heading`) resolve to a
   heading in the target file, using GitHub's slugification;
 * external (http/https/mailto) links are only syntax-checked, never
-  fetched.
+  fetched;
+* every backticked dotted name (`repro.perf.sharding.run_sharded`)
+  resolves: the longest prefix that imports as a module, with `src/` on
+  `sys.path`, then `getattr` for the rest.
 
-Exit status 1 with one line per broken link; 0 when clean.
+Exit status 1 with one line per broken link or name; 0 when clean.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -27,6 +31,7 @@ DOC_GLOBS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
 # [text](target) — skips images' leading `!` capture-irrelevantly and
 # ignores fenced code blocks via the scrub pass below.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+NAME_RE = re.compile(r"`(repro(?:\.\w+)+)`")
 FENCE_RE = re.compile(r"^(```|~~~)")
 
 
@@ -62,7 +67,8 @@ def doc_files() -> list[Path]:
     return [path for path in files if path.is_file()]
 
 
-def iter_links(path: Path):
+def iter_matches(path: Path, pattern: re.Pattern):
+    """(line number, first group) of each match outside fenced blocks."""
     in_fence = False
     for lineno, line in enumerate(
         path.read_text(encoding="utf-8").splitlines(), start=1
@@ -72,8 +78,27 @@ def iter_links(path: Path):
             continue
         if in_fence:
             continue
-        for match in LINK_RE.finditer(line):
+        for match in pattern.finditer(line):
             yield lineno, match.group(1)
+
+
+def resolves(dotted: str) -> bool:
+    """Whether a dotted name imports: module prefix, then attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        module = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            if exc.name is None or not f"{module}.".startswith(f"{exc.name}."):
+                raise  # the module exists but one of its imports is missing
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
 
 
 def resolve_target(source: Path, target: str) -> Path | None:
@@ -89,7 +114,7 @@ def check() -> list[str]:
     problems: list[str] = []
     for source in doc_files():
         rel_source = source.relative_to(REPO_ROOT)
-        for lineno, raw in iter_links(source):
+        for lineno, raw in iter_matches(source, LINK_RE):
             if raw.startswith(("http://", "https://", "mailto:")):
                 continue
             target, _, anchor = raw.partition("#")
@@ -111,16 +136,20 @@ def check() -> list[str]:
                         f"{rel_source}:{lineno}: broken anchor "
                         f"{target}#{anchor}"
                     )
+        for lineno, dotted in iter_matches(source, NAME_RE):
+            if not resolves(dotted):
+                problems.append(f"{rel_source}:{lineno}: unresolved name {dotted}")
     return problems
 
 
 def main() -> int:
+    sys.path.insert(0, str(REPO_ROOT / "src"))
     problems = check()
     for problem in problems:
         print(problem)
     checked = len(doc_files())
     if problems:
-        print(f"doc link check: {len(problems)} broken link(s) "
+        print(f"doc link check: {len(problems)} broken link(s) or name(s) "
               f"across {checked} file(s)")
         return 1
     print(f"doc link check: OK ({checked} file(s))")

@@ -9,7 +9,8 @@ Run:  python examples/mev_inspect.py
 """
 
 from repro.analysis.report import render_table
-from repro.mev import MevDataset, build_default_sources, detect_block_mev
+from repro.mev.detection import detect_block_mev
+from repro.mev.labels import MevDataset, build_default_sources
 from repro.simulation import SimulationConfig, build_world
 from repro.types import to_ether
 

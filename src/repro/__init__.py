@@ -12,35 +12,17 @@ The package has two halves:
 
 Typical use::
 
-    from repro import SimulationConfig, build_world, collect_study_dataset
+    from repro.simulation import SimulationConfig, build_world
+    from repro.datasets import collect_study_dataset
     from repro.analysis import daily_pbs_share
 
     world = build_world(SimulationConfig(num_days=30)).run()
     dataset = collect_study_dataset(world)
     series = daily_pbs_share(dataset)
 
+Scripts import from these three packages, and everything else from the
+module that defines it.
+
 See README.md for the full tour, DESIGN.md for the substitution table, and
 EXPERIMENTS.md for paper-vs-measured results.
 """
-
-from .constants import MERGE_DATE, STUDY_END_DATE, STUDY_NUM_DAYS
-from .datasets import StudyDataset, collect_study_dataset
-from .simulation import SimulationConfig, World, build_world
-from .types import ether, gwei, to_ether
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "MERGE_DATE",
-    "STUDY_END_DATE",
-    "STUDY_NUM_DAYS",
-    "StudyDataset",
-    "collect_study_dataset",
-    "SimulationConfig",
-    "World",
-    "build_world",
-    "ether",
-    "gwei",
-    "to_ether",
-    "__version__",
-]

@@ -34,12 +34,8 @@ from .censorship import (
     daily_sanctioned_share,
     sanctioned_blocks_by_relay,
 )
-from .concentration import daily_hhi_series, herfindahl_hirschman_index
-from .network_structure import (
-    builder_relay_graph,
-    connectivity_report,
-    relay_overlap_matrix,
-)
+from .concentration import daily_hhi_series
+from .network_structure import connectivity_report, relay_overlap_matrix
 from .mev import (
     bloxroute_ethical_sandwiches,
     daily_mev_per_block,
@@ -50,14 +46,8 @@ from .relays import (
     daily_relay_shares,
     relay_trust_table,
 )
-from .regimes import (
-    RegimeMetrics,
-    compare_regimes,
-    regime_metrics,
-    render_regime_comparison,
-)
+from .regimes import regime_metrics, render_regime_comparison
 from .rewards import daily_user_payment_shares
-from .timeseries import DailySeries
 
 __all__ = [
     "daily_pbs_share",
@@ -75,9 +65,7 @@ __all__ = [
     "daily_sanctioned_share",
     "sanctioned_blocks_by_relay",
     "daily_hhi_series",
-    "herfindahl_hirschman_index",
     "bloxroute_ethical_sandwiches",
-    "builder_relay_graph",
     "connectivity_report",
     "relay_overlap_matrix",
     "daily_mev_per_block",
@@ -86,9 +74,6 @@ __all__ = [
     "daily_relay_shares",
     "relay_trust_table",
     "daily_user_payment_shares",
-    "RegimeMetrics",
-    "compare_regimes",
     "regime_metrics",
     "render_regime_comparison",
-    "DailySeries",
 ]

@@ -5,33 +5,3 @@ grouped into 32-slot epochs, a validator registry with 32-ETH staking and
 entity (staking-pool) attribution, seeded proposer election with epoch
 lookahead, and the beacon chain record of proposed/missed slots.
 """
-
-from .builders import (
-    BuilderRecord,
-    BuilderRegistry,
-    DepositEvent,
-    EpbsDataset,
-    EpbsLedger,
-    EpbsSlotRecord,
-    SlashingEvent,
-    builder_withdrawal_credentials,
-)
-from .chain import BeaconBlockRecord, BeaconChain
-from .schedule import ProposerSchedule
-from .validator import Validator, ValidatorRegistry
-
-__all__ = [
-    "BeaconBlockRecord",
-    "BeaconChain",
-    "BuilderRecord",
-    "BuilderRegistry",
-    "DepositEvent",
-    "EpbsDataset",
-    "EpbsLedger",
-    "EpbsSlotRecord",
-    "ProposerSchedule",
-    "SlashingEvent",
-    "Validator",
-    "ValidatorRegistry",
-    "builder_withdrawal_credentials",
-]

@@ -130,8 +130,9 @@ class CachedVariant:
     # Everything the sentinel coinbase accrued (priority fees + tips),
     # credited to the real fee recipient at replay time.
     coinbase_delta: Wei
-    # (domain, key, value-or-None) triples; None means deletion.
-    protocol_writes: tuple[tuple[str, object, object], ...]
+    # (domain, [(key, value-or-None), ...]) per written DeFi layer; None
+    # means deletion.
+    protocol_writes: tuple[tuple[str, list[tuple[object, object]]], ...]
     outcome: TxOutcome | None
     # False means every replay returns ``outcome`` itself.
     has_sentinel_frames: bool
@@ -271,7 +272,8 @@ class ExecutionCache:
         priority = gas_used * priority_per_gas
 
         sender = tx.sender
-        if rec_state.balance_of(sender) < fee_total:
+        sender_balance = rec_state.balance_of(sender)
+        if sender_balance < fee_total:
             return self._error_variant(
                 tuple(log.balances),
                 f"{tx.tx_hash} sender cannot cover the gas fee of "
@@ -282,13 +284,11 @@ class ExecutionCache:
         rec_state.debit(sender, fee_total)
         rec_state.credit(COINBASE_SENTINEL, priority)
         rec_state.record_burn(burned)
-        rec_state.bump_nonce(sender)
-        # Post-fee snapshot, in case the actions fail below.
-        written_balances = rec_state._balances._local
-        written_nonces = rec_state._nonces._local
-        sender_after_fee = written_balances[sender]
-        coinbase_after_fee = written_balances[COINBASE_SENTINEL]
-        nonce_after = written_nonces[sender]
+        nonce_after = rec_state.bump_nonce(sender) + 1
+        # Post-fee snapshot, in case the actions fail below.  The sentinel
+        # was just written in the recording layer, so reading it logs nothing.
+        sender_after_fee = sender_balance - fee_total
+        coinbase_after_fee = rec_state.balance_of(COINBASE_SENTINEL)
 
         apply_action = engine._apply_action
         frames: list = []
@@ -351,7 +351,7 @@ class ExecutionCache:
             priority_fee_wei=priority,
             direct_tip_wei=direct_tip,
         )
-        balances = dict(written_balances)
+        balances = dict(rec_state._balances.writes())
         coinbase_delta = balances.pop(COINBASE_SENTINEL, 0)
         return CachedVariant(
             balance_reads=tuple(log.balances),
@@ -359,7 +359,7 @@ class ExecutionCache:
             protocol_reads=tuple(log.protocols),
             error=None,
             balance_writes=tuple(balances.items()),
-            nonce_writes=tuple(written_nonces.items()),
+            nonce_writes=tuple(rec_state._nonces.writes()),
             minted_delta=rec_state._minted_wei,
             burned_delta=rec_state._burned_wei,
             coinbase_delta=coinbase_delta,
@@ -502,12 +502,9 @@ class ExecutionCache:
             error_cls, message = variant.error
             raise error_cls(message)
         state = ctx.state
-        balances = state._balances._local
-        for address, value in variant.balance_writes:
-            balances[address] = value
-        nonces = state._nonces._local
-        for address, value in variant.nonce_writes:
-            nonces[address] = value
+        balances = state._balances
+        balances.store(variant.balance_writes)
+        state._nonces.store(variant.nonce_writes)
         state._minted_wei += variant.minted_delta
         state._burned_wei += variant.burned_delta
         if variant.coinbase_delta:

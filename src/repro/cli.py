@@ -19,23 +19,23 @@ import argparse
 import sys
 from typing import Callable, Sequence
 
-from .analysis import (
-    daily_block_value,
+from .analysis.adoption import daily_pbs_share
+from .analysis.blocks import daily_block_value, daily_private_tx_share
+from .analysis.builders import daily_builder_shares
+from .analysis.censorship import (
     daily_compliant_relay_share,
-    daily_mev_per_block,
-    daily_pbs_share,
-    daily_private_tx_share,
     daily_sanctioned_share,
-    daily_user_payment_shares,
 )
 from .analysis.concentration import daily_hhi_series
-from .analysis import daily_builder_shares, daily_relay_shares
-from .analysis.relays import pbs_totals_row, relay_trust_table
+from .analysis.mev import daily_mev_per_block
+from .analysis.relays import daily_relay_shares, pbs_totals_row, relay_trust_table
 from .analysis.report import render_series, render_table
-from .datasets import collect_study_dataset
+from .analysis.rewards import daily_user_payment_shares
+from .datasets.collector import collect_study_dataset
 from .datasets.storage import export_study_dataset
 from .errors import ConfigError
-from .simulation import SimulationConfig, build_world
+from .simulation.config import SimulationConfig
+from .simulation.world import build_world
 
 REPORTS = (
     "fig03", "fig04", "fig06", "fig09", "fig14", "fig15", "fig17", "fig18",
@@ -92,6 +92,26 @@ def _world_config(args: argparse.Namespace, **fields) -> SimulationConfig:
         if exc.field not in _FLAG_FOR_FIELD:
             raise
         args.parser.error(f"argument {_FLAG_FOR_FIELD[exc.field]}: {exc}")
+
+
+def tcp_port(text: str) -> int:
+    """``--port``: a TCP port; a bad one fails here, before any loading."""
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"port must be between 0 and 65535, got {port}"
+        )
+    return port
+
+
+def worker_count(text: str) -> int:
+    """``--workers``: at least one serving process."""
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(
+            f"workers must be at least 1, got {workers}"
+        )
+    return workers
 
 
 def _build_dataset(args: argparse.Namespace):
@@ -237,13 +257,15 @@ def cmd_conformance(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .simulation.config import small_test_config
-    from .testing import (
+    from .testing.differential import (
         DEFAULT_CASES,
+        run_replay_matrix,
+        sharded_cases,
+    )
+    from .testing.scenarios import (
         ScenarioRunner,
         default_scenarios,
-        run_replay_matrix,
         scenarios_from_yaml,
-        sharded_cases,
     )
 
     scenarios = (
@@ -434,10 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
-        "--port", type=int, default=8547, help="bind port (0 = ephemeral)"
+        "--port", type=tcp_port, default=8547, help="bind port (0 = ephemeral)"
     )
     serve.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=worker_count, default=1,
         help="pre-forked serving processes sharing the port via "
              "SO_REUSEPORT (1 = single-process asyncio, the default)",
     )

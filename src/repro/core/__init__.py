@@ -8,44 +8,3 @@ gaps the paper uncovers), and serve the Flashbots relay data API; MEV-Boost
 on the validator picks the highest bid across subscribed relays; and the
 proposer signs the blinded header or falls back to local block building.
 """
-
-from .auction import SlotAuction, SlotContext, SlotOutcome
-from .epbs import MODE_EPBS, EnshrinedPBSAuction
-from .builder import BlockBuilder, BuilderSubmission
-from .mev_boost import BidSelection, MevBoostClient
-from .policies import (
-    BuilderAccess,
-    CensorshipPolicy,
-    MevFilterPolicy,
-    RelayPolicy,
-)
-from .proposer import LocalBlockBuilder
-from .relay import Relay
-from .relay_api import (
-    BuilderSubmissionRecord,
-    DeliveredPayload,
-    RelayDataStore,
-    ValidatorRegistration,
-)
-
-__all__ = [
-    "SlotAuction",
-    "SlotContext",
-    "SlotOutcome",
-    "MODE_EPBS",
-    "EnshrinedPBSAuction",
-    "BlockBuilder",
-    "BuilderSubmission",
-    "BidSelection",
-    "MevBoostClient",
-    "BuilderAccess",
-    "CensorshipPolicy",
-    "MevFilterPolicy",
-    "RelayPolicy",
-    "LocalBlockBuilder",
-    "Relay",
-    "BuilderSubmissionRecord",
-    "DeliveredPayload",
-    "RelayDataStore",
-    "ValidatorRegistration",
-]

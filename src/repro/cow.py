@@ -11,7 +11,7 @@ logs every read that escapes it, with the value seen below it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generic, Iterator, Optional, TypeVar
+from typing import TYPE_CHECKING, Generic, Iterable, Iterator, Optional, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .chain.exec_cache import ReadLog
@@ -55,6 +55,17 @@ class CowDict(Generic[K, V]):
         if key not in self:
             raise KeyError(key)
         self._local[key] = _TOMBSTONE
+
+    def store(self, pairs: Iterable[tuple[K, V | None]]) -> None:
+        """Write ``(key, value)`` pairs into this layer; ``None`` deletes.
+
+        The inverse of :meth:`RecordingCowDict.writes`: a deletion lands as
+        a tombstone in this layer, where committing the recorded layer would
+        have left it, so replayed state matches direct execution.
+        """
+        local = self._local
+        for key, value in pairs:
+            local[key] = _TOMBSTONE if value is None else value
 
     def __contains__(self, key: K) -> bool:
         sentinel = object()
@@ -121,7 +132,7 @@ class RecordingCowDict(CowDict[K, V]):
     def __init__(self, parent: CowDict[K, V], log: "ReadLog", domain: str) -> None:
         super().__init__(parent=parent)
         self._log = log
-        self._domain = domain
+        self.domain = domain
 
     def get(self, key: K, default: V | None = None) -> V | None:
         node: Optional[CowDict[K, V]] = self
@@ -131,16 +142,19 @@ class RecordingCowDict(CowDict[K, V]):
                 return default if value is _TOMBSTONE else value  # type: ignore[return-value]
             node = node._parent
         value = node.get(key, _MISSING) if node is not None else _MISSING  # type: ignore[arg-type]
-        self._log.record(self._domain, key, None if value is _MISSING else value)
+        self._log.record(self.domain, key, None if value is _MISSING else value)
         return default if value is _MISSING else value  # type: ignore[return-value]
 
     def fork(
         self, log: "ReadLog | None" = None, domain: str = ""
     ) -> "RecordingCowDict[K, V]":
         """A child that records into this layer's log, under its domain."""
-        return RecordingCowDict(self, self._log, self._domain)
+        return RecordingCowDict(self, self._log, self.domain)
 
-    def writes(self) -> Iterator[tuple[str, K, V | None]]:
-        """This layer's writes as ``(domain, key, value)``; a deletion is ``None``."""
-        for key, value in self._local.items():
-            yield self._domain, key, None if value is _TOMBSTONE else value  # type: ignore[misc]
+    def writes(self) -> list[tuple[K, V | None]]:
+        """This layer's writes as ``(key, value)`` pairs in first-write
+        order; a deletion is ``None``."""
+        return [
+            (key, None if value is _TOMBSTONE else value)  # type: ignore[misc]
+            for key, value in self._local.items()
+        ]

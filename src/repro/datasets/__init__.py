@@ -7,13 +7,6 @@ the relay data APIs of all eleven relays, and the dated OFAC list — and
 joins them into the per-block observations the analyses consume.
 """
 
-from .collector import StudyDataset, collect_study_dataset, merge_study_datasets
-from .records import BlockObservation, DatasetInventory
+from .collector import collect_study_dataset
 
-__all__ = [
-    "StudyDataset",
-    "collect_study_dataset",
-    "merge_study_datasets",
-    "BlockObservation",
-    "DatasetInventory",
-]
+__all__ = ["collect_study_dataset"]

@@ -6,20 +6,3 @@ cross-pool discrepancies, and liquidations fire when the oracle moves.
 Every protocol emits event logs with the same structure as its mainnet
 counterpart, so the paper's log-based MEV detectors run unchanged.
 """
-
-from .amm import AmmExchange, LiquidityPool
-from .lending import LendingMarket, Position
-from .oracle import PriceOracle
-from .registry import DefiProtocols
-from .tokens import Token, TokenRegistry
-
-__all__ = [
-    "AmmExchange",
-    "LiquidityPool",
-    "LendingMarket",
-    "Position",
-    "PriceOracle",
-    "DefiProtocols",
-    "Token",
-    "TokenRegistry",
-]

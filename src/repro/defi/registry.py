@@ -19,7 +19,7 @@ from ..chain.receipts import Log
 from ..chain.state import WorldState
 from ..chain.traces import CallFrame
 from ..chain.transaction import LiquidatePosition, SwapExact, TokenTransfer
-from ..cow import _TOMBSTONE, CowDict
+from ..cow import CowDict
 from ..errors import DefiError
 from ..types import Address
 from .amm import RESERVE_DOMAIN, AmmExchange
@@ -107,17 +107,15 @@ class _Registry:
     def apply_writes(self, writes) -> None:
         """Write a cached variant's effects into this registry's layers.
 
-        ``value is None`` encodes a deletion; the tombstone lands in the same
-        layer a committed speculative fork would have left it in, keeping
-        replayed state bit-identical to direct execution.  Writes arrive
-        grouped by domain, so each layer is resolved once per call.
+        ``writes`` holds one ``(domain, pairs)`` entry per written layer,
+        as :meth:`LazyDefiFork.extract_writes` took them, so each layer is
+        resolved and stored once.  ``value is None`` encodes a deletion; the
+        tombstone lands in the same layer a committed speculative fork would
+        have left it in, keeping replayed state bit-identical to direct
+        execution.
         """
-        domain = layer = None
-        for write_domain, key, value in writes:
-            if write_domain != domain:
-                domain = write_domain
-                layer = self._layer(domain)
-            layer._local[key] = _TOMBSTONE if value is None else value
+        for domain, pairs in writes:
+            self._layer(domain).store(pairs)
 
 
 class DefiProtocols(_Registry):
@@ -217,11 +215,11 @@ class LazyDefiFork(_Registry):
         for market in self._markets.values():
             market.commit()
 
-    def extract_writes(self) -> list[tuple[str, object, object]]:
-        """A recording fork's writes as (domain, key, value-or-None).
+    def extract_writes(self) -> list[tuple[str, list[tuple[object, object]]]]:
+        """A recording fork's writes as ``(domain, pairs)`` per written layer.
 
-        In token → reserve → market order, each layer's entries in the
-        order they were first written.
+        In token → reserve → market order, each layer's ``(key,
+        value-or-None)`` pairs in the order they were first written.
         """
         layers = []
         if self._tokens is not None:
@@ -229,4 +227,4 @@ class LazyDefiFork(_Registry):
         if self._amm is not None:
             layers.append(self._amm._reserves)
         layers.extend(market._positions for market in self._markets.values())
-        return [write for layer in layers for write in layer.writes()]
+        return [(layer.domain, pairs) for layer in layers if (pairs := layer.writes())]

@@ -5,16 +5,3 @@ propagation through the gossip overlay (observable by Mempool-Guru-style
 monitor nodes) and private channels straight to builders/validators that
 bypass the public mempool entirely.
 """
-
-from .network import P2PNetwork
-from .observer import ObservationStore
-from .pool import MempoolEntry, SharedMempool
-from .private import PrivateOrderFlow
-
-__all__ = [
-    "P2PNetwork",
-    "ObservationStore",
-    "MempoolEntry",
-    "SharedMempool",
-    "PrivateOrderFlow",
-]

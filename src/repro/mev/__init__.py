@@ -7,52 +7,3 @@ recover MEV activity *from chain evidence only* (swap/liquidation logs),
 like the paper's EigenPhi / ZeroMev / Weintraub label sources, and
 ``labels`` models the union of those three imperfect sources.
 """
-
-from .arbitrage import ArbitragePlan, find_arbitrage_cycles, plan_cycle_arbitrage
-from .bundles import Bundle
-from .detection import (
-    MEV_ARBITRAGE,
-    MEV_LIQUIDATION,
-    MEV_SANDWICH,
-    MevLabel,
-    detect_arbitrage,
-    detect_block_mev,
-    detect_liquidations,
-    detect_sandwiches,
-)
-from .labels import LabelSource, MevDataset, build_default_sources
-from .liquidation import plan_liquidations
-from .sandwich import SandwichPlan, plan_sandwich
-from .searcher import (
-    ArbitrageSearcher,
-    LiquidationSearcher,
-    SandwichSearcher,
-    Searcher,
-    SlotView,
-)
-
-__all__ = [
-    "ArbitragePlan",
-    "find_arbitrage_cycles",
-    "plan_cycle_arbitrage",
-    "Bundle",
-    "MEV_ARBITRAGE",
-    "MEV_LIQUIDATION",
-    "MEV_SANDWICH",
-    "MevLabel",
-    "detect_arbitrage",
-    "detect_block_mev",
-    "detect_liquidations",
-    "detect_sandwiches",
-    "LabelSource",
-    "MevDataset",
-    "build_default_sources",
-    "plan_liquidations",
-    "SandwichPlan",
-    "plan_sandwich",
-    "Searcher",
-    "SlotView",
-    "SandwichSearcher",
-    "ArbitrageSearcher",
-    "LiquidationSearcher",
-]

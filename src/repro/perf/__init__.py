@@ -14,23 +14,3 @@ This package hosts the cross-cutting performance machinery:
 Everything here is deterministic-by-construction: enabling any of it must
 never change a simulated world's bit-identical outcome for a given seed.
 """
-
-from .artifacts import (
-    config_content_hash,
-    default_cache_dir,
-    load_study_artifact,
-    save_study_artifact,
-)
-from .metrics import PerfRegistry
-from .sharding import ShardedRun, host_cpu_count, run_sharded
-
-__all__ = [
-    "PerfRegistry",
-    "ShardedRun",
-    "config_content_hash",
-    "default_cache_dir",
-    "host_cpu_count",
-    "load_study_artifact",
-    "run_sharded",
-    "save_study_artifact",
-]

@@ -5,14 +5,3 @@ effective the day *after* they are published, plus a screener that flags
 transactions moving ETH (via traces) or the top-five ERC-20 tokens / TRON
 (via Transfer logs) from or to a sanctioned address.
 """
-
-from .ofac import SanctionedEntry, SanctionsList, build_ofac_timeline
-from .screening import SanctionScreener, tx_statically_involves
-
-__all__ = [
-    "SanctionedEntry",
-    "SanctionsList",
-    "build_ofac_timeline",
-    "SanctionScreener",
-    "tx_statically_involves",
-]

@@ -21,20 +21,3 @@ collection code could scrape:
 (mmap-warm columnar loads) or a freshly simulated world;
 ``--workers N`` scales it across cores.
 """
-
-from .index import DatasetIndex, SlotIndex
-from .service import QueryService, Response, ServeError
-from .http import RelayHTTPServer, run_server
-from .workers import WorkerPool, serve_pool
-
-__all__ = [
-    "DatasetIndex",
-    "SlotIndex",
-    "QueryService",
-    "RelayHTTPServer",
-    "Response",
-    "ServeError",
-    "run_server",
-    "serve_pool",
-    "WorkerPool",
-]

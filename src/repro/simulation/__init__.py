@@ -10,18 +10,6 @@ FTX/USDC volatility spikes, the December Binance->AnkrPool private flow).
 """
 
 from .config import SimulationConfig
-from .events import Timeline, default_timeline
-from .segments import SegmentDelta, SegmentSpec, run_segment, segment_plan
-from .world import World, build_world
+from .world import build_world
 
-__all__ = [
-    "SimulationConfig",
-    "Timeline",
-    "default_timeline",
-    "SegmentDelta",
-    "SegmentSpec",
-    "run_segment",
-    "segment_plan",
-    "World",
-    "build_world",
-]
+__all__ = ["SimulationConfig", "build_world"]

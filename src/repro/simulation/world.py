@@ -141,8 +141,8 @@ class World:
     so segments never consume each other's draws.  Without ``segment``
     (or with the degenerate full-range segment) the world is bit-identical
     to the legacy unsegmented run.  A config whose plan has more than one
-    segment runs only through :func:`repro.perf.run_sharded`, so one config
-    never yields two digests.
+    segment runs only through :func:`repro.perf.sharding.run_sharded`, so
+    one config never yields two digests.
     """
 
     def __init__(
@@ -154,7 +154,7 @@ class World:
             raise ConfigError(
                 f"segment_days={config.segment_days} splits the "
                 f"{config.num_days}-day window into {config.num_segments} "
-                "segments; run the config with repro.perf.run_sharded",
+                "segments; run the config with repro.perf.sharding.run_sharded",
                 field="segment_days",
             )
         self.config = config
@@ -1127,18 +1127,15 @@ class World:
         hasher = hashlib.sha256()
         hasher.update(self.chain.digest().encode())
         state = self.state
-        balances, nonces = state._balances._local, state._nonces._local
-        for address in sorted(balances):
-            hasher.update(f"b|{address}|{balances[address]}".encode())
-        for address in sorted(nonces):
-            hasher.update(f"n|{address}|{nonces[address]}".encode())
+        for address, balance in sorted(state._balances.items()):
+            hasher.update(f"b|{address}|{balance}".encode())
+        for address, nonce in sorted(state._nonces.items()):
+            hasher.update(f"n|{address}|{nonce}".encode())
         hasher.update(f"m|{state._minted_wei}|{state._burned_wei}".encode())
-        token_balances = self.defi.tokens._balances._local
-        for key in sorted(token_balances):
-            hasher.update(f"t|{key}|{token_balances[key]}".encode())
-        reserves = self.defi.amm._reserves._local
-        for pool_id in sorted(reserves):
-            hasher.update(f"r|{pool_id}|{reserves[pool_id]}".encode())
+        for key, balance in sorted(self.defi.tokens._balances.items()):
+            hasher.update(f"t|{key}|{balance}".encode())
+        for pool_id, reserves in sorted(self.defi.amm._reserves.items()):
+            hasher.update(f"r|{pool_id}|{reserves}".encode())
         for record in self.slot_records:
             hasher.update(
                 f"s|{record.slot}|{record.mode}|{record.winning_builder}|"

@@ -15,54 +15,3 @@ measurement pipeline safe:
   one seeded scenario re-run under every performance configuration must
   produce bit-identical digests and oracle-clean results.
 """
-
-from .differential import (
-    DEFAULT_CASES,
-    GROUP_DEFAULT,
-    GROUP_SHARDED,
-    ReplayCase,
-    ReplayReport,
-    regime_cases,
-    run_replay_matrix,
-    sharded_cases,
-)
-from ..simulation.faults import FaultSpec, apply_fault
-from .oracles import (
-    OracleFinding,
-    OracleReport,
-    run_oracles,
-)
-from .scenarios import (
-    DetectedAnomaly,
-    Scenario,
-    ScenarioResult,
-    ScenarioRunner,
-    default_scenarios,
-    detect_anomalies,
-    scenario_from_dict,
-    scenarios_from_yaml,
-)
-
-__all__ = [
-    "DEFAULT_CASES",
-    "DetectedAnomaly",
-    "FaultSpec",
-    "GROUP_DEFAULT",
-    "GROUP_SHARDED",
-    "regime_cases",
-    "sharded_cases",
-    "OracleFinding",
-    "OracleReport",
-    "ReplayCase",
-    "ReplayReport",
-    "Scenario",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "apply_fault",
-    "default_scenarios",
-    "detect_anomalies",
-    "run_oracles",
-    "run_replay_matrix",
-    "scenario_from_dict",
-    "scenarios_from_yaml",
-]

@@ -303,8 +303,7 @@ class TestProtocolWrites:
             ("r", "pool", (ether(100), 200_000 * 10**6)),
         ]
         assert recording.extract_writes() == [
-            ("t", ("WETH", ALICE), ether(4)),
-            ("t", ("WETH", BOB), ether(1)),
+            ("t", [(("WETH", ALICE), ether(4)), (("WETH", BOB), ether(1))]),
         ]
         with pytest.raises(DefiError):
             recording.commit()

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, settings
 from repro.datasets import collect_study_dataset
 from repro.simulation import build_world
 from repro.simulation.config import SimulationConfig, small_test_config
-from repro.testing import run_oracles
+from repro.testing.oracles import run_oracles
 from repro.testing.scenarios import (
     RunArtifacts,
     ScenarioRunner,

@@ -30,7 +30,9 @@ from repro.chain.transaction import (
     TokenTransfer,
     TransactionFactory,
 )
-from repro.defi import DefiProtocols, LendingMarket, PriceOracle
+from repro.defi.lending import LendingMarket
+from repro.defi.oracle import PriceOracle
+from repro.defi.registry import DefiProtocols
 from repro.errors import ExecutionError
 from repro.types import derive_address, ether, gwei
 

@@ -24,8 +24,8 @@ from repro.core.relay_api import (
     RelayDataStore,
 )
 from repro.datasets.columnar import BlockTable
-from repro.serve import QueryService
 from repro.serve.index import Cursor, SlotIndex
+from repro.serve.service import QueryService
 from repro.types import derive_hash, derive_pubkey
 
 PAYLOADS_PATH = "/relay/v1/data/bidtraces/proposer_payload_delivered"

@@ -10,12 +10,8 @@ from repro.chain.transaction import EthTransfer, TokenTransfer, TransactionFacto
 from repro.constants import MERGE_DATE, OFAC_UPDATE_DATES
 from repro.defi.tokens import TokenRegistry
 from repro.errors import ConfigError
-from repro.sanctions import (
-    SanctionsList,
-    SanctionScreener,
-    build_ofac_timeline,
-    tx_statically_involves,
-)
+from repro.sanctions.ofac import SanctionsList, build_ofac_timeline
+from repro.sanctions.screening import SanctionScreener, tx_statically_involves
 from repro.types import derive_address, derive_hash, gwei
 
 BAD = derive_address("sanc", "bad")

@@ -274,7 +274,7 @@ def golden_service(golden_dataset, request):
     against a new ``QueryService`` for each request, so every response
     is a cold render — pinning that both produce identical bytes.
     """
-    from repro.serve import QueryService
+    from repro.serve.service import QueryService
 
     if request.param == "uncached":
         return SimpleNamespace(

@@ -26,8 +26,8 @@ from repro.analysis.relays import daily_relay_shares
 from repro.analysis.rewards import daily_user_payment_shares
 from repro.datasets.collector import collect_study_dataset
 from repro.datasets.columnar import BlockTable
-from repro.serve import QueryService
 from repro.serve.schema import encode_series
+from repro.serve.service import QueryService
 from repro.simulation.config import small_test_config
 from repro.simulation.world import build_world
 

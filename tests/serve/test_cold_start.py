@@ -3,7 +3,9 @@
 A server on a saved artifact only unpickles a dataset, indexes it and
 answers requests: it must neither simulate nor import the graph and
 sparse-matrix libraries (networkx, scipy) that building worlds or older
-clustering code pulled in.  The test saves a tiny collected dataset,
+clustering code pulled in.  Nor does it import the process-sharded
+runner (``repro.perf.sharding``) or ``multiprocessing``: the worker pool
+forks with ``os.fork``.  The test saves a tiny collected dataset,
 boots the CLI on it under ``-X importtime``, requests every static route
 and one bidtrace page, and reads the server's stderr.
 """
@@ -81,5 +83,6 @@ def test_server_on_a_saved_artifact_imports_neither_networkx_nor_scipy(tmp_path)
     assert not [
         name
         for name in imported
-        if name.split(".")[0] in ("networkx", "scipy")
+        if name.split(".")[0] in ("networkx", "scipy", "multiprocessing")
+        or name == "repro.perf.sharding"
     ]

@@ -19,9 +19,7 @@ import os
 import pytest
 
 from repro.datasets.columnar import BlockTable
-from repro.serve import QueryService
 from repro.serve.index import Cursor
-from repro.serve.service import STATIC_ROUTES
 from repro.serve.schema import (
     WireColumn,
     dump_json,
@@ -30,6 +28,7 @@ from repro.serve.schema import (
     encode_submission,
     wire_column,
 )
+from repro.serve.service import STATIC_ROUTES, QueryService
 
 from .conftest import build_golden_dataset
 

@@ -25,8 +25,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.serve import QueryService, RelayHTTPServer, Response
 from repro.serve import http
+from repro.serve.http import RelayHTTPServer
+from repro.serve.service import QueryService, Response
 
 from .conftest import build_golden_dataset
 

@@ -230,7 +230,7 @@ def test_unknown_pubkey_is_400(golden_service):
 def _regen() -> None:
     import conftest as serve_conftest  # noqa: PLC0415 - script mode only
 
-    from repro.serve import QueryService
+    from repro.serve.service import QueryService
 
     service = QueryService(serve_conftest.build_golden_dataset())
     FIXTURES.mkdir(exist_ok=True)

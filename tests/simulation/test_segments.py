@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import multiprocessing
+import re
 
 import pytest
 
@@ -80,6 +82,9 @@ def test_segmented_config_runs_only_sharded():
     with pytest.raises(ConfigError, match="run_sharded") as raised:
         build_world(small_test_config(num_days=4, segment_days=2))
     assert raised.value.field == "segment_days"
+    # The message names a path the user can import.
+    module, _, name = re.search(r"repro[\w.]*", str(raised.value))[0].rpartition(".")
+    assert getattr(importlib.import_module(module), name) is run_sharded
     # A plan of one full segment is the unsegmented world.
     build_world(small_test_config(num_days=4, segment_days=4))
 

@@ -34,6 +34,33 @@ class TestParser:
         assert args.scenarios == "faults.yml"
         assert args.skip_replay
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--workers", "0"], "workers must be at least 1, got 0"),
+            (["--workers", "-3"], "workers must be at least 1, got -3"),
+            (["--port", "70000"], "port must be between 0 and 65535, got 70000"),
+            (["--port", "-1"], "port must be between 0 and 65535, got -1"),
+            (["--port", "http"], "invalid tcp_port value: 'http'"),
+        ],
+        ids=[
+            "workers-0", "workers-negative", "port-70000", "port-negative", "port-text"
+        ],
+    )
+    def test_serve_rejects_bad_socket_flags(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith(f"argument {argv[0]}: {message}")
+        assert "repro serve: error:" in err
+
+    def test_serve_accepts_socket_flag_bounds(self):
+        args = build_parser().parse_args(["serve", "--port", "0", "--workers", "1"])
+        assert (args.port, args.workers) == (0, 1)
+        args = build_parser().parse_args(["serve", "--port", "65535"])
+        assert (args.port, args.workers) == (65535, 1)
+
 
 class TestConfigErrors:
     """Out-of-range flag values exit 2 naming the flag, with no traceback."""

@@ -1,8 +1,13 @@
 """Unit tests for the copy-on-write dict and its recording layer."""
 
+import ast
+import pathlib
+
 import pytest
 
 from repro.cow import CowDict, RecordingCowDict
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 class TestBasics:
@@ -164,5 +169,34 @@ class TestRecording:
         layer = root.fork(_ListLog(), "d")
         layer["b"] = 2
         del layer["a"]
-        assert list(layer.writes()) == [("d", "b", 2), ("d", "a", None)]
+        assert layer.writes() == [("b", 2), ("a", None)]
         assert root["a"] == 1
+
+    def test_store_replays_writes_as_a_commit_would(self):
+        root = CowDict()
+        root["a"] = 1
+        root["b"] = 2
+        fork = root.fork(_ListLog(), "d")
+        fork["b"] = 3
+        fork["c"] = 4
+        del fork["a"]
+        sibling = root.fork()
+        sibling.store(fork.writes())
+        replayed = sorted(sibling.items())
+        fork.commit()
+        assert replayed == sorted(root.items()) == [("b", 3), ("c", 4)]
+
+
+def test_layer_storage_stays_inside_cow():
+    """Only ``cow.py`` touches a layer's ``_local`` dict or its tombstone."""
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "cow.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "_local") or (
+                isinstance(node, ast.ImportFrom)
+                and any(alias.name == "_TOMBSTONE" for alias in node.names)
+            ):
+                offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert offenders == []

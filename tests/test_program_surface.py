@@ -6,9 +6,8 @@ be kept working for no user.  This guard parses every module under
 ``src/repro`` outside ``repro/testing`` and fails for each top-level
 function and class, and each non-dunder method, whose name never appears
 as an ``ast.Name`` or ``ast.Attribute`` in program code: ``src/repro``
-itself (a package ``__init__`` re-export is an import or an ``__all__``
-string, so it does not count), ``benchmarks/``, ``examples/`` and
-``perfbench/``.
+itself (an import or an ``__all__`` string is not a use), ``benchmarks/``,
+``examples/`` and ``perfbench/``.
 
 A field that every run writes and nothing reads is the same waste in
 data.  The second guard fails for each dataclass field, and each
@@ -26,6 +25,13 @@ methods whose name more than one class in ``src/repro`` defines, which
 implement an interface (``fork``, ``execute_action``, ``payment_for``)
 whose every implementation takes the same arguments.
 
+A package ``__init__`` that re-exports a name gives it a second import
+path.  The fourth guard fails for each name an ``__init__`` binds that
+no script (``benchmarks/``, ``examples/``, ``perfbench/``) imports
+through that package, for an ``__all__`` that differs from the bound
+names, and for each import in a ``src/repro`` module that takes a name
+through a package rather than from the module that defines it.
+
 Names are matched without their class, so a definition or field that
 shares its name with a used one (``entry``, ``last``, ``mode``) passes
 unseen.
@@ -41,7 +47,8 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
-PROGRAM_DIRS = (PACKAGE, ROOT / "benchmarks", ROOT / "examples", ROOT / "perfbench")
+SCRIPT_DIRS = (ROOT / "benchmarks", ROOT / "examples", ROOT / "perfbench")
+PROGRAM_DIRS = (PACKAGE, *SCRIPT_DIRS)
 
 # (module under src/repro, qualified name) -> why it stays without a caller.
 ALLOWLIST = {
@@ -297,6 +304,89 @@ def test_every_parameter_is_read():
         "a parameter its function never reads (delete it from the "
         "signature and every call, or allowlist it with a reason):\n"
         + "\n".join(f"src/repro/{module}: {name}" for module, name in unused)
+    )
+
+
+def _init_bindings(tree: ast.Module):
+    """(names an ``__init__`` binds, its ``__all__`` or ``[]``)."""
+    bound, exported = [], []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [
+                (alias.asname or alias.name).split(".")[0] for alias in node.names
+            ]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if getattr(target, "id", None) == "__all__":
+                    exported = ast.literal_eval(node.value)
+                elif isinstance(target, ast.Name):
+                    bound.append(target.id)
+    return bound, exported
+
+
+def _script_imports() -> set[tuple[str, str]]:
+    """(package, name) for each ``from repro.<package> import <name>``."""
+    return {
+        (node.module, alias.name)
+        for node in _nodes(SCRIPT_DIRS)
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module
+        for alias in node.names
+    }
+
+
+def _imported_package(path: pathlib.Path, node: ast.ImportFrom):
+    """The package directory an import in ``src/repro`` names, or None."""
+    if node.level:
+        target = path.parents[node.level - 1]
+        if node.module:
+            target = target.joinpath(*node.module.split("."))
+    elif node.module and node.module.split(".")[0] == "repro":
+        target = PACKAGE.parent.joinpath(*node.module.split("."))
+    else:
+        return None
+    return target if (target / "__init__.py").is_file() else None
+
+
+def _reexport_problems():
+    imported = _script_imports()
+    for path in sorted(PACKAGE.rglob("__init__.py")):
+        init = path.relative_to(ROOT).as_posix()
+        package = ".".join(path.parent.relative_to(PACKAGE.parent).parts)
+        bound, exported = _init_bindings(_tree(path))
+        for name in bound:
+            if (package, name) not in imported:
+                yield f"{init}: {name} (no script imports it from {package})"
+        if sorted(exported) != sorted(bound):
+            yield f"{init}: __all__ differs from the bound names"
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue  # an init's imports are its bindings, checked above
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            package = _imported_package(path, node)
+            if package is None:
+                continue
+            names = [
+                alias.name
+                for alias in node.names
+                if not (package / f"{alias.name}.py").is_file()
+                and not (package / alias.name / "__init__.py").is_file()
+            ]
+            if names:
+                yield (
+                    f"{path.relative_to(ROOT).as_posix()}:{node.lineno}: "
+                    f"imports {', '.join(names)} through a package"
+                )
+
+
+def test_every_reexport_has_a_script_importer():
+    problems = list(_reexport_problems())
+    assert problems == [], (
+        "a package __init__ re-exports only what scripts import through it, "
+        "and src/repro imports each name from its defining module:\n"
+        + "\n".join(problems)
     )
 
 

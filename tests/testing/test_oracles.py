@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.relay_api import DeliveredPayload
 from repro.errors import OracleViolationError
-from repro.testing import run_oracles
+from repro.testing.oracles import run_oracles
 from repro.testing.oracles import (
     KIND_INTERNAL_MISPROMISE,
     KIND_TIMESTAMP_BUG,

@@ -17,7 +17,7 @@ from repro.analysis.censorship import sanctioned_blocks_by_relay
 from repro.analysis.mev import bloxroute_ethical_sandwiches
 from repro.analysis.relays import relay_trust_table
 from repro.simulation.faults import FAULT_TIMESTAMP_BUG
-from repro.testing import run_oracles
+from repro.testing.oracles import run_oracles
 from repro.testing.oracles import (
     KIND_INTERNAL_MISPROMISE,
     KIND_VALIDATION_OUTAGE,
