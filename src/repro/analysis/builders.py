@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..datasets.collector import StudyDataset
-from ..datasets.columnar import exact_segment_sums
+from ..datasets.columnar import as_str, exact_segment_sums
 from .timeseries import DailySeries, day_slices
 
 
@@ -39,10 +39,6 @@ class BuilderCluster:
     @property
     def block_count(self) -> int:
         return len(self.indices)
-
-
-def _decode(value) -> str:
-    return value.decode("ascii") if isinstance(value, bytes) else str(value)
 
 
 def cluster_builders(dataset: StudyDataset) -> list[BuilderCluster]:
@@ -166,19 +162,19 @@ def cluster_builders(dataset: StudyDataset) -> list[BuilderCluster]:
             label_bounds[component] : label_bounds[component + 1]
         ]
         addresses = {
-            _decode(addr_uniques[group])
+            as_str(addr_uniques[group])
             for group in groups
             if group < num_addr
         }
         rows = comp_rows[comp_bounds[component] : comp_bounds[component + 1]]
         pubkeys = {
-            _decode(pub)
+            as_str(pub)
             for pub in set(
                 comp_pubs[pub_bounds[component] : pub_bounds[component + 1]]
             )
         }
         tags = {
-            _decode(tag)
+            as_str(tag)
             for tag in set(
                 comp_tags[comp_bounds[component] : comp_bounds[component + 1]]
             )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datasets.collector import StudyDataset
-from ..datasets.columnar import isin_strings, per_segment_counts
+from ..datasets.columnar import as_str, isin_strings, per_segment_counts
 from .timeseries import DailySeries, day_slices
 
 
@@ -111,7 +111,7 @@ def sanctioned_blocks_by_relay(dataset: StudyDataset) -> list[SanctionedRelayRow
     )
     rows = []
     for i, relay in enumerate(uniques):
-        name = relay.decode("ascii") if isinstance(relay, bytes) else str(relay)
+        name = as_str(relay)
         rows.append(
             SanctionedRelayRow(
                 relay=name,

@@ -18,12 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datasets.collector import StudyDataset
-from ..datasets.columnar import exact_sum
+from ..datasets.columnar import as_str, exact_sum
 from ..types import to_ether
-
-
-def _relay_name(value) -> str:
-    return value.decode("ascii") if isinstance(value, bytes) else str(value)
 
 
 def daily_relay_shares(dataset: StudyDataset) -> dict[datetime.date, dict[str, float]]:
@@ -42,7 +38,7 @@ def daily_relay_shares(dataset: StudyDataset) -> dict[datetime.date, dict[str, f
     # accumulation matches the per-object dict accumulation bit for bit.
     claim_weights = 1.0 / np.repeat(counts, counts)
     uniques, _, inverse = table.dictionary("claim_relays")
-    names = [_relay_name(relay) for relay in uniques]
+    names = [as_str(relay) for relay in uniques]
     num_relays = max(len(uniques), 1)
 
     ordinals = table.date_ordinal
@@ -158,7 +154,7 @@ def relay_trust_table(dataset: StudyDataset) -> list[RelayTrustRow]:
         blocks = int(selected.sum())
         rows.append(
             RelayTrustRow(
-                relay=_relay_name(relay),
+                relay=as_str(relay),
                 delivered_value_eth=to_ether(delivered_total),
                 promised_value_eth=to_ether(promised_total),
                 share_of_value_delivered=(

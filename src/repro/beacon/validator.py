@@ -18,29 +18,15 @@ from ..types import Address, BLSPubkey, derive_address, derive_pubkey
 class Validator:
     """One staked validator.
 
-    ``relays`` lists the relay names in this validator's MEV-Boost
-    configuration; an empty tuple means the validator builds locally.
+    Its MEV-Boost relay menu is slot data, not validator state: the world
+    looks it up for each proposed slot and hands it to the auction in the
+    slot's :class:`~repro.core.context.SlotContext`.
     """
 
     index: int
     pubkey: BLSPubkey
     entity: str
     fee_recipient: Address
-    uses_mev_boost: bool = False
-    relays: tuple[str, ...] = ()
-    # MEV-Boost's min-bid setting: bids below this fall back to local
-    # building — the censorship-resistance mitigation proposed after the
-    # period the paper studies.
-    min_bid_wei: int = 0
-
-    def configure_mev_boost(self, relays: tuple[str, ...]) -> None:
-        """Install/replace the MEV-Boost relay list for this validator."""
-        self.relays = tuple(relays)
-        self.uses_mev_boost = bool(relays)
-
-    def disable_mev_boost(self) -> None:
-        self.relays = ()
-        self.uses_mev_boost = False
 
 
 class ValidatorRegistry:

@@ -262,20 +262,11 @@ def cmd_conformance(args: argparse.Namespace) -> int:
         run_replay_matrix,
         sharded_cases,
     )
-    from .testing.scenarios import (
-        ScenarioRunner,
-        default_scenarios,
-        scenarios_from_yaml,
-    )
+    from .testing.scenarios import ScenarioRunner, default_scenarios
 
-    scenarios = (
-        scenarios_from_yaml(Path(args.scenarios))
-        if args.scenarios
-        else default_scenarios()
-    )
     runner = ScenarioRunner()
     failures = 0
-    for scenario in scenarios:
+    for scenario in default_scenarios():
         result = runner.run(scenario)
         problems = result.problems()
         status = "ok" if not problems else "FAIL"
@@ -423,13 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     conformance = subparsers.add_parser(
         "conformance",
-        help="run the fault-injection scenarios and the replay matrix",
-    )
-    conformance.add_argument(
-        "--scenarios",
-        default=None,
-        help="YAML scenario file (default: the built-in nine-scenario "
-             "matrix, incl. the three ePBS faults)",
+        help="run the built-in nine-scenario fault matrix (incl. the three "
+             "ePBS faults) and the replay matrix",
     )
     conformance.add_argument(
         "--skip-replay",

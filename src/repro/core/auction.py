@@ -65,15 +65,10 @@ class SlotAuction:
         self.local_builder = local_builder
         self.mev_boost = MevBoostClient(relays)
 
-    def run(
-        self,
-        ctx: SlotContext,
-        proposer: Validator,
-        active_builders: list[str],
-    ) -> SlotOutcome:
+    def run(self, ctx: SlotContext, proposer: Validator) -> SlotOutcome:
         """Produce this slot's block through PBS or local building."""
         with ctx.perf.timer("builder_phase"):
-            self._collect_submissions(ctx, proposer, active_builders)
+            self._collect_submissions(ctx, proposer)
         with ctx.perf.timer("proposer_phase"):
             outcome = self._propose(ctx, proposer)
         for relay in self.relays.values():
@@ -82,25 +77,18 @@ class SlotAuction:
 
     # -- builder phase -----------------------------------------------------
 
-    def _collect_submissions(
-        self,
-        ctx: SlotContext,
-        proposer: Validator,
-        active_builders: list[str],
-    ) -> None:
-        ordered = [
-            builder
-            for builder in (self.builders.get(name) for name in active_builders)
-            if builder is not None
-        ]
+    def _collect_submissions(self, ctx: SlotContext, proposer: Validator) -> None:
         # Builds run in active-builder order: they share the slot's RNG
         # stream, so the order fixes every draw.  Each relay keeps its own
         # best accepted bid for the proposer phase.
-        for builder in ordered:
+        for name, relays in ctx.active_builders.items():
+            builder = self.builders.get(name)
+            if builder is None:
+                continue
             submission = builder.build(ctx, proposer)
             if submission is None:
                 continue
-            for relay_name in builder.relays:
+            for relay_name in relays:
                 relay = self.relays.get(relay_name)
                 if relay is not None:
                     relay.receive_submission(submission, ctx.day)
@@ -108,10 +96,10 @@ class SlotAuction:
     # -- proposer phase ----------------------------------------------------
 
     def _propose(self, ctx: SlotContext, proposer: Validator) -> SlotOutcome:
-        if proposer.uses_mev_boost and proposer.relays:
-            selection = self.mev_boost.get_best_bid(ctx.slot, proposer.relays)
+        if ctx.proposer_relays:
+            selection = self.mev_boost.get_best_bid(ctx.slot, ctx.proposer_relays)
             if selection is not None and (
-                selection.claimed_value_wei >= proposer.min_bid_wei
+                selection.claimed_value_wei >= ctx.min_bid_wei
             ):
                 # Sign the header: the serving relays reveal and record the
                 # delivery.  Only then can the proposer's node validate the

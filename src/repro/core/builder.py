@@ -156,7 +156,6 @@ class BlockBuilder:
         pubkeys: tuple[BLSPubkey, ...],
         bid_policy: BidPolicy,
         mempool_node: int = 0,
-        relays: tuple[str, ...] = (),
         # How well the builder sees the public mempool before the deadline;
         # professionalized builders squeeze in later transactions.
         mempool_coverage: float = 1.0,
@@ -175,7 +174,6 @@ class BlockBuilder:
         self.pubkeys = pubkeys
         self.bid_policy = bid_policy
         self.mempool_node = mempool_node
-        self.relays = relays
         self.mempool_coverage = mempool_coverage
         self.self_censors = self_censors
         self.sanctions_lag_days = sanctions_lag_days
@@ -345,7 +343,7 @@ class BlockBuilder:
 
         block_value = result.block_value_wei
         payment = self.bid_policy.payment_for(block_value, ctx.day, ctx.rng)
-        payment, claimed = self._apply_scripted_mispromise(ctx, payment, proposer)
+        payment, claimed = self._apply_scripted_mispromise(ctx, payment)
         payment_tx = None
         if not self.pays_via_proposer_recipient and payment > 0:
             payment = min(payment, max(0, fork.state.balance_of(self.address)
@@ -423,21 +421,20 @@ class BlockBuilder:
         return submission
 
     def _apply_scripted_mispromise(
-        self, ctx: SlotContext, payment: Wei, proposer: Validator
+        self, ctx: SlotContext, payment: Wei
     ) -> tuple[Wei, Wei | None]:
         """Apply a one-shot scripted (claimed, paid) override for this day.
 
-        Only fires when the bid can actually reach this proposer (it uses
-        MEV-Boost and subscribes to one of this builder's relays), so the
-        single mispriced block reliably lands on chain, as it did on
-        mainnet.
+        Only fires when the bid can actually reach this slot's proposer
+        (its MEV-Boost queries one of the relays this builder submits to
+        this slot), so the single mispriced block reliably lands on chain,
+        as it did on mainnet.
         """
         override = self.scripted_mispromise.get(ctx.day)
-        if override is None:
+        if override is None or not ctx.proposer_relays:
             return payment, None
-        if not proposer.uses_mev_boost:
-            return payment, None
-        if self.relays and not set(self.relays) & set(proposer.relays):
+        route = ctx.active_builders.get(self.name, ())
+        if route and not set(route) & set(ctx.proposer_relays):
             return payment, None
         claimed, paid = override
         del self.scripted_mispromise[ctx.day]  # fire once

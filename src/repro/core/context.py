@@ -2,8 +2,8 @@
 
 Bundles everything one slot of block production needs: canonical execution
 context (to fork), fee-market parameters, mempool and private order flow,
-searcher bundles routed per builder, the sanctions list, and the slot's
-deterministic RNG stream.
+searcher bundles routed per builder, the slot's relay routing, the
+sanctions list, and the slot's deterministic RNG stream.
 
 The context is also the seam for the slot's shared execution cache
 (:class:`~repro.chain.exec_cache.ExecutionCache`), so builders
@@ -57,6 +57,13 @@ class SlotContext:
     sanctions: SanctionsList
     rng: np.random.Generator
     tx_factory: TransactionFactory
+    # The slot's relay routing, computed once by the world: the relays
+    # the proposer's MEV-Boost queries (empty: it builds locally), its
+    # min-bid (a best bid below it falls back to a local block), and
+    # each active builder with the relays it submits to, in build order.
+    proposer_relays: tuple[str, ...] = ()
+    min_bid_wei: Wei = 0
+    active_builders: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # Wall-clock moment builders stop pulling from the mempool.
     build_cutoff_time: float = 0.0
     # Shared per-slot memo of builders' execution outcomes (None executes

@@ -92,12 +92,7 @@ class EnshrinedPBSAuction(SlotAuction):
         """Votes required for the payload to become canonical (majority)."""
         return PTC_SIZE // 2 + 1
 
-    def run(
-        self,
-        ctx: SlotContext,
-        proposer: Validator,
-        active_builders: list[str],
-    ) -> SlotOutcome:
+    def run(self, ctx: SlotContext, proposer: Validator) -> SlotOutcome:
         """Produce this slot's block through the enshrined two-phase slot.
 
         Every proposer participates (the scheme is enshrined, not opt-in);
@@ -108,7 +103,7 @@ class EnshrinedPBSAuction(SlotAuction):
         with ctx.perf.timer("builder_phase"):
             ordered = [
                 builder
-                for builder in (self.builders.get(name) for name in active_builders)
+                for builder in (self.builders.get(name) for name in ctx.active_builders)
                 if builder is not None
                 and self.registry.is_active(builder.name, ctx.day)
             ]

@@ -212,7 +212,7 @@ def _str_column(values: list[str]) -> np.ndarray:
         return np.asarray(values, dtype=str)
 
 
-def _as_str(value) -> str:
+def as_str(value) -> str:
     """Decode one cell of a string column back to ``str``."""
     if isinstance(value, bytes):
         return value.decode("ascii")
@@ -368,14 +368,14 @@ class BlockTable:
         sanc_lo, sanc_hi = int(c["sanctioned_offsets"][i]), int(c["sanctioned_offsets"][i + 1])
         return BlockObservation(
             number=int(c["number"][i]),
-            block_hash=_as_str(c["block_hash"][i]),
+            block_hash=as_str(c["block_hash"][i]),
             slot=int(c["slot"][i]),
             date=datetime.date.fromordinal(int(c["date_ordinal"][i])),
             proposer_index=int(c["proposer_index"][i]),
-            proposer_entity=_as_str(c["proposer_entity"][i]),
-            proposer_fee_recipient=_as_str(c["proposer_fee_recipient"][i]),
-            fee_recipient=_as_str(c["fee_recipient"][i]),
-            extra_data=_as_str(c["extra_data"][i]),
+            proposer_entity=as_str(c["proposer_entity"][i]),
+            proposer_fee_recipient=as_str(c["proposer_fee_recipient"][i]),
+            fee_recipient=as_str(c["fee_recipient"][i]),
+            extra_data=as_str(c["extra_data"][i]),
             gas_used=int(c["gas_used"][i]),
             gas_limit=int(c["gas_limit"][i]),
             base_fee_per_gas=int(c["base_fee_per_gas"][i]),
@@ -386,29 +386,29 @@ class BlockTable:
             private_tx_count=int(c["private_tx_count"][i]),
             builder_payment_wei=int(c["builder_payment_wei"][i]),
             claimed_by_relay={
-                _as_str(relay): int(value)
+                as_str(relay): int(value)
                 for relay, value in zip(
                     c["claim_relays"][claims_lo:claims_hi],
                     c["claim_values"][claims_lo:claims_hi],
                 )
             },
             builder_pubkey=(
-                _as_str(c["builder_pubkey"][i])
+                as_str(c["builder_pubkey"][i])
                 if bool(c["has_builder_pubkey"][i])
                 else None
             ),
             tx_value_contribution={
-                _as_str(tx_hash): int(value)
+                as_str(tx_hash): int(value)
                 for tx_hash, value in zip(
                     c["contrib_hashes"][contrib_lo:contrib_hi],
                     c["contrib_values"][contrib_lo:contrib_hi],
                 )
             },
             private_tx_hashes=frozenset(
-                _as_str(h) for h in c["private_hashes"][priv_lo:priv_hi]
+                as_str(h) for h in c["private_hashes"][priv_lo:priv_hi]
             ),
             sanctioned_tx_hashes=tuple(
-                _as_str(h) for h in c["sanctioned_hashes"][sanc_lo:sanc_hi]
+                as_str(h) for h in c["sanctioned_hashes"][sanc_lo:sanc_hi]
             ),
         )
 
@@ -582,7 +582,7 @@ class BlockTable:
             if any(p.dtype == object for p in parts):
                 parts = [
                     np.asarray(
-                        [_as_str(v) for v in p.tolist()], dtype=object
+                        [as_str(v) for v in p.tolist()], dtype=object
                     )
                     if p.dtype.kind in "SU"
                     else p

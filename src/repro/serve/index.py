@@ -32,6 +32,7 @@ from ..core.relay_api import (
     DeliveredPayload,
     ValidatorRegistration,
 )
+from ..datasets.columnar import as_str
 
 ZERO_HASH = "0x" + "0" * 64
 
@@ -217,10 +218,7 @@ class BlockJoin:
         self._gas_used = table.col("gas_used")
         self._gas_limit = table.col("gas_limit")
         self._tx_counts = table.col("tx_count")
-        self._hashes = [
-            value.decode("ascii") if isinstance(value, bytes) else str(value)
-            for value in table.col("block_hash").tolist()
-        ]
+        self._hashes = [as_str(value) for value in table.col("block_hash").tolist()]
         for position, number in enumerate(table.col("number").tolist()):
             self._by_number[int(number)] = position
         for position, block_hash in enumerate(self._hashes):

@@ -250,9 +250,11 @@ class World:
             for index, name in enumerate(self._tail_names)
         }
         # Builder routing, rebuilt by each day's step: the order-flow pick
-        # over builders with flow, and each named builder's relay-route pick.
+        # over builders with flow, each named builder's relay-route pick,
+        # and the live relay pool every long-tail builder submits to.
         self._flow_pick: WeightedPick | None = None
         self._route_picks: dict[str, WeightedPick] = {}
+        self._tail_relays: tuple[str, ...] = ()
 
         # Regime wiring: who runs the per-slot auction.
         self.builder_registry: BuilderRegistry | None = None
@@ -299,7 +301,6 @@ class World:
 
         # Ground truth for tests.
         self.slot_records: list[SlotRecord] = []
-        self._registered_relays: set[tuple[int, str]] = set()
         self._has_run = False
 
         self._fund_accounts()
@@ -478,30 +479,11 @@ class World:
         # The builder registry processes the day's deposits/activations.
         if self.builder_registry is not None:
             self.builder_registry.process_day(day)
-        # Refresh relay sanctions views and validator MEV-Boost
-        # configurations.  Only the mev_boost regime has relays and
-        # MEV-Boost at all: under ePBS the protocol runs the auction for
-        # every proposer, and under local everyone self-builds, so their
-        # validators keep MEV-Boost off as they start.
+        # Refresh relay sanctions views (only the mev_boost regime has
+        # relays).
         if self.config.regime == "mev_boost":
             for relay in self.relays.values():
                 relay.refresh_sanctions_view(self.sanctions, date)
-            menus = {
-                profile: calibration.relay_menu(profile, day)
-                for profile in set(self._profiles.values())
-            }
-            min_bid_wei = ether(self.config.min_bid_eth)
-            for validator in self.validators:
-                menu = (
-                    menus[self._profiles[validator.index]]
-                    if self._adoption[validator.index] <= day
-                    else ()
-                )
-                if menu:
-                    validator.configure_mev_boost(menu)
-                    validator.min_bid_wei = min_bid_wei
-                else:
-                    validator.disable_mev_boost()
         # Builder order flow and relay routing for the day.
         flow = {
             name: calibration.builder_flow_weight(name, day)
@@ -516,22 +498,35 @@ class World:
             if with_flow
             else None
         )
-        tail_relays = tuple(
+        self._tail_relays = tuple(
             relay
             for relay in calibration.LONG_TAIL_RELAY_POOL
             if calibration.relay_is_live(relay, day)
         )
         self._route_picks = {}
-        for name, builder in self.builders.items():
+        for name in self.builders:
             if name.startswith("builder-"):
-                builder.relays = tail_relays
                 continue
             weights = calibration.builder_relay_weights(name, day)
-            builder.relays = tuple(sorted(weights))
             if weights:
                 self._route_picks[name] = WeightedPick(
                     list(weights), list(weights.values())
                 )
+
+    def relay_menu(self, validator_index: int, day: int) -> tuple[str, ...]:
+        """The relays a validator's MEV-Boost queries on ``day``.
+
+        The validator's profile menu once it has adopted MEV-Boost;
+        empty before that, and always outside the ``mev_boost`` regime:
+        under ePBS the protocol runs every proposer's auction, and under
+        ``local`` everyone self-builds.
+        """
+        if (
+            self.config.regime != "mev_boost"
+            or self._adoption[validator_index] > day
+        ):
+            return ()
+        return calibration.relay_menu(self._profiles[validator_index], day)
 
     # ------------------------------------------------------------------
     # Transaction generation
@@ -832,16 +827,13 @@ class World:
             )
             return
 
-        # Register the proposer with its relays (relay-API dataset).
-        # Relays exist only in the mev_boost regime.
-        if proposer.uses_mev_boost and config.regime == "mev_boost":
-            for relay_name in proposer.relays:
-                key = (proposer.index, relay_name)
-                if key not in self._registered_relays:
-                    relay = self.relays.get(relay_name)
-                    if relay is not None:
-                        relay.register_validator(proposer, slot)
-                        self._registered_relays.add(key)
+        # Register the proposer with its relays (relay-API dataset); each
+        # relay keeps a validator's first registration only.
+        proposer_relays = self.relay_menu(proposer.index, day)
+        for relay_name in proposer_relays:
+            relay = self.relays.get(relay_name)
+            if relay is not None:
+                relay.register_validator(proposer, slot)
 
         with self.perf.timer("bundle_search"):
             bundles_by_builder = self._collect_bundles(slot, base_fee, slot_time)
@@ -870,12 +862,15 @@ class World:
             sanctions=self.sanctions,
             rng=rng,
             tx_factory=self.tx_factory,
+            proposer_relays=proposer_relays,
+            min_bid_wei=ether(config.min_bid_eth),
+            active_builders=active_builders,
             build_cutoff_time=slot_time,
             exec_cache=exec_cache,
             perf=self.perf,
         )
         with self.perf.timer("auction"):
-            outcome = self.auction.run(ctx, proposer, active_builders)
+            outcome = self.auction.run(ctx, proposer)
         if exec_cache is not None:
             self.perf.add("exec_cache_hits", exec_cache.stats.hits)
             self.perf.add("exec_cache_misses", exec_cache.stats.misses)
@@ -989,10 +984,11 @@ class World:
             return ()
         return self._flow_pick.choose(self._rng_searchers, count)
 
-    def _pick_active_builders(self, day: int) -> list[str]:
+    def _pick_active_builders(self, day: int) -> dict[str, tuple[str, ...]]:
+        """This slot's active builders, in build order, with their relays."""
         rng = self._rng_auction
         if self._flow_pick is None:
-            return []
+            return {}
         active = list(
             self._flow_pick.choose(rng, self.config.max_active_builders_per_slot)
         )
@@ -1009,18 +1005,26 @@ class World:
                 or day in builder.renege_claims
             ):
                 active.append(name)
-        # Builders submit to a per-slot sampled subset of their relay routes.
+        # Named builders submit to a per-slot sampled subset of their relay
+        # routes (none without routes); long-tail builders to the day's
+        # whole live pool.
+        routes: dict[str, tuple[str, ...]] = {}
         for name in active:
-            builder = self.builders[name]
-            route = self._route_picks.get(name)
-            if route is not None:
-                relays = set(route.choose(rng, 1 + int(rng.random() < 0.25)))
-                # The exploit requires submitting to the relays whose
-                # validation the inflated claims abuse (Manifold in the
-                # paper's incident; scenarios can target any relay).
-                relays.update(builder.claim_inflation.get(day, ()))
-                builder.relays = tuple(sorted(relays))
-        return active
+            pick = self._route_picks.get(name)
+            if pick is not None:
+                route = tuple(sorted(pick.choose(rng, 1 + int(rng.random() < 0.25))))
+            elif name.startswith("builder-"):
+                route = self._tail_relays
+            else:
+                route = ()
+            # The exploit requires submitting to the relays whose
+            # validation the inflated claims abuse (Manifold in the paper's
+            # incident; scenarios can target any relay), routed or not.
+            inflated = self.builders[name].claim_inflation.get(day)
+            if inflated:
+                route = tuple(sorted({*route, *inflated}))
+            routes[name] = route
+        return routes
 
     def _apply_outcome(
         self, outcome: SlotOutcome, ctx: SlotContext, date: datetime.date

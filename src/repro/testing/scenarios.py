@@ -10,14 +10,13 @@ injected anomalies: every expected detection key must be new relative to
 the unperturbed baseline (or strictly larger, for counting metrics), and
 no unexpected key may appear.
 
-Scenarios are plain dataclasses and also load from YAML, so new faults
-can be added declaratively (see DESIGN.md §7).
+Scenarios are plain dataclasses: a new one composes ``FaultSpec`` tuples
+(see DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 from ..beacon.builders import SLASH_REASON_RENEGING, SLASH_REASON_WITHHELD
@@ -63,51 +62,6 @@ class Scenario:
 
     def expected_keys(self) -> frozenset[tuple[str, str]]:
         return frozenset(spec.detection_key() for spec in self.faults)
-
-
-def scenario_from_dict(data: dict[str, Any]) -> Scenario:
-    """Build a scenario from a plain dict (the YAML document shape)."""
-    try:
-        name = data["name"]
-        fault_dicts = data["faults"]
-    except KeyError as exc:
-        raise ScenarioError(f"scenario missing required field {exc}") from None
-    if not fault_dicts:
-        raise ScenarioError(f"scenario {name!r} injects no faults")
-    known = {f.name for f in FaultSpec.__dataclass_fields__.values()}
-    faults = []
-    for entry in fault_dicts:
-        unknown = sorted(set(entry) - known)
-        if unknown:
-            raise ScenarioError(
-                f"scenario {name!r}: unknown fault field(s) {unknown}"
-            )
-        faults.append(FaultSpec(**entry))
-    return Scenario(
-        name=name,
-        description=data.get("description", ""),
-        faults=tuple(faults),
-        config_overrides=dict(data.get("config_overrides", {})),
-    )
-
-
-def scenarios_from_yaml(source: str | Path) -> list[Scenario]:
-    """Load scenarios from YAML text or a ``.yml``/``.yaml`` file path.
-
-    Accepts either a top-level list of scenario documents or a mapping
-    with a ``scenarios:`` key.
-    """
-    import yaml
-
-    text = source
-    if isinstance(source, Path):
-        text = source.read_text()
-    loaded = yaml.safe_load(text)
-    if isinstance(loaded, dict):
-        loaded = loaded.get("scenarios", [])
-    if not isinstance(loaded, list):
-        raise ScenarioError("YAML must hold a list of scenarios")
-    return [scenario_from_dict(entry) for entry in loaded]
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +536,7 @@ def default_scenarios() -> list[Scenario]:
                 "vanish from every relay's data API."
             ),
             faults=(
-                FaultSpec(kind=FAULT_BUILDER_CRASH, target="Builder 1", day=9),
+                FaultSpec(kind=FAULT_BUILDER_CRASH, target="Flashbots", day=9),
             ),
         ),
         Scenario(

@@ -35,14 +35,6 @@ class TestRegistry:
         with pytest.raises(BeaconError):
             registry.by_index(99)
 
-    def test_mev_boost_configuration(self, registry):
-        validator = registry.by_index(0)
-        validator.configure_mev_boost(("Flashbots",))
-        assert validator.uses_mev_boost
-        validator.disable_mev_boost()
-        assert not validator.uses_mev_boost
-        assert validator.relays == ()
-
 
 class TestSchedule:
     def test_slot_arithmetic(self):

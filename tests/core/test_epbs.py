@@ -52,7 +52,7 @@ class TestEnshrinedAuction:
         world = MiniWorld()
         world.add_public_tx()
         auction = _staked_auction(world)
-        outcome = auction.run(world.context(), world.proposer, ["test-builder"])
+        outcome = auction.run(world.context(), world.proposer)
         assert outcome.mode == MODE_EPBS
         assert outcome.delivering_relays == ()
         assert outcome.winning_submission is not None
@@ -60,17 +60,18 @@ class TestEnshrinedAuction:
     def test_runs_even_without_mev_boost_opt_in(self):
         # ePBS is enshrined: opt-in status is irrelevant.
         world = MiniWorld()
-        world.proposer.disable_mev_boost()
         world.add_public_tx()
         outcome = _staked_auction(world).run(
-            world.context(), world.proposer, ["test-builder"]
+            world.context(proposer_relays=()), world.proposer
         )
         assert outcome.mode == MODE_EPBS
 
     def test_no_bids_falls_back_to_local(self):
         world = MiniWorld()
         world.add_public_tx()
-        outcome = _staked_auction(world).run(world.context(), world.proposer, [])
+        outcome = _staked_auction(world).run(
+            world.context(active_builders={}), world.proposer
+        )
         assert outcome.mode == "local"
 
     def test_commitment_enforced_on_shortfall(self):
@@ -82,7 +83,7 @@ class TestEnshrinedAuction:
         world.builder.scripted_mispromise = {
             10: (10**18, 10**15)  # claim 1 ETH, embed 0.001 ETH
         }
-        outcome = auction.run(world.context(), world.proposer, ["test-builder"])
+        outcome = auction.run(world.context(), world.proposer)
         submission = outcome.winning_submission
         assert submission is not None
         # Settlement is recorded on the outcome; the submission itself
@@ -108,9 +109,7 @@ class TestEnshrinedAuction:
         world = MiniWorld()
         world.builder.timestamp_bug_days = frozenset({10})
         world.add_public_tx()
-        outcome = _staked_auction(world).run(
-            world.context(), world.proposer, ["test-builder"]
-        )
+        outcome = _staked_auction(world).run(world.context(), world.proposer)
         assert outcome.mode == "pbs-fallback"
 
 
@@ -126,7 +125,7 @@ def test_gross_overclaim_boundary(checker, excess_wei, gross, paid):
         world.add_public_tx()
         auction = _staked_auction(world)
         world.builder.scripted_mispromise = {10: (claim, paid)}
-        outcome = auction.run(world.context(), world.proposer, ["test-builder"])
+        outcome = auction.run(world.context(), world.proposer)
         submission = outcome.winning_submission
         assert submission.claimed_value_wei == claim
         assert submission.payment_wei == paid
@@ -181,7 +180,7 @@ class TestPayloadTimelinessCommittee:
         world = MiniWorld()
         world.add_public_tx()
         auction = self._auction(world, rate=3 / PTC_SIZE, days={10})
-        outcome = auction.run(world.context(), world.proposer, ["test-builder"])
+        outcome = auction.run(world.context(), world.proposer)
         assert outcome.mode == MODE_EPBS
         assert outcome.block is not None
 
@@ -190,7 +189,7 @@ class TestPayloadTimelinessCommittee:
         world = MiniWorld()
         world.add_public_tx()
         auction = self._auction(world, rate=4 / PTC_SIZE, days={10})
-        outcome = auction.run(world.context(), world.proposer, ["test-builder"])
+        outcome = auction.run(world.context(), world.proposer)
         assert outcome.mode == MODE_EPBS_EMPTY
         assert outcome.block is None
         assert outcome.winning_submission is not None
@@ -199,7 +198,7 @@ class TestPayloadTimelinessCommittee:
         world = MiniWorld()
         world.add_public_tx()
         auction = self._auction(world, rate=1.0, days={99})
-        outcome = auction.run(world.context(), world.proposer, ["test-builder"])
+        outcome = auction.run(world.context(), world.proposer)
         assert outcome.mode == MODE_EPBS
 
 

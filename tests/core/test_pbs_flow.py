@@ -60,7 +60,6 @@ class MiniWorld:
 
         registry = ValidatorRegistry()
         self.proposer = registry.add("Lido")
-        self.proposer.configure_mev_boost(("test-relay",))
 
         for account in (USER, SANCTIONED, SEARCHER):
             self.state.mint(account, ether(100))
@@ -70,7 +69,6 @@ class MiniWorld:
             address=derive_address("pbsflow", "builder"),
             pubkeys=(derive_pubkey("pbsflow", "builder"),),
             bid_policy=Proportional(proposer_share=0.9),
-            relays=("test-relay",),
         )
         self.state.mint(self.builder.address, ether(1_000))
 
@@ -81,7 +79,12 @@ class MiniWorld:
         )
         self.bundles: dict[str, list] = {}
 
-    def context(self, slot=1000) -> SlotContext:
+    def context(self, slot=1000, **routing) -> SlotContext:
+        """The slot's context; unless ``routing`` says otherwise, the
+        proposer queries the test relay and the test builder submits
+        there."""
+        routing.setdefault("proposer_relays", ("test-relay",))
+        routing.setdefault("active_builders", {"test-builder": ("test-relay",)})
         return SlotContext(
             slot=slot,
             day=10,
@@ -100,6 +103,7 @@ class MiniWorld:
             rng=np.random.default_rng(2),
             tx_factory=self.factory,
             build_cutoff_time=10_000.0,
+            **routing,
         )
 
     def add_public_tx(self, sender=USER, priority=2, when=100.0):
@@ -330,25 +334,46 @@ class TestAuctionModes:
         world = MiniWorld()
         world.add_public_tx()
         auction = self._auction(world)
-        outcome = auction.run(world.context(), world.proposer, ["test-builder"])
+        outcome = auction.run(world.context(), world.proposer)
         assert outcome.mode == MODE_PBS
         assert outcome.delivering_relays == ("test-relay",)
         assert outcome.winning_submission is not None
 
     def test_local_when_no_mev_boost(self):
         world = MiniWorld()
-        world.proposer.disable_mev_boost()
         world.add_public_tx()
         auction = self._auction(world)
-        outcome = auction.run(world.context(), world.proposer, ["test-builder"])
+        outcome = auction.run(world.context(proposer_relays=()), world.proposer)
         assert outcome.mode == MODE_LOCAL
         assert outcome.block.fee_recipient == world.proposer.fee_recipient
+
+    def test_bid_below_min_bid_builds_locally(self):
+        world = MiniWorld()
+        world.add_public_tx()
+        claim = self._auction(world).run(
+            world.context(), world.proposer
+        ).winning_submission.claimed_value_wei
+        for min_bid, mode in ((claim, MODE_PBS), (claim + 1, MODE_LOCAL)):
+            world = MiniWorld()
+            world.add_public_tx()
+            outcome = self._auction(world).run(
+                world.context(min_bid_wei=min_bid), world.proposer
+            )
+            assert outcome.mode == mode
+            delivered = world.relay.data.get_payloads_delivered()
+            if mode == MODE_LOCAL:
+                assert outcome.winning_submission is None
+                assert outcome.block.fee_recipient == world.proposer.fee_recipient
+                assert not delivered
+            else:
+                assert outcome.winning_submission.claimed_value_wei == claim
+                assert len(delivered) == 1
 
     def test_local_when_no_bids(self):
         world = MiniWorld()
         world.add_public_tx()
         auction = self._auction(world)
-        outcome = auction.run(world.context(), world.proposer, [])
+        outcome = auction.run(world.context(active_builders={}), world.proposer)
         assert outcome.mode == MODE_LOCAL
 
     def test_fallback_on_invalid_timestamp(self):
@@ -356,7 +381,7 @@ class TestAuctionModes:
         world.builder.timestamp_bug_days = frozenset({10})
         world.add_public_tx()
         auction = self._auction(world)
-        outcome = auction.run(world.context(), world.proposer, ["test-builder"])
+        outcome = auction.run(world.context(), world.proposer)
         assert outcome.mode == MODE_FALLBACK
         assert outcome.block.fee_recipient == world.proposer.fee_recipient
         # The node rejects the payload only AFTER signing: the relay has
@@ -371,7 +396,7 @@ class TestAuctionModes:
         tx = world.add_public_tx()
         auction = self._auction(world)
         ctx = world.context()
-        outcome = auction.run(ctx, world.proposer, ["test-builder"])
+        outcome = auction.run(ctx, world.proposer)
         assert world.state.nonce_of(USER) == 0  # not yet applied
         outcome.speculative_ctx.commit()
         assert world.state.nonce_of(USER) == 1

@@ -133,7 +133,7 @@ class TestProposerFallback:
         world.add_public_tx()
         world.relay.drop_payload_slots = frozenset({SLOT})
         auction = self._auction(world)
-        outcome = auction.run(world.context(), world.proposer, ["test-builder"])
+        outcome = auction.run(world.context(), world.proposer)
         assert outcome.mode == MODE_FALLBACK
         assert outcome.winning_submission is None
         assert outcome.delivering_relays == ()
@@ -144,12 +144,16 @@ class TestProposerFallback:
         not every relay that advertised the winning bid."""
         world = MiniWorld()
         other = _relay("other")
-        world.proposer.configure_mev_boost(("test-relay", "other"))
         world.add_public_tx()
         submission = world.builder.build(world.context(), world.proposer)
         assert world.relay.receive_submission(submission, day=10)
         assert other.receive_submission(submission, day=10)
         other.drop_payload_slots = frozenset({SLOT})
         auction = self._auction(world, extra_relays=(other,))
-        outcome = auction.run(world.context(), world.proposer, [])
+        outcome = auction.run(
+            world.context(
+                proposer_relays=("test-relay", "other"), active_builders={}
+            ),
+            world.proposer,
+        )
         assert outcome.delivering_relays == ("test-relay",)

@@ -219,4 +219,9 @@ class TestIncidentArtifacts:
             assert max(non_pbs.values) > 0
         else:
             ankr = [v for v in medium_world.validators if v.entity == "AnkrPool"]
-            assert all(not validator.uses_mev_boost for validator in ankr)
+            assert ankr
+            assert not any(
+                medium_world.relay_menu(validator.index, day)
+                for validator in ankr
+                for day in range(medium_world.config.num_days)
+            )

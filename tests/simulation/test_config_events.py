@@ -97,7 +97,7 @@ class TestConfig:
         ],
     )
     def test_removed_fields_rejected_by_overrides(self, field):
-        # Scenario YAML ``config_overrides`` go through with_overrides, so
+        # Scenario ``config_overrides`` go through with_overrides, so
         # a stale knob must fail loudly rather than be ignored.
         with pytest.raises(ConfigError, match=field):
             small_test_config().with_overrides(**{field: True})

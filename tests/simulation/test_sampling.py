@@ -13,7 +13,6 @@ from repro.simulation import build_world, calibration
 from repro.simulation.config import small_test_config
 from repro.simulation.entities import NAMED_BUILDERS
 from repro.simulation.sampling import WeightedPick
-from repro.types import ether
 
 SEEDS = range(50)
 
@@ -112,26 +111,27 @@ def test_index_draw_matches_unweighted_choice(length):
 
 
 @pytest.mark.parametrize("regime", ["mev_boost", "epbs", "local"])
-def test_day_step_installs_each_profiles_relay_menu(regime):
+def test_relay_menu_is_the_profiles_menu_once_adopted(regime):
     # The digest pins stop at day 70; the menus change until day 165.
     world = build_world(
-        small_test_config(
-            num_days=198, num_validators=60, min_bid_eth=0.05, regime=regime
-        )
+        small_test_config(num_days=198, num_validators=60, regime=regime)
     )
-    min_bid_wei = ether(0.05)
+    menus = set()
     for day in range(198):
-        world._advance_day(day)
         for validator in world.validators:
-            if regime != "mev_boost":
-                # Only MEV-Boost has relay menus; validators keep it off.
-                assert not validator.uses_mev_boost, (day, validator.index)
-                assert validator.relays == ()
-            elif world._adoption[validator.index] <= day:
-                menu = calibration.relay_menu(world._profiles[validator.index], day)
-                assert validator.relays == menu, (day, validator.index)
-                assert validator.uses_mev_boost == bool(menu)
-                assert validator.min_bid_wei == min_bid_wei
+            menu = world.relay_menu(validator.index, day)
+            if regime == "mev_boost" and world._adoption[validator.index] <= day:
+                profile = world._profiles[validator.index]
+                assert menu == calibration.relay_menu(profile, day), (
+                    day,
+                    validator.index,
+                )
             else:
-                assert not validator.uses_mev_boost, (day, validator.index)
-                assert validator.relays == ()
+                # Only MEV-Boost has relay menus, and only adopters run it.
+                assert menu == (), (day, validator.index)
+            menus.add(menu)
+    if regime == "mev_boost":
+        # Adoption spreads over the window, and the profiles' menus differ.
+        assert () in menus and len(menus) > 4
+    else:
+        assert menus == {()}

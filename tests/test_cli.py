@@ -24,15 +24,13 @@ class TestParser:
 
     def test_conformance_defaults(self):
         args = build_parser().parse_args(["conformance"])
-        assert args.scenarios is None
         assert not args.skip_replay
 
     def test_conformance_flags(self):
-        args = build_parser().parse_args(
-            ["conformance", "--scenarios", "faults.yml", "--skip-replay"]
-        )
-        assert args.scenarios == "faults.yml"
+        args = build_parser().parse_args(["conformance", "--skip-replay"])
         assert args.skip_replay
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["conformance", "--scenarios", "f.yml"])
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -130,20 +128,3 @@ class TestCommands:
 
     def test_epbs_flag(self, capsys):
         assert main(["simulate", *FAST, "--regime", "epbs"]) == 0
-
-    def test_conformance_yaml_scenario(self, tmp_path, capsys):
-        spec = tmp_path / "faults.yml"
-        spec.write_text(
-            "scenarios:\n"
-            "  - name: cli-builder-crash\n"
-            "    description: builder goes dark mid-study\n"
-            "    faults:\n"
-            "      - kind: builder-crash\n"
-            "        target: Builder 1\n"
-            "        day: 9\n"
-        )
-        assert main(["conformance", "--scenarios", str(spec), "--skip-replay"]) == 0
-        out = capsys.readouterr().out
-        assert "cli-builder-crash" in out
-        assert "builder-crash@Builder 1" in out
-        assert "conformance: PASS" in out

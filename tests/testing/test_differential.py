@@ -53,10 +53,12 @@ class TestCleanMatrix:
 
 
 class TestFaultedMatrix:
-    def test_faulted_runs_replay_identically(self, tmp_path, monkeypatch):
+    def test_faulted_runs_replay_identically(
+        self, clean_report, tmp_path, monkeypatch
+    ):
         """A faulted world replays identically with or without the slot's
         shared execution cache."""
-        fault = FaultSpec(kind=FAULT_BUILDER_CRASH, target="Builder 1", day=2)
+        fault = FaultSpec(kind=FAULT_BUILDER_CRASH, target="Flashbots", day=2)
         config = CONFIG.with_overrides(faults=CONFIG.faults + (fault,))
         lookups = []
         execute = ExecutionCache.execute
@@ -82,6 +84,8 @@ class TestFaultedMatrix:
 
         cached = replay()
         assert lookups
+        # The fault changes the run, so the replay checks a faulted world.
+        assert cached[0][0] != clean_report.results[0].world_digest
         # No slot gets a cache, so every transaction executes directly.
         monkeypatch.setattr("repro.simulation.world.ExecutionCache", lambda: None)
         lookups.clear()

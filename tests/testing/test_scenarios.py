@@ -11,8 +11,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ScenarioError
+from repro.simulation import calibration
 from repro.simulation.config import small_test_config
-from repro.simulation.faults import FAULT_TIMESTAMP_BUG, apply_fault
+from repro.simulation.faults import (
+    FAULT_TIMESTAMP_BUG,
+    FAULT_VALIDATION_OUTAGE,
+    apply_fault,
+)
 from repro.simulation.world import build_world
 from repro.testing.oracles import OracleFinding, OracleReport
 from repro.testing.scenarios import (
@@ -26,8 +31,6 @@ from repro.testing.scenarios import (
     Scenario,
     ScenarioResult,
     default_scenarios,
-    scenario_from_dict,
-    scenarios_from_yaml,
 )
 
 SCENARIOS = {scenario.name: scenario for scenario in default_scenarios()}
@@ -43,57 +46,6 @@ class TestSpecs:
         scenario = Scenario(name="s", description="", faults=(spec,))
         assert spec.detection_key() == (FAULT_BUILDER_CRASH, "Builder 1")
         assert scenario.expected_keys() == {(FAULT_BUILDER_CRASH, "Builder 1")}
-
-    def test_from_dict_requires_name_and_faults(self):
-        with pytest.raises(ScenarioError, match="missing required field"):
-            scenario_from_dict({"faults": [{"kind": "builder-crash", "target": "b"}]})
-        with pytest.raises(ScenarioError, match="injects no faults"):
-            scenario_from_dict({"name": "empty", "faults": []})
-
-    def test_from_dict_rejects_unknown_fault_fields(self):
-        with pytest.raises(ScenarioError, match="unknown fault field"):
-            scenario_from_dict(
-                {
-                    "name": "typo",
-                    "faults": [
-                        {"kind": "builder-crash", "target": "b", "dya": 9}
-                    ],
-                }
-            )
-
-    def test_yaml_round_trip(self):
-        text = """
-scenarios:
-  - name: crash
-    description: builder goes dark
-    faults:
-      - kind: builder-crash
-        target: Builder 1
-        day: 9
-  - name: lag
-    faults:
-      - kind: sanctions-lag
-        target: Flashbots
-        lag_days: 90
-    config_overrides:
-      blocks_per_day: 16
-"""
-        crash, lag = scenarios_from_yaml(text)
-        assert crash.faults == (
-            FaultSpec(kind=FAULT_BUILDER_CRASH, target="Builder 1", day=9),
-        )
-        assert lag.faults[0].lag_days == 90
-        assert lag.config_overrides == {"blocks_per_day": 16}
-
-    def test_yaml_accepts_top_level_list(self):
-        loaded = scenarios_from_yaml(
-            "- name: crash\n  faults:\n    - {kind: builder-crash, target: b}\n"
-        )
-        assert loaded[0].name == "crash"
-
-    def test_yaml_rejects_scalar_document(self):
-        with pytest.raises(ScenarioError, match="list of scenarios"):
-            scenarios_from_yaml("just a string")
 
 
 @pytest.fixture(scope="module")
@@ -236,19 +188,76 @@ class TestExactness:
         assert any("perturbed run" in p for p in result.problems())
 
 
+def _relay_rows(world) -> dict:
+    return {
+        name: (
+            relay.data.get_validator_registrations(),
+            relay.data.get_builder_blocks_received(),
+            relay.data.get_payloads_delivered(),
+        )
+        for name, relay in world.relays.items()
+    }
+
+
+@pytest.fixture(scope="class", params=sorted(SCENARIOS))
+def shipped_result(request, scenario_runner):
+    """One shipped scenario's run, shared by the tests that check it."""
+    return scenario_runner.run(SCENARIOS[request.param])
+
+
 class TestScenarioMatrix:
     """The shipped fault matrix: exact detection on the small world."""
 
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_scenario_detected_exactly(self, name, scenario_runner):
-        result = scenario_runner.run(SCENARIOS[name])
-        result.assert_detected()
-        for key in result.scenario.expected_keys():
-            assert result.perturbed.anomalies[key].metric > 0
+    def test_scenario_detected_exactly(self, shipped_result):
+        shipped_result.assert_detected()
+        for key in shipped_result.scenario.expected_keys():
+            assert shipped_result.perturbed.anomalies[key].metric > 0
+
+    def test_scenario_changes_the_run(self, shipped_result):
+        """A fault that moves neither the world nor any relay's data-API
+        rows exercises nothing, whatever its detector reports."""
+        baseline, perturbed = shipped_result.baseline, shipped_result.perturbed
+        assert perturbed.digest != baseline.digest or _relay_rows(
+            perturbed.world
+        ) != _relay_rows(baseline.world)
 
     def test_clean_baseline_is_violation_free(self, scenario_runner):
         baseline = scenario_runner.baseline_for(scenario_runner.base_config)
         assert baseline.report.violations == ()
+
+    def test_claim_inflation_reaches_an_unrouted_builders_target(
+        self, scenario_runner
+    ):
+        """The inflating builder submits to the outaged relay even on a day
+        that gives it no relay routes of its own."""
+        assert not calibration.builder_relay_weights("Builder 1", 10)
+        scenario = Scenario(
+            name="unrouted-validation-outage",
+            description="Builder 1 inflates its claims to Manifold, unrouted",
+            faults=(
+                FaultSpec(
+                    kind=FAULT_VALIDATION_OUTAGE,
+                    target="Manifold",
+                    day=10,
+                    builder="Builder 1",
+                    claim_eth=2.0,
+                ),
+            ),
+        )
+        result = scenario_runner.run(scenario)
+        result.assert_detected()
+        world = result.perturbed.world
+        pubkeys = set(world.builders["Builder 1"].pubkeys)
+        received = {
+            name: [
+                rec
+                for rec in relay.data.get_builder_blocks_received()
+                if rec.builder_pubkey in pubkeys
+            ]
+            for name, relay in world.relays.items()
+        }
+        assert [name for name, recs in received.items() if recs] == ["Manifold"]
+        assert all(rec.accepted for rec in received["Manifold"])
 
     def test_timestamp_bug_detected_exactly(self, scenario_runner):
         """A stale-timestamp day surfaces through the oracle's attribution."""
