@@ -106,7 +106,7 @@ class Client:
         for n in range(self.requests):
             kind = (self.index + n) % 6
             if kind == 0:
-                # Cursor walk start page: the searchsorted seek path.
+                # Cursor walk start page: the bisect seek path.
                 yield f"{PAYLOADS}?limit=100", "walk"
             elif kind == 1:
                 # Post-merge slot numbering (MERGE_SLOT=4_700_013); the

@@ -4,11 +4,14 @@ The relay data API serves rows in slot-descending order with cursor
 pagination.  A naive implementation filters the store's row list per
 request — O(rows) per page.  Instead, each store gets a
 :class:`SlotIndex` built once per dataset: a slot-descending permutation
-of row positions plus the sorted slot keys, so
+of row positions (one stable numpy argsort) plus the negated slot keys
+in that order, held in an ``array("q")``, so
 
-* seeking a cursor is one ``np.searchsorted`` — O(log n);
-* materializing a page is an O(limit) slice of the permutation;
-* exact-slot queries are two binary searches bracketing the slot's run.
+* seeking a cursor is one ``bisect`` — O(log n), on Python ints, with no
+  call into numpy;
+* a page is the index-position span ``[lo, hi)``, which the service
+  answers with one slice of the rows rendered at build time;
+* exact-slot queries are two bisects bracketing the slot's run.
 
 Within one slot, rows keep store insertion order (the order the relay
 recorded them), so pagination is total and deterministic even when many
@@ -22,6 +25,8 @@ relay rows themselves do not carry.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -42,7 +47,7 @@ class SlotIndex:
 
     ``rows`` is snapshotted at build time (the stores are append-only and
     serving happens on finished datasets, so the snapshot never goes
-    stale).  ``slot_of`` extracts the ordering key from one row.
+    stale).  ``slots`` holds each row's ordering key, in row order.
     """
 
     def __init__(self, rows: Sequence, slots: Sequence[int]) -> None:
@@ -53,8 +58,10 @@ class SlotIndex:
         # Stable argsort of the negated slots: slot-descending overall,
         # insertion-ascending within one slot.
         self._order = np.argsort(-slot_array, kind="stable")
-        # Negated slots in index order — ascending, as searchsorted needs.
-        self._neg_slots = -slot_array[self._order]
+        # Negated slots in index order — ascending, as bisect needs, and
+        # in a C array so a seek compares Python ints and never calls
+        # into numpy.
+        self._neg_slots = array("q", (-slot_array[self._order]).tobytes())
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -68,16 +75,15 @@ class SlotIndex:
         """
         if cursor_slot is None:
             return 0
-        return int(np.searchsorted(self._neg_slots, -cursor_slot, side="left"))
+        return bisect_left(self._neg_slots, -cursor_slot)
 
     def slot_span(self, slot: int) -> tuple[int, int]:
         """The [lo, hi) run of positions holding exactly ``slot``."""
-        lo = int(np.searchsorted(self._neg_slots, -slot, side="left"))
-        hi = int(np.searchsorted(self._neg_slots, -slot, side="right"))
-        return lo, hi
+        lo = bisect_left(self._neg_slots, -slot)
+        return lo, bisect_right(self._neg_slots, -slot, lo)
 
     def slot_at(self, position: int) -> int:
-        return -int(self._neg_slots[position])
+        return -self._neg_slots[position]
 
     # -- paging (the O(limit) part) -------------------------------------
 
@@ -111,8 +117,7 @@ class SlotIndex:
         next_cursor = None
         if end < len(self.rows):
             next_slot = self.slot_at(end)
-            slot_lo, _ = self.slot_span(next_slot)
-            skip = end - slot_lo
+            skip = end - self.seek(next_slot)
             next_cursor = f"{next_slot}_{skip}" if skip else str(next_slot)
         return start, end, next_cursor
 
@@ -155,7 +160,11 @@ class RelayIndexes:
     index order, so a page body is one blob slice.  They are built before
     serving (and, in multi-worker mode, before the fork, so the blobs are
     shared copy-on-write); ``memo`` shares fragments between the
-    per-relay and combined views.
+    per-relay and combined views.  The ``pubkey`` and ``block_hash``
+    lookups map to index positions, whose rows the service takes from
+    the same wire columns.  A validator registered more than once (at
+    several relays, in the combined view) answers with its registration
+    last in store order, which is relay-name order.
     """
 
     def __init__(
@@ -173,19 +182,16 @@ class RelayIndexes:
         self.registrations = SlotIndex(
             registrations, [r.registered_slot for r in registrations]
         )
-        self.registration_by_pubkey: dict[str, ValidatorRegistration] = {
-            r.validator_pubkey: r for r in registrations
+        # Index position of each registration, in store order; a later
+        # registration of the same pubkey overwrites an earlier one.
+        positions = np.empty(len(registrations), dtype=np.int64)
+        positions[self.registrations._order] = np.arange(len(registrations))
+        self.registration_by_pubkey: dict[str, int] = {
+            r.validator_pubkey: position
+            for r, position in zip(registrations, positions.tolist())
         }
-        self.payloads_by_hash: dict[str, list[DeliveredPayload]] = {}
-        for payload in self.payloads.rows_at(0, len(payloads)):
-            self.payloads_by_hash.setdefault(payload.block_hash, []).append(
-                payload
-            )
-        self.submissions_by_hash: dict[str, list[BuilderSubmissionRecord]] = {}
-        for record in self.submissions.rows_at(0, len(submissions)):
-            self.submissions_by_hash.setdefault(record.block_hash, []).append(
-                record
-            )
+        self.payloads_by_hash = _positions_by_hash(self.payloads)
+        self.submissions_by_hash = _positions_by_hash(self.submissions)
         self.payloads_wire = schema.wire_column(
             self.payloads.ordered_rows(),
             lambda row: schema.encode_delivered(row, join),
@@ -201,6 +207,18 @@ class RelayIndexes:
             schema.encode_registration,
             memo,
         )
+
+
+def _positions_by_hash(index: SlotIndex) -> dict[str, tuple[int, ...]]:
+    """Each block hash's index positions, in index order.
+
+    Tuples, not the lists they are gathered in: a one-row tuple takes 48
+    bytes where a list takes 88, and most hashes have one row.
+    """
+    by_hash: dict[str, list[int]] = {}
+    for position, row in enumerate(index.ordered_rows()):
+        by_hash.setdefault(row.block_hash, []).append(position)
+    return {block_hash: tuple(positions) for block_hash, positions in by_hash.items()}
 
 
 class BlockJoin:

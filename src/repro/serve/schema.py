@@ -12,6 +12,13 @@ spec the forks share:
 The golden schema-conformance suite pins these byte for byte, so any
 drift here fails loudly rather than silently breaking scrapers.
 
+The ``encode_*`` functions and :func:`dump_json` render each relay row
+once, when the index is built, into a :class:`WireColumn`; every
+relay-data response is then a slice of those bytes (a page) or a join of
+a few of its fragments (a ``pubkey`` or ``block_hash`` lookup), so no
+request encodes a row.  The tests use the live encoders as the oracle
+the served bytes must equal.
+
 Execution-layer fields the relay rows do not carry (gas, tx counts,
 parent hash) come from the :class:`~.index.BlockJoin`; rows referencing
 blocks outside the collected table (e.g. losing builder submissions)
@@ -21,9 +28,9 @@ report zeros, exactly like a relay that never validated the block.
 from __future__ import annotations
 
 import json
+from array import array
+from itertools import accumulate
 from typing import Callable, Iterable
-
-import numpy as np
 
 from ..core.relay_api import (
     BuilderSubmissionRecord,
@@ -147,12 +154,15 @@ def dump_json(payload) -> bytes:
 class WireColumn:
     """Pre-rendered JSON row fragments as one offsets+blob column.
 
-    Rows are encoded once, in index order, each fragment followed by the
-    ``,`` separator ``dump_json`` would emit between array elements.
-    Because a page is a contiguous ``[lo, hi)`` run of index positions,
-    its body is a *single* blob slice bracketed with ``[``/``]`` — no
-    per-request dict building, ``json.dumps`` or even a join.  The bytes
-    are identical to ``dump_json([encode(row) for row in page])`` by
+    Rows are encoded once, in index order, and joined by the ``,``
+    separator ``dump_json`` would emit between array elements; fragment
+    ``i`` starts at ``offsets[i]`` and ends one byte before
+    ``offsets[i + 1]``.  Because a page is a contiguous ``[lo, hi)`` run
+    of index positions, its body is a *single* blob slice bracketed with
+    ``[``/``]`` — no per-request dict building, ``json.dumps`` or even a
+    join — and a ``pubkey`` or ``block_hash`` lookup answers with the
+    fragments of its positions (:meth:`row_bytes`).  The bytes are
+    identical to ``dump_json([encode(row) for row in page])`` by
     construction: ``json.dumps`` with compact separators encodes a list
     as exactly the comma-join of its elements' standalone encodings.
     """
@@ -161,14 +171,10 @@ class WireColumn:
 
     def __init__(self, fragments: Iterable[bytes]) -> None:
         fragments = list(fragments)
-        self._blob = b"".join(fragment + b"," for fragment in fragments)
-        offsets = np.zeros(len(fragments) + 1, dtype=np.int64)
-        if fragments:
-            np.cumsum(
-                [len(fragment) + 1 for fragment in fragments],
-                out=offsets[1:],
-            )
-        self._offsets = offsets
+        self._blob = b",".join(fragments)
+        self._offsets = array(
+            "q", accumulate((len(fragment) + 1 for fragment in fragments), initial=0)
+        )
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
@@ -177,8 +183,13 @@ class WireColumn:
         """The JSON array body for index positions ``[lo, hi)``."""
         if hi <= lo:
             return b"[]"
-        # offsets[hi] - 1 drops the trailing separator of the last row.
+        # offsets[hi] - 1 ends row hi - 1: its separator, or the blob's end.
         return b"[%s]" % self._blob[self._offsets[lo] : self._offsets[hi] - 1]
+
+    def row_bytes(self, position: int) -> bytes:
+        """The JSON fragment of the row at index ``position``."""
+        return self._blob[self._offsets[position] : self._offsets[position + 1] - 1]
+
 
 def wire_column(
     rows: Iterable[object],

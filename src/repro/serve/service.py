@@ -25,8 +25,11 @@ Service metadata: ``/healthz``, ``/relays``, ``/inventory``.
 The three analysis routes, ``/relays`` and ``/inventory`` ignore the
 query string and the dataset never changes, so each renders once and its
 finished :class:`Response` is reused; ``/healthz`` stays live because it
-reports the serving pid.  Every other request is rendered per request: a
-crawl of the relay data API, like the paper's, never repeats a key.
+reports the serving pid.  A relay-data request is a lookup plus a slice:
+a ``bisect`` seek or a ``pubkey``/``block_hash`` dict lookup in the
+index, then the bytes of those rows as the index build rendered them
+(:class:`~.schema.WireColumn`).  No relay-data response is kept, because
+a crawl of the relay data API, like the paper's, never repeats a key.
 
 Pagination contract
 -------------------
@@ -98,6 +101,14 @@ def _error_response(status: int, message: str) -> Response:
 
 def _ok(payload) -> Response:
     return Response(status=200, body=schema.dump_json(payload))
+
+
+def _rows(wire, positions) -> Response:
+    """A JSON array of the rows at index ``positions``, from their fragments."""
+    return Response(
+        status=200,
+        body=b"[%s]" % b",".join([wire.row_bytes(p) for p in positions]),
+    )
 
 
 def _parse_int(params: dict[str, str], name: str) -> int | None:
@@ -203,9 +214,8 @@ class QueryService:
         indexes = self._relay_indexes(params)
         block_hash = params.get("block_hash")
         if block_hash is not None:
-            rows = indexes.payloads_by_hash.get(block_hash, [])
-            return _ok(
-                [schema.encode_delivered(row, self.index.join) for row in rows]
+            return _rows(
+                indexes.payloads_wire, indexes.payloads_by_hash.get(block_hash, ())
             )
         return self._paged(indexes.payloads, indexes.payloads_wire, params)
 
@@ -213,9 +223,9 @@ class QueryService:
         indexes = self._relay_indexes(params)
         block_hash = params.get("block_hash")
         if block_hash is not None:
-            rows = indexes.submissions_by_hash.get(block_hash, [])
-            return _ok(
-                [schema.encode_submission(row, self.index.join) for row in rows]
+            return _rows(
+                indexes.submissions_wire,
+                indexes.submissions_by_hash.get(block_hash, ()),
             )
         return self._paged(indexes.submissions, indexes.submissions_wire, params)
 
@@ -223,11 +233,13 @@ class QueryService:
         indexes = self._relay_indexes(params)
         pubkey = params.get("pubkey")
         if pubkey is not None:
-            registration = indexes.registration_by_pubkey.get(pubkey)
-            if registration is None:
+            position = indexes.registration_by_pubkey.get(pubkey)
+            if position is None:
                 # The real relays answer unknown pubkeys with 400.
                 raise ServeError(400, "no registration found for validator")
-            return _ok(schema.encode_registration(registration))
+            return Response(
+                status=200, body=indexes.registrations_wire.row_bytes(position)
+            )
         return self._paged(
             indexes.registrations, indexes.registrations_wire, params
         )

@@ -299,6 +299,11 @@ class World:
         # (pool set, arbitrage cycles through it); built on first use.
         self._cached_cycles: tuple | None = None
 
+        # Users the next day step must check for a top-up: every user
+        # (None) before a world's first day step, then the senders of
+        # transactions made canonical since the last top-up.
+        self._spenders: set[Address] | None = None
+
         # Ground truth for tests.
         self.slot_records: list[SlotRecord] = []
         self._has_run = False
@@ -399,10 +404,21 @@ class World:
         Without inflow, heavy sellers run out of WETH after a few weeks and
         the victim-swap supply — and with it all MEV — dries up, which the
         real market does not do.
+
+        A top-up leaves every user at or above every floor, and only a
+        user's own transactions lower its balances, so after a world's
+        first day step only the senders of canonical transactions since
+        the last top-up can be below one; the others are skipped.
         """
         token_balance, token_mint = self.defi.tokens.balance_of, self.defi.tokens.mint
         eth_balance, eth_mint = self.state.balance_of, self.state.mint
-        for user in self.users:
+        spenders, self._spenders = self._spenders, set()
+        users = (
+            self.users
+            if spenders is None
+            else [user for user in self.users if user in spenders]
+        )
+        for user in users:
             held = token_balance("WETH", user)
             if held < _USER_WETH_FLOOR:
                 token_mint("WETH", user, _USER_WETH_TARGET - held)
@@ -1075,6 +1091,8 @@ class World:
             )
         )
         included = [tx.tx_hash for tx in outcome.block.transactions]
+        if self._spenders is not None:
+            self._spenders.update(tx.sender for tx in outcome.block.transactions)
         self.mempool.remove_included(included)
         self.private_flow.remove_included(included)
         self.mempool.expire(ctx.build_cutoff_time)

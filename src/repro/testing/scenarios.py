@@ -192,24 +192,37 @@ def _dropped_payloads(world) -> list[DetectedAnomaly]:
     ]
 
 
-def _builder_crashes(world) -> list[DetectedAnomaly]:
-    """Crash days on which a builder went completely silent across relays."""
+def _submitted_on(world, pubkeys: set[str], day: int) -> bool:
+    """Whether a builder with ``pubkeys`` submitted to a relay on ``day``."""
     bpd = world.config.blocks_per_day
+    day_slots = range(MERGE_SLOT + day * bpd, MERGE_SLOT + (day + 1) * bpd)
+    return any(
+        rec.builder_pubkey in pubkeys and rec.slot in day_slots
+        for relay in world.relays.values()
+        for rec in relay.data.get_builder_blocks_received()
+    )
+
+
+def _builder_crashes(world, baseline) -> list[DetectedAnomaly]:
+    """Crash days on which a builder went completely silent across relays.
+
+    A day counts only if the builder submitted on it in ``baseline``, the
+    unperturbed run: silence from a builder that would not have submitted
+    anyway is no evidence of a crash.  Without a baseline no day counts.
+    """
     found: list[DetectedAnomaly] = []
+    if baseline is None:
+        return found
     for builder in world.builders.values():
         if not builder.crash_days:
             continue
         pubkeys = set(builder.pubkeys)
-        silent_days = 0
-        for day in sorted(builder.crash_days):
-            day_slots = range(MERGE_SLOT + day * bpd, MERGE_SLOT + (day + 1) * bpd)
-            submitted = any(
-                rec.builder_pubkey in pubkeys and rec.slot in day_slots
-                for relay in world.relays.values()
-                for rec in relay.data.get_builder_blocks_received()
-            )
-            if not submitted:
-                silent_days += 1
+        silent_days = sum(
+            1
+            for day in builder.crash_days
+            if _submitted_on(baseline, pubkeys, day)
+            and not _submitted_on(world, pubkeys, day)
+        )
         if silent_days:
             found.append(
                 DetectedAnomaly(
@@ -297,6 +310,7 @@ def detect_anomalies(
     world,
     dataset: StudyDataset | None = None,
     report: OracleReport | None = None,
+    baseline=None,
 ) -> dict[tuple[str, str], DetectedAnomaly]:
     """All anomalies detectable from a finished run, keyed by (kind, target).
 
@@ -304,7 +318,8 @@ def detect_anomalies(
     gross overpromise scans mirror Table 4's promised-vs-delivered gap,
     filter-miss counts mirror the bloXroute sandwich count, sanctions
     lags and stale-timestamp payloads come from the oracles, and
-    drop/crash detectors read the relay data APIs.
+    drop/crash detectors read the relay data APIs.  ``baseline`` is the
+    unperturbed world the crash detector compares against.
     """
     if dataset is None:
         dataset = collect_study_dataset(world)
@@ -314,7 +329,7 @@ def detect_anomalies(
     detected.extend(_gross_overpromises(world, dataset))
     detected.extend(_filter_misses(world))
     detected.extend(_dropped_payloads(world))
-    detected.extend(_builder_crashes(world))
+    detected.extend(_builder_crashes(world, baseline))
     detected.extend(_oracle_attributions(report))
     detected.extend(_epbs_faults(world))
     return {(a.kind, a.target): a for a in detected}
@@ -411,11 +426,11 @@ class ScenarioRunner:
             return self.base_config
         return self.base_config.with_overrides(**scenario.config_overrides)
 
-    def _execute(self, config: SimulationConfig) -> RunArtifacts:
+    def _execute(self, config: SimulationConfig, baseline=None) -> RunArtifacts:
         world = build_world(config).run()
         dataset = collect_study_dataset(world)
         report = run_oracles(world, dataset)
-        anomalies = detect_anomalies(world, dataset, report)
+        anomalies = detect_anomalies(world, dataset, report, baseline)
         return RunArtifacts(
             world=world,
             dataset=dataset,
@@ -438,7 +453,8 @@ class ScenarioRunner:
         config = self.config_for(scenario)
         baseline = self.baseline_for(config)
         perturbed = self._execute(
-            config.with_overrides(faults=config.faults + scenario.faults)
+            config.with_overrides(faults=config.faults + scenario.faults),
+            baseline.world,
         )
         return ScenarioResult(
             scenario=scenario, baseline=baseline, perturbed=perturbed

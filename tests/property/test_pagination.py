@@ -6,7 +6,8 @@ exactly once, slot-descending, with no duplicates or gaps across page
 boundaries — and the concatenated walk must equal the unpaginated query.
 The same must hold when the walk starts from an arbitrary mid-stream
 cursor (the suffix property), and exact-slot queries must equal the
-plain filter.
+plain filter.  Seeks, slot spans, cursors and slot queries at absent
+slots and at values beyond int64 must match a brute-force filter too.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ SUBMISSIONS_PATH = "/relay/v1/data/bidtraces/builder_blocks_received"
 
 slots_strategy = st.lists(st.integers(min_value=0, max_value=12), max_size=40)
 limit_strategy = st.integers(min_value=1, max_value=9)
+#: Slot and cursor values a uint64-or-wider client may send.
+BEYOND_INT64 = (2**63, 2**64 + 5, 10**30)
+#: Probes: stored and absent slots (13 never is stored), and beyond int64.
+probe_strategy = st.one_of(
+    st.integers(min_value=0, max_value=13), st.sampled_from(BEYOND_INT64)
+)
 
 
 def _payload(slot: int, serial: int) -> DeliveredPayload:
@@ -175,12 +182,14 @@ def test_exact_slot_query_equals_filter(slots, wanted):
 @given(slots=slots_strategy)
 @settings(max_examples=40)
 def test_slot_index_seek_matches_linear_scan(slots):
-    """The O(log n) seek agrees with the obvious O(n) definition."""
+    """The O(log n) seek and slot span agree with the obvious O(n)
+    definitions at stored slots, absent ones and values beyond int64, and
+    answer Python ints."""
     index = SlotIndex(list(range(len(slots))), slots)
     ordered = sorted(
         range(len(slots)), key=lambda i: (-slots[i], i)
     )
-    for cursor_slot in range(14):
+    for cursor_slot in [*range(-1, 15), *BEYOND_INT64]:
         expected = next(
             (
                 position
@@ -189,10 +198,44 @@ def test_slot_index_seek_matches_linear_scan(slots):
             ),
             len(slots),
         )
-        assert index.seek(cursor_slot) == expected
+        run = [p for p, row in enumerate(ordered) if slots[row] == cursor_slot]
+        seek = index.seek(cursor_slot)
+        span = index.slot_span(cursor_slot)
+        assert seek == expected and type(seek) is int
+        assert span == ((run[0], run[-1] + 1) if run else (expected, expected))
+        assert all(type(bound) is int for bound in span)
+    for position, row in enumerate(ordered):
+        assert index.slot_at(position) == slots[row]
+        assert type(index.slot_at(position)) is int
     start, end, next_cursor = index.page_span(None, max(len(slots), 1))
     assert list(index.rows_at(start, end)) == ordered
     assert next_cursor is None
+
+
+@given(
+    slots=slots_strategy,
+    limit=limit_strategy,
+    probe=probe_strategy,
+    skip=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=60)
+def test_any_cursor_or_slot_value_matches_filter(slots, limit, probe, skip):
+    """A cursor at any slot, present, absent or beyond int64, resumes at
+    the rows the filter keeps; its skip counts only rows of that slot.  A
+    slot query at any value answers that slot's rows."""
+    service = _service(slots, "payloads")
+    full = _unpaginated(service, PAYLOADS_PATH)
+    suffix = [row for row in full if int(row["slot"]) <= probe]
+    in_slot = sum(1 for row in suffix if int(row["slot"]) == probe)
+    cursor = f"{probe}_{skip}" if skip else str(probe)
+    assert _walk(service, PAYLOADS_PATH, limit, cursor=cursor) == suffix[
+        min(skip, in_slot):
+    ]
+    response = service.handle(PAYLOADS_PATH, {"slot": str(probe), "limit": "500"})
+    assert response.status == 200
+    assert json.loads(response.body) == [
+        row for row in full if int(row["slot"]) == probe
+    ]
 
 
 def test_empty_store_pages_cleanly():

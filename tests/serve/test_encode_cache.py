@@ -1,12 +1,13 @@
 """The wire-encoding cache byte-identity contract.
 
 Every bid-trace and registration page is a slice of an offsets+blob
-column (:class:`repro.serve.schema.WireColumn`) rendered at index time.
-Each page must equal ``dump_json`` of the live ``encode_*`` output for
-the same rows — on the hand-built golden dataset and on a run dataset
-(collected, and rebuilt from its observations) — and a forked child
-sharing the parent's blobs copy-on-write (the multi-worker serving
-configuration) must serve the same bytes.
+column (:class:`repro.serve.schema.WireColumn`) rendered at index time,
+and every ``pubkey`` and ``block_hash`` lookup answers with fragments of
+the same columns.  Each response must equal ``dump_json`` of the live
+``encode_*`` output for the same rows — on the hand-built golden dataset
+and on run datasets (collected, and rebuilt from its observations) —
+and a forked child sharing the parent's blobs copy-on-write (the
+multi-worker serving configuration) must serve the same bytes.
 """
 
 from __future__ import annotations
@@ -125,8 +126,68 @@ def _assert_pages_are_live_encodings(dataset, limits) -> None:
                 )
 
 
+def _index_order(rows) -> list:
+    """Bid-trace ``rows`` slot-descending, store order within a slot."""
+    ranked = sorted(enumerate(rows), key=lambda item: (-item[1].slot, item[0]))
+    return [row for _, row in ranked]
+
+
+def _assert_lookups_are_live_encodings(dataset) -> int:
+    """Every ``pubkey`` and ``block_hash`` answer equals its live encoding.
+
+    The expected rows come from the stores, not the index: a view's
+    registration for a pubkey is the last one in store order (relay-name
+    order in the combined view), and a hash's bid traces are its rows in
+    index order.  Returns how many of the combined view's registrations
+    a later registration of the same pubkey overrides.
+    """
+    service = QueryService(dataset)
+    join = service.index.join
+    stores = [(name, dataset.relays[name].data) for name in sorted(dataset.relays)]
+    views = [({"relay": name}, [store]) for name, store in stores]
+    views.append(({}, [store for _, store in stores]))
+    repeated = 0
+    for base, view in views:
+        registrations = [r for store in view for r in store.get_validator_registrations()]
+        latest = {r.validator_pubkey: r for r in registrations}
+        if not base:
+            repeated = len(registrations) - len(latest)
+        for pubkey, registration in latest.items():
+            response = service.handle(REGISTRATIONS, {**base, "pubkey": pubkey})
+            assert response.status == 200
+            assert response.body == dump_json(encode_registration(registration))
+        bidtraces = (
+            (PAYLOADS, "get_payloads_delivered", lambda row: encode_delivered(row, join)),
+            (SUBMISSIONS, "get_builder_blocks_received",
+             lambda row: encode_submission(row, join)),
+        )
+        for path, getter, encode in bidtraces:
+            ordered = _index_order(
+                [row for store in view for row in getattr(store, getter)()]
+            )
+            for block_hash in {row.block_hash for row in ordered}:
+                response = service.handle(path, {**base, "block_hash": block_hash})
+                assert response.status == 200
+                assert response.body == dump_json(
+                    [encode(row) for row in ordered if row.block_hash == block_hash]
+                )
+            absent = service.handle(path, {**base, "block_hash": "0x" + "00" * 32})
+            assert (absent.status, absent.body) == (200, b"[]")
+    return repeated
+
+
 def test_cached_bytes_equal_uncached_on_golden_dataset():
     _assert_pages_are_live_encodings(build_golden_dataset(), limits=(1, 2, 500))
+
+
+def test_lookups_equal_live_encodings_on_golden_dataset():
+    # PROPOSER_2 is registered at aestus and flashbots.
+    assert _assert_lookups_are_live_encodings(build_golden_dataset()) == 1
+
+
+def test_lookups_equal_live_encodings_on_run_dataset(small_dataset):
+    """The 12-day session world registers one validator at several relays."""
+    assert _assert_lookups_are_live_encodings(small_dataset) >= 1
 
 
 def test_wire_column_matches_dump_json():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.constants import MERGE_BLOCK_NUMBER
 from repro.simulation import build_world
+from repro.simulation import world as world_module
 from repro.simulation.config import small_test_config
 
 
@@ -135,3 +136,42 @@ class TestPerfTimers:
         assert world.perf.timers["builder_phase"] > 0.0
         assert world.perf.timers["proposer_phase"] > 0.0
         assert 0.0 < world.perf.share("builder_phase", "slot_loop") < 1.0
+
+
+class TestTopUp:
+    @pytest.mark.parametrize("regime", ["mev_boost", "epbs", "local"])
+    def test_every_user_meets_every_floor_after_each_day_step(self, regime):
+        """After its first day, the top-up checks only the users that sent a
+        canonical transaction since the last one.  That is exact only if a
+        top-up leaves every user at or above every floor and nothing but a
+        user's own transactions lowers its balances; a user under a floor
+        after any day step is a spender the top-up missed."""
+        config = small_test_config(num_days=12, regime=regime)
+        world = build_world(config)
+        tokens, state = world.defi.tokens, world.state
+        floors = (
+            ("WETH", world_module._USER_WETH_FLOOR),
+            ("USDC", world_module._USER_USDC_FLOOR),
+            ("DAI", world_module._USER_DAI_FLOOR),
+        )
+        advance = world._advance_day
+        stepped = []
+
+        def advance_and_check(day):
+            advance(day)
+            for user in world.users:
+                assert state.balance_of(user) >= world_module._USER_ETH_FLOOR, (
+                    day,
+                    user,
+                )
+                for symbol, floor in floors:
+                    assert tokens.balance_of(symbol, user) >= floor, (
+                        day,
+                        symbol,
+                        user,
+                    )
+            stepped.append(day)
+
+        world._advance_day = advance_and_check
+        world.run()
+        assert stepped == list(range(config.num_days))

@@ -273,3 +273,20 @@ class TestScenarioMatrix:
         assert result.perturbed.anomalies[
             (FAULT_TIMESTAMP_BUG, "builder0x69")
         ].metric >= 1
+
+    def test_crash_of_an_idle_builder_is_not_detected(self, scenario_runner):
+        """Builder 1 submits on no day of the 12-day world, so crashing it
+        silences nothing: the scenario must fail exact detection instead of
+        passing on a builder that was never going to submit."""
+        scenario = Scenario(
+            name="idle-builder-crash",
+            description="Builder 1 crashes on a day it would not have submitted",
+            faults=(FaultSpec(kind=FAULT_BUILDER_CRASH, target="Builder 1", day=9),),
+        )
+        result = scenario_runner.run(scenario)
+        assert result.perturbed.digest == result.baseline.digest
+        assert any(
+            f"expected anomaly {(FAULT_BUILDER_CRASH, 'Builder 1')} was not detected"
+            in problem
+            for problem in result.problems()
+        )
