@@ -99,7 +99,7 @@ class ExecutionContext:
         self.protocols.commit()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxOutcome:
     """Result of executing a single transaction."""
 

@@ -26,7 +26,7 @@ STATUS_SUCCESS = 1
 STATUS_FAILURE = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Log:
     """One event log emitted by a contract during transaction execution."""
 
@@ -39,7 +39,7 @@ class Log:
         object.__setattr__(self, "data", MappingProxyType(dict(self.data)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Receipt:
     """Execution outcome of one transaction inside a block.
 

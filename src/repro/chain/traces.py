@@ -19,7 +19,7 @@ FRAME_INTERNAL = "internal"  # value moved by contract execution
 FRAME_COINBASE_TIP = "coinbase-tip"  # internal transfer to the fee recipient
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallFrame:
     """One value-moving frame inside a transaction trace."""
 
@@ -30,7 +30,7 @@ class CallFrame:
     kind: str = FRAME_INTERNAL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransactionTrace:
     """All value-moving frames of one executed transaction, in order."""
 

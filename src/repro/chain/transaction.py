@@ -9,7 +9,6 @@ measurement code runs unchanged over the simulated chain.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -25,7 +24,7 @@ LIQUIDATION_GAS: Gas = 250_000
 COINBASE_TIP_GAS: Gas = 9_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EthTransfer:
     """Plain ETH transfer to ``recipient``."""
 
@@ -39,7 +38,7 @@ class EthTransfer:
             raise ConfigError(f"negative ETH transfer value {self.value_wei}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenTransfer:
     """ERC-20 transfer of ``amount`` units of ``token`` to ``recipient``."""
 
@@ -50,7 +49,7 @@ class TokenTransfer:
     gas_cost: Gas = field(default=TOKEN_TRANSFER_GAS, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwapExact:
     """Swap ``amount_in`` of ``token_in`` on ``pool_id`` for the other token.
 
@@ -67,7 +66,7 @@ class SwapExact:
     gas_cost: Gas = field(default=SWAP_GAS, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiquidatePosition:
     """Liquidate ``borrower``'s position on lending market ``market_id``."""
 
@@ -77,7 +76,7 @@ class LiquidatePosition:
     gas_cost: Gas = field(default=LIQUIDATION_GAS, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TipCoinbase:
     """Internal ETH transfer to the block's fee recipient.
 
@@ -97,7 +96,7 @@ class TipCoinbase:
 Action = EthTransfer | TokenTransfer | SwapExact | LiquidatePosition | TipCoinbase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """An EIP-1559 (type-2) transaction carrying typed actions."""
 
@@ -110,6 +109,11 @@ class Transaction:
     # Extra gas emulating heavier contract interaction beyond the typed
     # actions; lets blocks reach mainnet-like gas totals at simulator scale.
     extra_gas: Gas = 0
+    # Total gas consumed if every action executes (our model is exact).
+    # Computed once at construction: block assembly checks it against the
+    # gas budget for every candidate in every builder's pass.  A field, not
+    # a cached_property, which would need an instance dict.
+    gas_limit: Gas = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_priority_fee_per_gas > self.max_fee_per_gas:
@@ -121,18 +125,12 @@ class Transaction:
             raise ConfigError(f"negative fee caps for {self.tx_hash}")
         if self.extra_gas < 0:
             raise ConfigError(f"negative extra gas for {self.tx_hash}")
-
-    @functools.cached_property
-    def gas_limit(self) -> Gas:
-        """Total gas consumed if every action executes (our model is exact).
-
-        Cached: block assembly checks it against the gas budget for every
-        candidate in every builder's pass.
-        """
-        return (
+        object.__setattr__(
+            self,
+            "gas_limit",
             INTRINSIC_GAS
             + sum(action.gas_cost for action in self.actions)
-            + self.extra_gas
+            + self.extra_gas,
         )
 
     def is_eligible(self, base_fee_per_gas: Wei) -> bool:

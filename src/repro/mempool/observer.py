@@ -1,7 +1,7 @@
 """Mempool-Guru-style observation.
 
-A fixed set of monitor nodes records, for every publicly gossiped
-transaction, the timestamp at which each monitor first saw it.  The
+A fixed set of monitor nodes watches every publicly gossiped
+transaction; the store keeps the earliest time any monitor saw it.  The
 measurement pipeline classifies a mined transaction as *private* exactly
 when no monitor ever saw it before inclusion — the paper's methodology.
 """
@@ -17,7 +17,7 @@ DEFAULT_OBSERVER_COUNT = 7  # Mempool Guru ran seven full nodes
 
 
 class ObservationStore:
-    """First-seen timestamps per (transaction, monitor node)."""
+    """Earliest sighting per transaction across the monitor nodes."""
 
     def __init__(self, network: P2PNetwork, observer_nodes: list[int]) -> None:
         if not observer_nodes:
@@ -27,8 +27,10 @@ class ObservationStore:
             raise NetworkError(f"observer nodes not in overlay: {sorted(unknown)}")
         self._network = network
         self._observers = tuple(observer_nodes)
-        # tx_hash -> tuple of first-seen timestamps, aligned with observers.
-        self._first_seen: dict[Hash, tuple[float, ...]] = {}
+        # tx_hash -> earliest time any monitor saw it.  Readers want only
+        # that minimum, or the count of (tx, monitor) records, which is
+        # this dict's size times the number of monitors.
+        self._first_seen: dict[Hash, float] = {}
 
     @classmethod
     def with_default_observers(cls, network: P2PNetwork) -> "ObservationStore":
@@ -39,15 +41,14 @@ class ObservationStore:
         return cls(network, nodes[::stride][:count])
 
     def record_broadcast(self, entry: MempoolEntry) -> None:
-        """Record the arrival times of a public transaction at every monitor."""
-        self._first_seen[entry.tx.tx_hash] = tuple(
+        """Record when the first monitor sees a public transaction."""
+        self._first_seen[entry.tx.tx_hash] = min(
             entry.visible_at(self._network, node) for node in self._observers
         )
 
     def first_seen(self, tx_hash: Hash) -> float | None:
         """Earliest time any monitor saw the transaction; None if never."""
-        timestamps = self._first_seen.get(tx_hash)
-        return min(timestamps) if timestamps else None
+        return self._first_seen.get(tx_hash)
 
     def is_public(self, tx_hash: Hash, before: float | None = None) -> bool:
         """Whether the transaction was publicly observable (optionally by a time)."""
@@ -58,4 +59,4 @@ class ObservationStore:
 
     def total_arrival_records(self) -> int:
         """Number of (tx, monitor) arrival timestamps — the Table 1 count."""
-        return sum(len(times) for times in self._first_seen.values())
+        return len(self._first_seen) * len(self._observers)

@@ -55,8 +55,9 @@ from ..errors import DataError
 #: Bump when simulation semantics or the artifact layout change; old
 #: artifacts become unreadable.  5 = columnar .npz + pickle of the
 #: dataset's other fields carrying the .npz's column stamp; the pickled
-#: validator registrations carry no validator index.
-ARTIFACT_FORMAT = 5
+#: validator registrations carry no validator index.  6 = the pickled
+#: sanctions list stores each distinct as-of view once.
+ARTIFACT_FORMAT = 6
 
 _CACHE_DIR_ENV = "REPRO_ARTIFACT_CACHE"
 

@@ -46,6 +46,10 @@ class SanctionsList:
         # over the whole study window.  Invalidated on every add.
         self._addresses_as_of: dict[datetime.date, frozenset[Address]] = {}
         self._tokens_as_of: dict[datetime.date, frozenset[str]] = {}
+        # Each distinct view, keyed by itself: the dates between two
+        # updates share one frozenset, here and in a pickled dataset.  An
+        # add leaves it alone, since an equal view is still the answer.
+        self._views: dict[frozenset, frozenset] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -73,11 +77,12 @@ class SanctionsList:
         """Addresses whose designation is effective on ``date`` (memoized)."""
         cached = self._addresses_as_of.get(date)
         if cached is None:
-            cached = frozenset(
+            view = frozenset(
                 entry.address
                 for entry in self._entries
                 if entry.effective_date <= date
             )
+            cached = self._views.setdefault(view, view)
             self._addresses_as_of[date] = cached
         return cached
 
@@ -85,11 +90,12 @@ class SanctionsList:
         """Token designations effective on ``date`` (next-day rule applies)."""
         cached = self._tokens_as_of.get(date)
         if cached is None:
-            cached = frozenset(
+            view = frozenset(
                 symbol
                 for symbol, listed in self._sanctioned_tokens.items()
                 if listed + datetime.timedelta(days=1) <= date
             )
+            cached = self._views.setdefault(view, view)
             self._tokens_as_of[date] = cached
         return cached
 

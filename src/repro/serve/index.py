@@ -3,9 +3,10 @@
 The relay data API serves rows in slot-descending order with cursor
 pagination.  A naive implementation filters the store's row list per
 request — O(rows) per page.  Instead, each store gets a
-:class:`SlotIndex` built once per dataset: a slot-descending permutation
-of row positions (one stable numpy argsort) plus the negated slot keys
-in that order, held in an ``array("q")``, so
+:class:`SlotIndex` built once per dataset: one stable numpy argsort puts
+the rows in slot-descending order, the rows are rendered in that order,
+and the index keeps only the negated slot keys in that order, held in an
+``array("q")``, so
 
 * seeking a cursor is one ``bisect`` — O(log n), on Python ints, with no
   call into numpy;
@@ -43,28 +44,31 @@ ZERO_HASH = "0x" + "0" * 64
 
 
 class SlotIndex:
-    """A slot-descending view over one immutable row sequence.
+    """The slot keys of one immutable row sequence, slot-descending.
 
-    ``rows`` is snapshotted at build time (the stores are append-only and
-    serving happens on finished datasets, so the snapshot never goes
-    stale).  ``slots`` holds each row's ordering key, in row order.
+    It holds no rows: :meth:`build` hands the builder the row order once,
+    the builder renders the rows in that order, and requests need only
+    index positions.  The stores are append-only and serving happens on
+    finished datasets, so the order never goes stale.
     """
 
-    def __init__(self, rows: Sequence, slots: Sequence[int]) -> None:
-        self.rows: tuple = tuple(rows)
-        slot_array = np.asarray(list(slots), dtype=np.int64)
-        if slot_array.shape[0] != len(self.rows):
-            raise ValueError("one slot key per row required")
-        # Stable argsort of the negated slots: slot-descending overall,
-        # insertion-ascending within one slot.
-        self._order = np.argsort(-slot_array, kind="stable")
+    def __init__(self, neg_slots: array) -> None:
         # Negated slots in index order — ascending, as bisect needs, and
         # in a C array so a seek compares Python ints and never calls
         # into numpy.
-        self._neg_slots = array("q", (-slot_array[self._order]).tobytes())
+        self._neg_slots = neg_slots
+
+    @classmethod
+    def build(cls, slots: Sequence[int]) -> tuple["SlotIndex", list[int]]:
+        """The index over ``slots`` (each row's key, in row order), and
+        the row at each index position: slot-descending overall, row
+        order within one slot (a stable argsort of the negated slots)."""
+        slot_array = np.asarray(list(slots), dtype=np.int64)
+        order = np.argsort(-slot_array, kind="stable")
+        return cls(array("q", (-slot_array[order]).tobytes())), order.tolist()
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._neg_slots)
 
     # -- seeking (the O(log n) part) ------------------------------------
 
@@ -87,14 +91,6 @@ class SlotIndex:
 
     # -- paging (the O(limit) part) -------------------------------------
 
-    def rows_at(self, lo: int, hi: int) -> tuple:
-        """Rows for index positions [lo, hi), in index order."""
-        return tuple(self.rows[i] for i in self._order[lo:hi])
-
-    def ordered_rows(self) -> tuple:
-        """Every row, in index (slot-descending) order."""
-        return self.rows_at(0, len(self.rows))
-
     def page_span(self, cursor: "Cursor | None", limit: int) -> tuple[int, int, str | None]:
         """The ``(start, end, next_cursor)`` index span of one page.
 
@@ -103,19 +99,20 @@ class SlotIndex:
         inside that slot.  A bare ``<slot>`` cursor (the real relay API's
         form) is equivalent to ``<slot>_0``.
         """
-        if len(self.rows) == 0:
+        size = len(self._neg_slots)
+        if size == 0:
             return 0, 0, None
         if cursor is None:
             start = 0
         else:
             start = self.seek(cursor.slot)
-            if cursor.skip and start < len(self.rows):
+            if cursor.skip and start < size:
                 if self.slot_at(start) == cursor.slot:
                     lo, hi = self.slot_span(cursor.slot)
                     start = min(lo + cursor.skip, hi)
-        end = min(start + limit, len(self.rows))
+        end = min(start + limit, size)
         next_cursor = None
-        if end < len(self.rows):
+        if end < size:
             next_slot = self.slot_at(end)
             skip = end - self.seek(next_slot)
             next_cursor = f"{next_slot}_{skip}" if skip else str(next_slot)
@@ -177,46 +174,48 @@ class RelayIndexes:
     ) -> None:
         from . import schema
 
-        self.payloads = SlotIndex(payloads, [p.slot for p in payloads])
-        self.submissions = SlotIndex(submissions, [s.slot for s in submissions])
-        self.registrations = SlotIndex(
-            registrations, [r.registered_slot for r in registrations]
+        self.payloads, order = SlotIndex.build([p.slot for p in payloads])
+        ordered_payloads = [payloads[i] for i in order]
+        self.submissions, order = SlotIndex.build([s.slot for s in submissions])
+        ordered_submissions = [submissions[i] for i in order]
+        self.registrations, order = SlotIndex.build(
+            [r.registered_slot for r in registrations]
         )
         # Index position of each registration, in store order; a later
         # registration of the same pubkey overwrites an earlier one.
         positions = np.empty(len(registrations), dtype=np.int64)
-        positions[self.registrations._order] = np.arange(len(registrations))
+        positions[order] = np.arange(len(registrations))
         self.registration_by_pubkey: dict[str, int] = {
             r.validator_pubkey: position
             for r, position in zip(registrations, positions.tolist())
         }
-        self.payloads_by_hash = _positions_by_hash(self.payloads)
-        self.submissions_by_hash = _positions_by_hash(self.submissions)
+        self.payloads_by_hash = _positions_by_hash(ordered_payloads)
+        self.submissions_by_hash = _positions_by_hash(ordered_submissions)
         self.payloads_wire = schema.wire_column(
-            self.payloads.ordered_rows(),
+            ordered_payloads,
             lambda row: schema.encode_delivered(row, join),
             memo,
         )
         self.submissions_wire = schema.wire_column(
-            self.submissions.ordered_rows(),
+            ordered_submissions,
             lambda row: schema.encode_submission(row, join),
             memo,
         )
         self.registrations_wire = schema.wire_column(
-            self.registrations.ordered_rows(),
+            [registrations[i] for i in order],
             schema.encode_registration,
             memo,
         )
 
 
-def _positions_by_hash(index: SlotIndex) -> dict[str, tuple[int, ...]]:
-    """Each block hash's index positions, in index order.
+def _positions_by_hash(ordered_rows: Sequence) -> dict[str, tuple[int, ...]]:
+    """Each block hash's index positions, given the rows in index order.
 
     Tuples, not the lists they are gathered in: a one-row tuple takes 48
     bytes where a list takes 88, and most hashes have one row.
     """
     by_hash: dict[str, list[int]] = {}
-    for position, row in enumerate(index.ordered_rows()):
+    for position, row in enumerate(ordered_rows):
         by_hash.setdefault(row.block_hash, []).append(position)
     return {block_hash: tuple(positions) for block_hash, positions in by_hash.items()}
 

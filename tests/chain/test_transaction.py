@@ -1,12 +1,21 @@
 """Unit tests for transactions and their fee semantics."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.chain.transaction import (
+    COINBASE_TIP_GAS,
+    ETH_TRANSFER_GAS,
     EthTransfer,
     INTRINSIC_GAS,
+    LIQUIDATION_GAS,
+    LiquidatePosition,
     SWAP_GAS,
     SwapExact,
+    TOKEN_TRANSFER_GAS,
     TipCoinbase,
     TokenTransfer,
     TransactionFactory,
@@ -73,8 +82,51 @@ class TestGas:
         assert _tx(extra_gas=100_000).gas_limit == INTRINSIC_GAS + 100_000
 
     def test_multiple_actions_sum(self):
-        tx = _tx(actions=[EthTransfer(OTHER, 1), TokenTransfer("USDC", OTHER, 5)])
-        assert tx.gas_limit > INTRINSIC_GAS
+        tx = _tx(
+            actions=[
+                EthTransfer(OTHER, 1),
+                TokenTransfer("USDC", OTHER, 5),
+                SwapExact("p", "WETH", 1, 0),
+                LiquidatePosition("aave", OTHER),
+                TipCoinbase(7),
+            ],
+            extra_gas=1_234,
+        )
+        assert tx.gas_limit == (
+            INTRINSIC_GAS
+            + ETH_TRANSFER_GAS
+            + TOKEN_TRANSFER_GAS
+            + SWAP_GAS
+            + LIQUIDATION_GAS
+            + COINBASE_TIP_GAS
+            + 1_234
+        )
+
+
+class TestGasLimitField:
+    """``gas_limit`` is a field set at construction, outside repr, == and hash."""
+
+    def test_repr_eq_and_hash_ignore_it(self):
+        tx = _tx(actions=[SwapExact("p", "WETH", 1, 0)])
+        assert "gas_limit" not in repr(tx)
+        other = copy.copy(tx)
+        object.__setattr__(other, "gas_limit", tx.gas_limit + 1)
+        assert other == tx
+        assert hash(other) == hash(tx)
+
+    def test_replace_recomputes_it(self):
+        tx = _tx(actions=[SwapExact("p", "WETH", 1, 0)])
+        heavier = dataclasses.replace(tx, extra_gas=50_000)
+        assert heavier.gas_limit == INTRINSIC_GAS + SWAP_GAS + 50_000
+        assert tx.gas_limit == INTRINSIC_GAS + SWAP_GAS
+
+    def test_copy_and_pickle_keep_it(self):
+        tx = _tx(actions=[TipCoinbase(3)], extra_gas=10)
+        for clone in (copy.copy(tx), pickle.loads(pickle.dumps(tx))):
+            assert clone == tx
+            assert clone.gas_limit == tx.gas_limit == (
+                INTRINSIC_GAS + COINBASE_TIP_GAS + 10
+            )
 
 
 class TestFees:

@@ -9,6 +9,8 @@ from repro.mempool.network import P2PNetwork
 from repro.mempool.observer import DEFAULT_OBSERVER_COUNT, ObservationStore
 from repro.mempool.pool import SharedMempool
 from repro.mempool.private import PrivateOrderFlow
+from repro.simulation.config import small_test_config
+from repro.simulation.world import build_world
 from repro.types import derive_address, gwei
 
 SENDER = derive_address("mp", "sender")
@@ -110,6 +112,31 @@ class TestObservationStore:
         for i in range(3):
             store.record_broadcast(pool.broadcast(_tx(factory, nonce=i), 0, 0.0))
         assert store.total_arrival_records() == 3 * DEFAULT_OBSERVER_COUNT
+
+    def test_world_keeps_the_earliest_sighting(self, small_dataset):
+        """Over a 12-day world, ``first_seen`` is the earliest monitor's
+        sighting, recomputed from the network, and the Table 1 count is
+        public transactions times monitors, as when every time was kept."""
+        world = build_world(small_test_config())
+        store = world.observations
+        entries = []
+        record = store.record_broadcast
+        store.record_broadcast = lambda entry: (entries.append(entry), record(entry))
+        world.run()
+        monitors = store._observers
+        assert len(monitors) == DEFAULT_OBSERVER_COUNT
+        assert len({entry.tx.tx_hash for entry in entries}) == len(entries) > 0
+        for entry in entries:
+            assert store.first_seen(entry.tx.tx_hash) == min(
+                entry.broadcast_time
+                + world.network.propagation_delay(entry.origin_node, node)
+                for node in monitors
+            )
+        assert store.total_arrival_records() == len(entries) * DEFAULT_OBSERVER_COUNT
+        # The same world's inventory count, as it read with all seven
+        # times per transaction kept.
+        assert small_dataset.inventory.mempool_arrival_times == 22_890
+        assert store.total_arrival_records() == 22_890
 
     def test_bad_observer_nodes_rejected(self, network):
         with pytest.raises(NetworkError):

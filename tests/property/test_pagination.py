@@ -184,11 +184,13 @@ def test_exact_slot_query_equals_filter(slots, wanted):
 def test_slot_index_seek_matches_linear_scan(slots):
     """The O(log n) seek and slot span agree with the obvious O(n)
     definitions at stored slots, absent ones and values beyond int64, and
-    answer Python ints."""
-    index = SlotIndex(list(range(len(slots))), slots)
+    answer Python ints; the build's row order is slot-descending, stable
+    within a slot."""
+    index, order = SlotIndex.build(slots)
     ordered = sorted(
         range(len(slots)), key=lambda i: (-slots[i], i)
     )
+    assert order == ordered and len(index) == len(slots)
     for cursor_slot in [*range(-1, 15), *BEYOND_INT64]:
         expected = next(
             (
@@ -207,9 +209,7 @@ def test_slot_index_seek_matches_linear_scan(slots):
     for position, row in enumerate(ordered):
         assert index.slot_at(position) == slots[row]
         assert type(index.slot_at(position)) is int
-    start, end, next_cursor = index.page_span(None, max(len(slots), 1))
-    assert list(index.rows_at(start, end)) == ordered
-    assert next_cursor is None
+    assert index.page_span(None, max(len(slots), 1)) == (0, len(slots), None)
 
 
 @given(
@@ -258,6 +258,8 @@ def test_cursor_parse_rejects_garbage():
 
 def test_np_int_slots_accepted():
     """Index construction accepts numpy integer slot keys."""
-    index = SlotIndex(["a", "b"], np.asarray([3, 9]))
-    start, end, _ = index.page_span(None, 10)
-    assert list(index.rows_at(start, end)) == ["b", "a"]
+    index, order = SlotIndex.build(np.asarray([3, 9]))
+    assert order == [1, 0]
+    assert index.page_span(None, 10) == (0, 2, None)
+    assert [index.slot_at(0), index.slot_at(1)] == [9, 3]
+    assert all(type(index.slot_at(p)) is int for p in range(2))

@@ -1,13 +1,14 @@
 """Unit tests for the OFAC list and sanction screening."""
 
 import datetime
+import pickle
 
 import pytest
 
 from repro.chain.receipts import Receipt, transfer_log
 from repro.chain.traces import CallFrame, TransactionTrace, FRAME_INTERNAL
 from repro.chain.transaction import EthTransfer, TokenTransfer, TransactionFactory
-from repro.constants import MERGE_DATE, OFAC_UPDATE_DATES
+from repro.constants import MERGE_DATE, OFAC_UPDATE_DATES, TRON_SANCTION_DATE
 from repro.defi.tokens import TokenRegistry
 from repro.errors import ConfigError
 from repro.sanctions.ofac import SanctionsList, build_ofac_timeline
@@ -56,6 +57,51 @@ class TestSanctionsList:
         listed = {entry.address: entry.listed_date for entry in sanctions.entries()}
         assert listed[BAD] == LISTED
         assert USER not in listed
+
+
+class TestSharedViews:
+    """Dates with the same effective entries share one frozenset."""
+
+    DAY = datetime.timedelta(days=1)
+
+    def test_address_view_shared_until_an_update(self):
+        sanctions = build_ofac_timeline()
+        november, february = OFAC_UPDATE_DATES
+        before = sanctions.addresses_as_of(november)
+        assert len(before) == 104
+        assert sanctions.addresses_as_of(MERGE_DATE) is before
+        after = sanctions.addresses_as_of(november + self.DAY)
+        assert len(after) == 122 and after is not before
+        assert sanctions.addresses_as_of(february) is after
+        assert sanctions.addresses_as_of(november + 30 * self.DAY) is after
+
+    def test_token_view_shared_across_the_tron_date(self):
+        sanctions = build_ofac_timeline()
+        before = sanctions.tokens_as_of(TRON_SANCTION_DATE)
+        assert before == frozenset()
+        assert sanctions.tokens_as_of(MERGE_DATE) is before
+        after = sanctions.tokens_as_of(TRON_SANCTION_DATE + self.DAY)
+        assert after == frozenset({"TRON"}) and after is not before
+        assert sanctions.tokens_as_of(TRON_SANCTION_DATE + 60 * self.DAY) is after
+
+    def test_add_after_queries_is_visible(self, sanctions):
+        later = LISTED + 5 * self.DAY
+        assert sanctions.addresses_as_of(later) == frozenset({BAD})
+        assert sanctions.tokens_as_of(later) == frozenset()
+        sanctions.add(USER, LISTED)
+        assert sanctions.addresses_as_of(later) == frozenset({BAD, USER})
+        sanctions.add_token("TRON", LISTED)
+        assert sanctions.tokens_as_of(later) == frozenset({"TRON"})
+
+    def test_dataset_holds_each_view_once(self, small_dataset):
+        """The 12-day world's dataset holds one object per distinct view,
+        and so does its pickle, which is what an artifact stores."""
+        live = small_dataset.sanctions
+        for sanctions in (live, pickle.loads(pickle.dumps(live))):
+            for memo in (sanctions._addresses_as_of, sanctions._tokens_as_of):
+                assert len(memo) >= 12
+                views = list(memo.values())
+                assert len({id(view) for view in views}) == len(set(views))
 
 
 class TestDefaultTimeline:

@@ -83,24 +83,49 @@ def _sweep_bodies(service: QueryService) -> list[tuple]:
     return results
 
 
+def _views(dataset) -> list[tuple[dict[str, str], list]]:
+    """Each relay's query parameters and stores, then the combined view's.
+
+    The combined view concatenates the stores in relay-name order.
+    """
+    stores = [(name, dataset.relays[name].data) for name in sorted(dataset.relays)]
+    views = [({"relay": name}, [store]) for name, store in stores]
+    views.append(({}, [store for _, store in stores]))
+    return views
+
+
+def _index_order(rows, key: str = "slot") -> list:
+    """``rows`` descending by attribute ``key``, store order within a slot."""
+    ranked = sorted(enumerate(rows), key=lambda item: (-getattr(item[1], key), item[0]))
+    return [row for _, row in ranked]
+
+
 def _assert_pages_are_live_encodings(dataset, limits) -> None:
     """Every served page equals ``dump_json`` of its rows, encoded live.
 
     Walks every relay (and the combined view) on all three paginated
     endpoints: full cursor walks at each limit, and every exact slot.
+    The expected rows come from the stores, in index order; the index
+    says only where each page starts and ends.
     """
     service = QueryService(dataset)
     join = service.index.join
     endpoints = (
-        (PAYLOADS, "payloads", lambda row: encode_delivered(row, join)),
-        (SUBMISSIONS, "submissions", lambda row: encode_submission(row, join)),
-        (REGISTRATIONS, "registrations", encode_registration),
+        (PAYLOADS, "payloads", "get_payloads_delivered", "slot",
+         lambda row: encode_delivered(row, join)),
+        (SUBMISSIONS, "submissions", "get_builder_blocks_received", "slot",
+         lambda row: encode_submission(row, join)),
+        (REGISTRATIONS, "registrations", "get_validator_registrations",
+         "registered_slot", encode_registration),
     )
-    for relay in [None] + service.index.relay_names():
-        base = {} if relay is None else {"relay": relay}
-        indexes = service.index.for_relay(relay)
-        for path, name, encode in endpoints:
+    for base, view in _views(dataset):
+        indexes = service.index.for_relay(base.get("relay"))
+        for path, name, getter, key, encode in endpoints:
             slot_index = getattr(indexes, name)
+            ordered = _index_order(
+                [row for store in view for row in getattr(store, getter)()], key
+            )
+            assert len(slot_index) == len(ordered)
             for limit in limits:
                 params = {**base, "limit": str(limit)}
                 cursor = None
@@ -109,27 +134,20 @@ def _assert_pages_are_live_encodings(dataset, limits) -> None:
                     response = service.handle(path, dict(params))
                     assert response.status == 200
                     assert response.body == dump_json(
-                        [encode(row) for row in slot_index.rows_at(start, end)]
+                        [encode(row) for row in ordered[start:end]]
                     )
                     assert response.headers.get("x-next-cursor") == next_cursor
                     if next_cursor is None:
                         break
                     cursor = Cursor.parse(next_cursor)
                     params["cursor"] = next_cursor
-            for slot in {slot_index.slot_at(i) for i in range(len(slot_index))}:
-                lo, hi = slot_index.slot_span(slot)
+            for slot in {getattr(row, key) for row in ordered}:
                 response = service.handle(
                     path, {**base, "slot": str(slot), "limit": "500"}
                 )
                 assert response.body == dump_json(
-                    [encode(row) for row in slot_index.rows_at(lo, hi)]
+                    [encode(row) for row in ordered if getattr(row, key) == slot]
                 )
-
-
-def _index_order(rows) -> list:
-    """Bid-trace ``rows`` slot-descending, store order within a slot."""
-    ranked = sorted(enumerate(rows), key=lambda item: (-item[1].slot, item[0]))
-    return [row for _, row in ranked]
 
 
 def _assert_lookups_are_live_encodings(dataset) -> int:
@@ -143,11 +161,8 @@ def _assert_lookups_are_live_encodings(dataset) -> int:
     """
     service = QueryService(dataset)
     join = service.index.join
-    stores = [(name, dataset.relays[name].data) for name in sorted(dataset.relays)]
-    views = [({"relay": name}, [store]) for name, store in stores]
-    views.append(({}, [store for _, store in stores]))
     repeated = 0
-    for base, view in views:
+    for base, view in _views(dataset):
         registrations = [r for store in view for r in store.get_validator_registrations()]
         latest = {r.validator_pubkey: r for r in registrations}
         if not base:
